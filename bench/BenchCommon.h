@@ -36,6 +36,7 @@
 #include "support/Timer.h"
 #include "workload/Suite.h"
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
@@ -44,6 +45,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <sched.h>
 
 namespace poce {
 namespace bench {
@@ -197,8 +200,7 @@ inline void appendHotPathCells(std::vector<std::string> &Row,
 /// Returns the prior runs of the trajectory JSON at \p Path as the inner
 /// text of its "runs" array (comma-joined objects, no brackets), or ""
 /// when the file is missing/empty. A pre-runs-format file (top-level
-/// "entries") is kept verbatim as the first run. Shared by every bench
-/// that appends timestamped runs to a trajectory file.
+/// "entries") is kept verbatim as the first run.
 inline std::string readPriorRuns(const std::string &Path) {
   std::ifstream In(Path);
   if (!In)
@@ -233,6 +235,70 @@ inline std::string utcTimestamp() {
   std::time_t Now = std::time(nullptr);
   std::strftime(Out, sizeof(Out), "%Y-%m-%dT%H:%M:%SZ", std::gmtime(&Now));
   return Out;
+}
+
+/// printf-style append to \p Out. Trajectory runs are built in memory
+/// and written only once complete, so a failed run leaves the file as it
+/// was.
+[[gnu::format(printf, 2, 3)]] inline void appendf(std::string &Out,
+                                                  const char *Fmt, ...) {
+  va_list Args;
+  va_start(Args, Fmt);
+  va_list Sized;
+  va_copy(Sized, Args);
+  int N = std::vsnprintf(nullptr, 0, Fmt, Sized);
+  va_end(Sized);
+  if (N > 0) {
+    size_t Old = Out.size();
+    Out.resize(Old + N + 1);
+    std::vsnprintf(&Out[Old], N + 1, Fmt, Args);
+    Out.resize(Old + N);
+  }
+  va_end(Args);
+}
+
+/// Appends one run to the trajectory JSON at \p Path, keeping its prior
+/// runs: `{"bench": Bench, "runs": [..., {run}]}`. The run object opens
+/// with what every run records — timestamp, \p Mode, and the machine it
+/// ran on (CPUs available to the process as `nproc` counts them, compiler,
+/// and the CMake build type bench/CMakeLists.txt passes as
+/// POCE_BUILD_TYPE) — followed by \p Fields, the caller's own members as
+/// JSON text without the enclosing braces. Returns false, with a message
+/// on stderr, if the file cannot be written.
+inline bool appendTrajectoryRun(const std::string &Path, const char *Bench,
+                                const char *Mode, const std::string &Fields) {
+  cpu_set_t Cpus;
+  unsigned Nproc = sched_getaffinity(0, sizeof(Cpus), &Cpus) == 0
+                       ? static_cast<unsigned>(CPU_COUNT(&Cpus))
+                       : ThreadPool::resolveThreads(0);
+#ifdef __clang__
+  const char *Compiler = "clang " __clang_version__;
+#else
+  const char *Compiler = "gcc " __VERSION__;
+#endif
+
+  std::string Prior = readPriorRuns(Path);
+  std::FILE *File = std::fopen(Path.c_str(), "w");
+  if (!File) {
+    std::fprintf(stderr, "error: cannot open '%s' for writing\n",
+                 Path.c_str());
+    return false;
+  }
+  std::fprintf(File, "{\n  \"bench\": \"%s\",\n  \"runs\": [\n", Bench);
+  if (!Prior.empty())
+    std::fprintf(File, "%s,\n", Prior.c_str());
+  std::fprintf(File,
+               "  {\"timestamp\": \"%s\", \"mode\": \"%s\",\n"
+               "   \"nproc\": %u, \"compiler\": \"%s\", "
+               "\"build_type\": \"%s\",\n"
+               "   %s}\n  ]\n}\n",
+               utcTimestamp().c_str(), Mode, Nproc, Compiler, POCE_BUILD_TYPE,
+               Fields.c_str());
+  if (std::fclose(File) != 0) {
+    std::fprintf(stderr, "error: cannot write '%s'\n", Path.c_str());
+    return false;
+  }
+  return true;
 }
 
 } // namespace bench

@@ -7,16 +7,16 @@
 /// \file
 /// Extension bench: the closure-schedule ablation. For each graph form
 /// (SF/IF) and elimination strategy (None/Online/Periodic) the same random
-/// constraint system is closed three ways — the eager worklist, the wave
-/// schedule over plain adjacency lists, and the wave schedule over the
-/// CSR successor layout — and the hot-path counters are printed next to
-/// the timings. Two emission orders bound the design space: edges_first
-/// is the cascade worst case for eager singleton deltas (every source
-/// arrival re-walks the finished graph one delta at a time), facts_first
-/// is the bulk-load pattern where the eager schedule already batches
-/// well and waves can only match it.
+/// constraint system is closed two ways — the eager worklist and the wave
+/// schedule (topologically ordered sweeps over the CSR successor layout)
+/// — and the hot-path counters are printed next to the timings. Two
+/// emission orders bound the design space: edges_first is the cascade
+/// worst case for eager singleton deltas (every source arrival re-walks
+/// the finished graph one delta at a time), facts_first is the bulk-load
+/// pattern where the eager schedule already batches well and waves can
+/// only match it.
 ///
-/// Least-solution checksums are asserted identical across the three
+/// Least-solution checksums are asserted identical across the two
 /// variants; a divergence aborts the bench with an error.
 ///
 //===----------------------------------------------------------------------===//
@@ -66,13 +66,11 @@ void emitOrdered(const RandomConstraintShape &Shape, ConstraintSolver &Solver,
 struct Variant {
   const char *Name;
   ClosureMode Closure;
-  bool SoA;
 };
 
 const Variant Variants[] = {
-    {"worklist", ClosureMode::Worklist, true},
-    {"wave", ClosureMode::Wave, false},
-    {"wave+soa", ClosureMode::Wave, true},
+    {"worklist", ClosureMode::Worklist},
+    {"wave", ClosureMode::Wave},
 };
 
 struct RunResult {
@@ -90,7 +88,6 @@ RunResult runVariant(const RandomConstraintShape &Shape, bool FactsFirst,
     TermTable Terms(Constructors);
     SolverOptions Options = makeConfig(Form, Elim);
     Options.Closure = V.Closure;
-    Options.WaveSoA = V.SoA;
     Timer T;
     ConstraintSolver Solver(Terms, Options);
     emitOrdered(Shape, Solver, FactsFirst);
@@ -111,8 +108,7 @@ RunResult runVariant(const RandomConstraintShape &Shape, bool FactsFirst,
 
 int main() {
   BenchEnv Env = BenchEnv::fromEnv();
-  std::printf("=== Ablation: closure schedule (worklist vs wave vs "
-              "wave+soa) ===\n");
+  std::printf("=== Ablation: closure schedule (worklist vs wave) ===\n");
   Env.print();
 
   struct ShapeSpec {
@@ -186,9 +182,8 @@ int main() {
   std::printf("\nThe cascade shape is where the schedule matters: eager "
               "closure pays one graph walk per singleton delta, the wave "
               "schedule batches them into level-ordered sweeps (compare "
-              "DeltaProps), and the CSR layout removes the pointer-chase "
-              "from each sweep. On the bulk-load shape the eager schedule "
-              "already delivers whole source sets and the three variants "
-              "converge.\n");
+              "DeltaProps) over a CSR layout with no pointer-chase. On "
+              "the bulk-load shape the eager schedule already delivers "
+              "whole source sets and the two variants converge.\n");
   return Diverged ? 1 : 0;
 }

@@ -1165,24 +1165,11 @@ int emitTrajectory(const std::string &Path) {
        104, /*FactsFirst=*/false},
   };
 
-  std::string Prior = bench::readPriorRuns(Path);
-  std::string Timestamp = bench::utcTimestamp();
-
-  std::FILE *File = std::fopen(Path.c_str(), "w");
-  if (!File) {
-    std::fprintf(stderr, "error: cannot open '%s' for writing\n",
-                 Path.c_str());
-    return 1;
-  }
-
-  std::fprintf(File, "{\n  \"bench\": \"micro_solver\",\n  \"runs\": [\n");
-  if (!Prior.empty())
-    std::fprintf(File, "%s,\n", Prior.c_str());
-  std::fprintf(File,
-               "  {\"timestamp\": \"%s\", \"mode\": \"emit_trajectory\",\n"
-               "   \"repeats\": %u, \"scale\": %.2f, \"threads\": %u,\n"
-               "   \"entries\": [\n",
-               Timestamp.c_str(), Repeats, Scale, Threads);
+  std::string Run;
+  bench::appendf(Run,
+                 "\"repeats\": %u, \"scale\": %.2f, \"threads\": %u,\n"
+                 "   \"entries\": [\n",
+                 Repeats, Scale, Threads);
   std::printf("=== micro_solver trajectory (best of %u, %u lanes) ===\n",
               Repeats, Threads);
 
@@ -1203,8 +1190,8 @@ int emitTrajectory(const std::string &Path) {
     for (const SolverStats::NamedCounter &C : R.Stats.hotPathCounters())
       HotPath += std::string("\"") + C.Key +
                  "\": " + std::to_string(C.Value) + ", ";
-    std::fprintf(
-        File,
+    bench::appendf(
+        Run,
         "%s    {\"name\": \"%s\", \"config\": \"%s\", \"order\": \"%s\", "
         "\"vars\": %u, \"cons\": %u,\n"
         "     \"wall_s\": %.6f, \"wall_s_baseline\": %.6f, "
@@ -1250,8 +1237,8 @@ int emitTrajectory(const std::string &Path) {
     for (const SolverStats::NamedCounter &C : R.WaveStats.hotPathCounters())
       HotPath += std::string("\"") + C.Key +
                  "\": " + std::to_string(C.Value) + ", ";
-    std::fprintf(
-        File,
+    bench::appendf(
+        Run,
         ",\n    {\"name\": \"wave_closure\", \"config\": \"SF-Plain\", "
         "\"order\": \"edges_first\", \"vars\": %u, \"cons\": %u,\n"
         "     \"wall_s\": %.6f, \"wall_s_baseline\": %.6f, "
@@ -1289,7 +1276,6 @@ int emitTrajectory(const std::string &Path) {
     if (!ChecksumMatch) {
       std::fprintf(stderr, "error: wave_closure: wave solutions diverged "
                            "from the worklist/seed solutions\n");
-      std::fclose(File);
       return 1;
     }
   }
@@ -1318,8 +1304,8 @@ int emitTrajectory(const std::string &Path) {
       bool ChecksumMatch = R.OfflineBits == R.BaselineBits;
       double Speedup = R.BaselineSeconds / std::max(R.OfflineSeconds, 1e-9);
       SolverOptions Named = makeConfig(Config.Form, Config.Elim);
-      std::fprintf(
-          File,
+      bench::appendf(
+          Run,
           ",\n    {\"name\": \"%s\", \"config\": \"%s\", \"order\": \"%s\", "
           "\"vars\": %u, \"cons\": %u,\n"
           "     \"wall_s\": %.6f, \"wall_s_baseline\": %.6f, "
@@ -1353,7 +1339,6 @@ int emitTrajectory(const std::string &Path) {
                      "error: %s: solutions with offline preprocessing "
                      "diverged from the pass-off solutions\n",
                      Config.Name);
-        std::fclose(File);
         return 1;
       }
     }
@@ -1372,8 +1357,8 @@ int emitTrajectory(const std::string &Path) {
   for (const auto &Entry : ScalingEntries) {
     const ScalingResult &R = Entry.R;
     double Speedup = R.BaselineSeconds / std::max(R.WallSeconds, 1e-9);
-    std::fprintf(
-        File,
+    bench::appendf(
+        Run,
         ",\n    {\"name\": \"%s\", \"kind\": \"thread_scaling\", "
         "\"threads\": %u,\n"
         "     \"wall_s\": %.6f, \"wall_s_baseline\": %.6f, "
@@ -1390,7 +1375,6 @@ int emitTrajectory(const std::string &Path) {
       std::fprintf(stderr, "error: %s: parallel result diverged from the "
                            "single-lane result\n",
                    Entry.Name);
-      std::fclose(File);
       return 1;
     }
   }
@@ -1404,8 +1388,8 @@ int emitTrajectory(const std::string &Path) {
     double LoadSpeedup = R.FreshSeconds / std::max(R.LoadSeconds, 1e-9);
     double PathSpeedup =
         R.FreshPathSeconds / std::max(R.LoadPathSeconds, 1e-9);
-    std::fprintf(
-        File,
+    bench::appendf(
+        Run,
         ",\n    {\"name\": \"snapshot_save\", \"kind\": \"serve\", "
         "\"wall_s\": %.6f, \"bytes\": %llu},\n"
         "    {\"name\": \"snapshot_load\", \"kind\": \"serve\",\n"
@@ -1438,7 +1422,6 @@ int emitTrajectory(const std::string &Path) {
     if (R.Checksum != R.BaselineChecksum) {
       std::fprintf(stderr, "error: query_engine: snapshot-path answers "
                            "diverged from the fresh-solve answers\n");
-      std::fclose(File);
       return 1;
     }
   }
@@ -1450,8 +1433,8 @@ int emitTrajectory(const std::string &Path) {
     FaultToleranceResult R = measureFaultTolerance(Scale, Repeats);
     double RecoverySpeedup =
         R.RecoveryFreshSeconds / std::max(R.RecoverySeconds, 1e-9);
-    std::fprintf(
-        File,
+    bench::appendf(
+        Run,
         ",\n    {\"name\": \"budget_abort\", \"kind\": "
         "\"fault_tolerance\",\n"
         "     \"wall_s\": %.6f, \"wall_s_baseline\": %.6f,\n"
@@ -1480,7 +1463,6 @@ int emitTrajectory(const std::string &Path) {
         !R.RecoveryStateMatch) {
       std::fprintf(stderr, "error: fault_tolerance: rollback or recovery "
                            "did not reproduce the expected graph\n");
-      std::fclose(File);
       return 1;
     }
   }
@@ -1491,8 +1473,8 @@ int emitTrajectory(const std::string &Path) {
   {
     RetractResult R = measureRetract(Scale, Repeats);
     double Speedup = R.ResolveSeconds / std::max(R.ConeSeconds, 1e-9);
-    std::fprintf(
-        File,
+    bench::appendf(
+        Run,
         ",\n    {\"name\": \"retract_cone\", \"kind\": \"retract\", "
         "\"retractions\": %u,\n"
         "     \"wall_s\": %.6f, \"wall_s_baseline\": %.6f, "
@@ -1514,7 +1496,6 @@ int emitTrajectory(const std::string &Path) {
     if (!R.StateMatch) {
       std::fprintf(stderr, "error: retract_cone: incremental retraction "
                            "diverged from the re-solve of survivors\n");
-      std::fclose(File);
       return 1;
     }
   }
@@ -1525,9 +1506,10 @@ int emitTrajectory(const std::string &Path) {
   // inside the run object so readPriorRuns' bracket scan still sees the
   // runs array as the outermost brackets.
   std::string Metrics = MetricsRegistry::global().renderJson();
-  std::fprintf(File, "\n   ],\n   \"metrics\": %s}\n  ]\n}\n",
-               Metrics.c_str());
-  std::fclose(File);
+  bench::appendf(Run, "\n   ],\n   \"metrics\": %s", Metrics.c_str());
+  if (!bench::appendTrajectoryRun(Path, "micro_solver", "emit_trajectory",
+                                  Run))
+    return 1;
   std::printf("appended run to %s\n", Path.c_str());
   return 0;
 }

@@ -25,10 +25,10 @@
 ///                                    --emit_trajectory=PATH)
 ///
 /// Environment: POCE_BENCH_SCALE scales the workload. Trajectory entries
-/// carry a single-CPU caveat: on a one-core container the primary's
-/// lanes, the follower's lanes, and the replication tail all time-share
-/// one core, so the catch-up time includes scheduler queueing that a
-/// two-host deployment would not see.
+/// carry the CPU count, compiler and build type: the primary's lanes, the
+/// follower's lanes and the replication tail share this host's CPUs, so
+/// the catch-up time includes scheduler queueing that a two-host
+/// deployment would not see.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -415,24 +415,10 @@ int main(int Argc, char **Argv) {
     return 1;
 
   if (!TrajectoryPath.empty()) {
-    std::string Prior = bench::readPriorRuns(TrajectoryPath);
-    std::FILE *File = std::fopen(TrajectoryPath.c_str(), "w");
-    if (!File) {
-      std::fprintf(stderr, "repl_bench: cannot open '%s'\n",
-                   TrajectoryPath.c_str());
-      return 1;
-    }
-    std::fprintf(File, "{\n  \"bench\": \"repl\",\n  \"runs\": [\n");
-    if (!Prior.empty())
-      std::fprintf(File, "%s,\n", Prior.c_str());
-    std::fprintf(
-        File,
-        "  {\"timestamp\": \"%s\", \"mode\": \"repl_bench\",\n"
-        "   \"scale\": %.2f,\n"
-        "   \"note\": \"single-CPU container: primary, follower, and "
-        "the replication tail time-share one core, so catch-up time "
-        "includes scheduler queueing a two-host deployment would not "
-        "see\",\n"
+    std::string Run;
+    bench::appendf(
+        Run,
+        "\"scale\": %.2f,\n"
         "   \"entries\": [\n"
         "    {\"name\": \"repl_catchup\", \"vars\": %u, \"base_cons\": "
         "%u,\n"
@@ -440,11 +426,13 @@ int main(int Argc, char **Argv) {
         "     \"records_applied\": %llu, \"catchup_s\": %.6f,\n"
         "     \"fresh_solve_s\": %.6f, \"speedup_vs_fresh\": %.3f,\n"
         "     \"answers_checksum_match\": %s}\n"
-        "   ]}\n  ]\n}\n",
-        bench::utcTimestamp().c_str(), Scale, Vars, Cons, Records,
+        "   ]",
+        Scale, Vars, Cons, Records,
         (unsigned long long)SnapBytes, (unsigned long long)Applied,
         CatchupS, FreshS, Speedup, ChecksumMatch ? "true" : "false");
-    std::fclose(File);
+    if (!bench::appendTrajectoryRun(TrajectoryPath, "repl", "repl_bench",
+                                    Run))
+      return 1;
     std::printf("# appended repl_bench run to %s\n",
                 TrajectoryPath.c_str());
   }

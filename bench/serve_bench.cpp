@@ -26,9 +26,10 @@
 ///
 /// Environment: POCE_BENCH_SCALE scales the workload, POCE_BENCH_THREADS
 /// sets the server's read lanes (0 = hardware), POCE_SERVE_CLIENTS the
-/// reader count. Trajectory entries record the lane/client counts and a
-/// single-CPU caveat: on a one-core container every thread time-shares,
-/// so tail latencies include scheduler queueing, not just server work.
+/// reader count. Trajectory entries record the lane/client counts next to
+/// the CPU count, compiler and build type every run carries: when lanes
+/// and clients outnumber the CPUs, tail latencies include scheduler
+/// queueing, not just server work.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -358,23 +359,10 @@ int main(int Argc, char **Argv) {
     return 1;
 
   if (!TrajectoryPath.empty()) {
-    std::string Prior = bench::readPriorRuns(TrajectoryPath);
-    std::FILE *File = std::fopen(TrajectoryPath.c_str(), "w");
-    if (!File) {
-      std::fprintf(stderr, "serve_bench: cannot open '%s'\n",
-                   TrajectoryPath.c_str());
-      return 1;
-    }
-    std::fprintf(File, "{\n  \"bench\": \"micro_solver\",\n  \"runs\": [\n");
-    if (!Prior.empty())
-      std::fprintf(File, "%s,\n", Prior.c_str());
-    std::fprintf(
-        File,
-        "  {\"timestamp\": \"%s\", \"mode\": \"serve_bench\",\n"
-        "   \"threads\": %u, \"clients\": %u, \"scale\": %.2f,\n"
-        "   \"note\": \"single-CPU container: server lanes and clients "
-        "time-share one core, so tail latencies include scheduler "
-        "queueing\",\n"
+    std::string Run;
+    bench::appendf(
+        Run,
+        "\"threads\": %u, \"clients\": %u, \"scale\": %.2f,\n"
         "   \"entries\": [\n"
         "    {\"name\": \"serve_mixed\", \"vars\": %u, \"base_cons\": %u,\n"
         "     \"queries\": %llu, \"adds\": %u, \"wall_s\": %.6f,\n"
@@ -382,8 +370,8 @@ int main(int Argc, char **Argv) {
         "     \"p999_us\": %llu, \"write_p99_us\": %llu,\n"
         "     \"reads_during_add\": %llu, \"publishes\": %llu,\n"
         "     \"answers_checksum_match\": %s}\n"
-        "   ]}\n  ]\n}\n",
-        bench::utcTimestamp().c_str(), Lanes, Readers, Scale, Vars, Cons,
+        "   ]",
+        Lanes, Readers, Scale, Vars, Cons,
         (unsigned long long)TotalQueries, Adds * 2, WallSeconds, Qps,
         (unsigned long long)percentile(All, 0.50),
         (unsigned long long)percentile(All, 0.99),
@@ -391,7 +379,9 @@ int main(int Argc, char **Argv) {
         (unsigned long long)percentile(WriterLat, 0.99),
         (unsigned long long)ReadsDuringAdd, (unsigned long long)Publishes,
         ChecksumMatch ? "true" : "false");
-    std::fclose(File);
+    if (!bench::appendTrajectoryRun(TrajectoryPath, "micro_solver",
+                                    "serve_bench", Run))
+      return 1;
     std::printf("# appended serve_bench run to %s\n",
                 TrajectoryPath.c_str());
   }

@@ -73,7 +73,7 @@ int main(int Argc, char **Argv) {
                 "closure schedule: worklist (eager) or wave (topo-ordered "
                 "delta sweeps); solutions are identical");
   Cmd.addString("preprocess", &Preprocess,
-                "pre-solve pass: none or offline (HVN + Nuutila SCC "
+                "pre-solve pass: none or offline (HVN + Tarjan SCC "
                 "variable substitution); solutions are identical");
   Cmd.addString("synth", &Synth,
                 "analyze a generated benchmark (name or 'custom')");

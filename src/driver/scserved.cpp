@@ -213,7 +213,7 @@ int main(int Argc, char **Argv) {
                 "is not serialized)");
   Cmd.addString("preprocess", &Preprocess,
                 "pre-solve pass for .scs input: none or offline (HVN + "
-                "Nuutila SCC variable substitution before the first "
+                "Tarjan SCC variable substitution before the first "
                 "closure); responses are identical. Snapshot bases load "
                 "already closed, so there the option is only recorded");
   Cmd.addInt("seed", &Seed, "variable-order seed for .scs input");

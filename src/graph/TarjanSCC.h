@@ -7,7 +7,10 @@
 /// \file
 /// Iterative Tarjan SCC computation. Used as the ground truth for cycle
 /// statistics (Table 1's "variables in SCCs" columns, Figure 11's
-/// detection rates) and to build the oracle's variable -> witness map.
+/// detection rates), to build the oracle's variable -> witness map, and to
+/// condense the variable graph for the periodic baseline, the wave order
+/// and the offline preprocessing pass (the last two sweep the
+/// condensation in its reverse topological numbering).
 ///
 //===----------------------------------------------------------------------===//
 

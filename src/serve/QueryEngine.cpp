@@ -299,7 +299,7 @@ Status QueryEngine::rollback() {
                            "journal replay aborted with budgets disabled");
   }
   Fresh.setBudgets(Live.DeadlineMs, Live.MaxEdgeBudget, Live.MaxMemBytes);
-  Fresh.setClosure(Live.Closure, Live.WaveSoA);
+  Fresh.setClosure(Live.Closure);
   Fresh.setPreprocess(Live.Preprocess);
 
   Bundle = std::move(Rebuilt);

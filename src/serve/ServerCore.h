@@ -45,7 +45,8 @@ namespace serve {
 
 /// Lower-case hex rendering of a 64-bit id — the wire spelling of WAL
 /// base ids and payload checksums in the replication verbs (`replicate`,
-/// `rebase`, `verify`, `promote`). Parse with strtoull(.., 16).
+/// `rebase`, `verify`, `promote`). The wire parsers read it back with the
+/// strict net::parseHexU64 (net/Replication.h).
 inline std::string hexId(uint64_t Value) {
   char Buf[17];
   std::snprintf(Buf, sizeof Buf, "%llx",

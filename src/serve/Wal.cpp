@@ -25,11 +25,6 @@ constexpr char WriteAheadLog::Magic[8];
 
 namespace {
 
-Status posixError(const std::string &What) {
-  return Status::error(ErrorCode::IoError,
-                       What + ": " + std::strerror(errno));
-}
-
 Status writeAll(int Fd, const uint8_t *Data, size_t Size,
                 const std::string &Path) {
   size_t Done = 0;
@@ -43,21 +38,6 @@ Status writeAll(int Fd, const uint8_t *Data, size_t Size,
     Done += static_cast<size_t>(N);
   }
   return Status();
-}
-
-Status fsyncParentDir(const std::string &Path) {
-  size_t Slash = Path.find_last_of('/');
-  std::string Dir = Slash == std::string::npos ? "." : Path.substr(0, Slash);
-  if (Dir.empty())
-    Dir = "/";
-  int DirFd = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (DirFd < 0)
-    return posixError("cannot open directory '" + Dir + "' for fsync");
-  Status St;
-  if (::fsync(DirFd) != 0)
-    St = posixError("fsync directory '" + Dir + "'");
-  ::close(DirFd);
-  return St;
 }
 
 uint32_t decodeU32(const uint8_t *Data) {

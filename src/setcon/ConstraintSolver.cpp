@@ -66,7 +66,7 @@ Histogram &wavePassHistogram() {
 Histogram &preprocessHistogram() {
   static Histogram &H = MetricsRegistry::global().histogram(
       "poce_solver_preprocess_us",
-      "Offline preprocessing (HVN labeling + Nuutila SCC condensation)");
+      "Offline preprocessing (HVN labeling + Tarjan SCC condensation)");
   return H;
 }
 
@@ -447,32 +447,27 @@ void ConstraintSolver::buildWaveOrder() {
   WaveIndex.assign(numVars(), UINT32_MAX);
   for (size_t I = 0; I != Order.size(); ++I)
     WaveIndex[Order[I]] = static_cast<uint32_t>(I);
-  WaveNumPositions = Order.size();
 
-  // SoA edge rows: successor entries laid out contiguously in sweep
-  // order with variable targets pre-resolved — the sweep then walks the
-  // pool front to back instead of chasing per-node vectors and forwarding
+  // CSR edge rows: successor entries laid out contiguously in sweep order
+  // with variable targets pre-resolved — the sweep then walks the pool
+  // front to back instead of chasing per-node vectors and forwarding
   // chains. Entry order within a row matches the adjacency list, so
-  // deliveries (and counters) are identical to the non-SoA path.
-  WaveRowStart = nullptr;
-  WaveEdges = nullptr;
-  if (Options.WaveSoA) {
-    WaveArena.reset();
-    WaveRowStart = WaveArena.allocateArray<uint32_t>(Order.size() + 1);
-    size_t Total = 0;
-    for (size_t I = 0; I != Order.size(); ++I) {
-      WaveRowStart[I] = static_cast<uint32_t>(Total);
-      Total += Vars[Order[I]].Succs.size();
-    }
-    WaveRowStart[Order.size()] = static_cast<uint32_t>(Total);
-    WaveEdges = WaveArena.allocateArray<uint32_t>(Total);
-    size_t Out = 0;
-    for (VarId Var : Order)
-      for (uint32_t Entry : Vars[Var].Succs)
-        WaveEdges[Out++] = isTermRef(Entry)
-                               ? Entry
-                               : varRef(Forwarding.find(payloadOf(Entry)));
+  // deliveries (and counters) are those of the adjacency-list walk.
+  WaveArena.reset();
+  WaveRowStart = WaveArena.allocateArray<uint32_t>(Order.size() + 1);
+  size_t Total = 0;
+  for (size_t I = 0; I != Order.size(); ++I) {
+    WaveRowStart[I] = static_cast<uint32_t>(Total);
+    Total += Vars[Order[I]].Succs.size();
   }
+  WaveRowStart[Order.size()] = static_cast<uint32_t>(Total);
+  WaveEdges = WaveArena.allocateArray<uint32_t>(Total);
+  size_t Out = 0;
+  for (VarId Var : Order)
+    for (uint32_t Entry : Vars[Var].Succs)
+      WaveEdges[Out++] = isTermRef(Entry)
+                             ? Entry
+                             : varRef(Forwarding.find(payloadOf(Entry)));
   WaveOrderValid = true;
   if (Timed) {
     waveOrderHistogram().record(trace::nowMicros() - StartUs);
@@ -806,7 +801,7 @@ void ConstraintSolver::flushDelta(VarId Var) {
   // rebuilt after the last structural change and flushes never add
   // successor edges — so the row mirrors Node.Succs entry for entry with
   // targets already resolved.
-  if (InWavePass && WaveEdges && WaveIndex[Var] != UINT32_MAX) {
+  if (InWavePass && WaveIndex[Var] != UINT32_MAX) {
     uint32_t Pos = WaveIndex[Var];
     assert(WaveRowStart[Pos + 1] - WaveRowStart[Pos] == Node.Succs.size() &&
            "stale CSR row used during a wave sweep");
@@ -1317,26 +1312,26 @@ bool ConstraintSolver::retract(const std::string &Tag) {
 void ConstraintSolver::finalize() {
   if (Finalized)
     return;
+  ThreadPool Pool(Options.Threads);
+  settleSolutions(Pool);
+  // One lane keeps the sorted views lazy: most callers read a handful of
+  // variables, and rendering every view would add about half again to
+  // finalize(). More lanes render them all now, while the pool is up.
+  if (Pool.numLanes() > 1)
+    materializeAllSolutions(Pool);
+}
+
+void ConstraintSolver::settleSolutions(ThreadPool &Pool) {
   ensureClosed();
   Finalized = true;
   const bool Timed = phaseTimingOn();
   const uint64_t StartUs = Timed ? trace::nowMicros() : 0;
   LSView.assign(numVars(), {});
   LSViewBuilt.assign(numVars(), 0);
-  unsigned Threads = ThreadPool::resolveThreads(Options.Threads);
-  if (Threads <= 1) {
-    if (Options.Form == GraphForm::Inductive)
-      computeLeastSolutionIF();
-    else
-      LSBits.clear(); // SF: the closed graph holds LS in PredTerms already.
-  } else {
-    ThreadPool Pool(Threads);
-    if (Options.Form == GraphForm::Inductive)
-      computeLeastSolutionIFParallel(Pool);
-    else
-      LSBits.clear();
-    materializeAllSolutions(Pool);
-  }
+  if (Options.Form == GraphForm::Inductive)
+    computeLeastSolutionIF(Pool);
+  else
+    LSBits.clear(); // SF: the closed graph holds LS in PredTerms already.
   // Inductive form settles solutions only here, so this is the one place
   // the per-variable mutation epochs can see downstream effects: diff the
   // fresh LSBits against the previous settled state and bump exactly the
@@ -1413,57 +1408,23 @@ const std::vector<ExprId> &ConstraintSolver::materializeLS(VarId Rep) {
 }
 
 // In inductive form every variable predecessor has a smaller order index,
-// so processing representatives in increasing order makes equation (1) of
-// the paper a single pass:
-//   LS(Y) = {c | c in pred(Y)} ∪ ⋃_{X in pred(Y)} LS(X).
-// Each union is a word-level bitmap merge, and predecessor entries that
-// resolve to the same representative (common after collapses) union once
-// per variable thanks to the epoch mark — the accumulation stays linear in
-// bitmap words where the vector version re-sorted every duplicate.
-void ConstraintSolver::computeLeastSolutionIF() {
-  LSBits.assign(numVars(), SparseBitVector());
-  std::vector<VarId> Live;
-  for (VarId Var = 0; Var != numVars(); ++Var)
-    if (Forwarding.isRepresentative(Var))
-      Live.push_back(Var);
-  std::sort(Live.begin(), Live.end(), [&](VarId A, VarId B) {
-    return Vars[A].Order < Vars[B].Order;
-  });
-
-  for (VarId Var : Live) {
-    SparseBitVector &Out = LSBits[Var];
-    ++CurrentEpoch;
-    for (uint32_t Pred : Vars[Var].Preds) {
-      if (isTermRef(Pred)) {
-        Out.set(payloadOf(Pred));
-        continue;
-      }
-      VarId PredRep = Forwarding.find(payloadOf(Pred));
-      if (PredRep == Var)
-        continue; // Stale self reference after a collapse.
-      assert(Vars[PredRep].Order < Vars[Var].Order &&
-             "inductive form violated: predecessor with larger order");
-      if (Vars[PredRep].VisitEpoch == CurrentEpoch)
-        continue; // Duplicate entry for the same representative.
-      Vars[PredRep].VisitEpoch = CurrentEpoch;
-      Out.unionWith(LSBits[PredRep], &Stats.LSUnionWords);
-    }
-  }
-}
-
-// The parallel variant evaluates the same recurrence as a wavefront. The
-// collapsed representative graph is acyclic with every predecessor at a
-// strictly lower order index, so one ascending sweep assigns each variable
-// a level = 1 + max(level of its predecessors): by construction a level's
-// variables depend only on strictly earlier levels, making each level an
-// embarrassingly parallel batch of word-level unions. Each task writes
-// only its own variable's bitmap and reads bitmaps completed before the
-// previous level's barrier. Determinism: the set of (variable, distinct
-// predecessor representative) unions is schedule-independent, union is
-// commutative, and unionWith's word count depends only on the source
-// bitmap — so LSBits and LSUnionWords are bit-identical to the sequential
-// pass for any thread count.
-void ConstraintSolver::computeLeastSolutionIFParallel(ThreadPool &Pool) {
+// so equation (1) of the paper,
+//   LS(Y) = {c | c in pred(Y)} ∪ ⋃_{X in pred(Y)} LS(X),
+// needs each variable only after its predecessors. The pass evaluates it as
+// a wavefront: one ascending sweep assigns each representative a level =
+// 1 + max(level of its predecessors), so a level's variables depend only on
+// strictly earlier levels and each level is an embarrassingly parallel
+// batch of word-level bitmap unions. Each task writes only its own
+// variable's bitmap and reads bitmaps completed before the previous level's
+// barrier; a one-lane pool runs the levels inline in order. Predecessor
+// entries that resolve to the same representative (common after collapses)
+// union once per variable thanks to a per-lane epoch mark, so the
+// accumulation stays linear in bitmap words. Determinism: the set of
+// (variable, distinct predecessor representative) unions is
+// schedule-independent, union is commutative, and unionWith's word count
+// depends only on the source bitmap — so LSBits and LSUnionWords are
+// bit-identical for any lane count.
+void ConstraintSolver::computeLeastSolutionIF(ThreadPool &Pool) {
   LSBits.assign(numVars(), SparseBitVector());
   std::vector<VarId> Live;
   for (VarId Var = 0; Var != numVars(); ++Var)
@@ -1475,7 +1436,7 @@ void ConstraintSolver::computeLeastSolutionIFParallel(ThreadPool &Pool) {
 
   // Kahn levels in one ascending pass (predecessors precede their users).
   // This sequential sweep also path-compresses every forwarding chain the
-  // parallel phase will look up, so the findConst calls below are single
+  // level tasks will look up, so the findConst calls below are single
   // hops on immutable data.
   std::vector<uint32_t> Depth(numVars(), 0);
   std::vector<std::vector<VarId>> Levels;
@@ -1539,30 +1500,20 @@ void ConstraintSolver::computeLeastSolutionIFParallel(ThreadPool &Pool) {
 }
 
 void ConstraintSolver::materializeAllViews() {
-  finalize();
-  unsigned Threads = ThreadPool::resolveThreads(Options.Threads);
-  if (Threads <= 1) {
-    for (VarId Var = 0; Var != numVars(); ++Var)
-      if (Forwarding.isRepresentative(Var))
-        (void)materializeLS(Var);
-    return;
-  }
-  ThreadPool Pool(Threads);
+  ThreadPool Pool(Options.Threads);
+  if (!Finalized)
+    settleSolutions(Pool);
   materializeAllSolutions(Pool);
 }
 
 void ConstraintSolver::materializeAllSolutions(ThreadPool &Pool) {
-  std::vector<VarId> Live;
+  std::vector<VarId> Pending;
   for (VarId Var = 0; Var != numVars(); ++Var)
-    if (Forwarding.isRepresentative(Var))
-      Live.push_back(Var);
-  Pool.parallelFor(Live.size(), [&](size_t I, unsigned) {
-    VarId Rep = Live[I];
-    const SparseBitVector &Bits = Options.Form == GraphForm::Standard
-                                      ? Vars[Rep].PredTerms
-                                      : LSBits[Rep];
-    LSView[Rep] = Bits.toVector<ExprId>();
-    LSViewBuilt[Rep] = 1;
+    if (Forwarding.isRepresentative(Var) && !LSViewBuilt[Var])
+      Pending.push_back(Var);
+  // Each task touches only its own representative's view and flag.
+  Pool.parallelFor(Pending.size(), [&](size_t I, unsigned) {
+    (void)materializeLS(Pending[I]);
   });
 }
 

@@ -42,10 +42,10 @@
 /// prunes fully redundant deliveries). See docs/INTERNALS.md, "Set
 /// representation and difference propagation".
 ///
-/// With SolverOptions::Threads > 1 the least-solution post-pass runs as a
-/// level-parallel wavefront over the collapsed representative graph and
-/// solution views are materialized concurrently; solutions and every
-/// counter stay bit-identical to the sequential pass (see
+/// The least-solution post-pass runs as a level-by-level wavefront over the
+/// collapsed representative graph on SolverOptions::Threads lanes (with
+/// more than one, solution views are also materialized concurrently);
+/// solutions and every counter are bit-identical for any lane count (see
 /// docs/INTERNALS.md, "Parallel execution layer").
 ///
 //===----------------------------------------------------------------------===//
@@ -169,9 +169,10 @@ public:
   // Solutions
   //===--------------------------------------------------------------------===
 
-  /// Computes least solutions for all variables. Idempotent; implied by
-  /// leastSolution(). Adding constraints afterwards invalidates the cached
-  /// solutions, which are recomputed on the next query.
+  /// Computes least solutions for all variables on Options.Threads lanes.
+  /// Idempotent; implied by leastSolution(). Adding constraints afterwards
+  /// invalidates the cached solutions, which are recomputed on the next
+  /// query.
   void finalize();
 
   /// The least solution of \p Var: the sorted set of constructed source
@@ -314,9 +315,10 @@ public:
   std::string dumpGraph();
 
   /// Finalizes (if needed) and builds every live representative's sorted
-  /// solution view, using Options.Threads lanes when > 1. The serve layer
-  /// calls this after loading a snapshot so that first queries do not pay
-  /// materialization cost; results are identical for any lane count.
+  /// solution view not built yet, on Options.Threads lanes. The serve
+  /// layer calls this after loading a snapshot so that first queries do
+  /// not pay materialization cost; results are identical for any lane
+  /// count.
   void materializeAllViews();
 
   /// Overrides the thread-count option. Threads only affects wall-clock
@@ -324,14 +326,13 @@ public:
   /// snapshot loader may freely retarget it to the serving machine.
   void setThreads(unsigned Threads) { Options.Threads = Threads; }
 
-  /// Overrides the closure-scheduling mode (and the wave layout toggle).
-  /// Closes any deferred work first so no queued constraint is stranded
-  /// by a Wave -> Worklist switch; the completed closure is the same
-  /// under either mode, so snapshot loaders may retarget freely.
-  void setClosure(ClosureMode Mode, bool SoA = true) {
+  /// Overrides the closure-scheduling mode. Closes any deferred work
+  /// first so no queued constraint is stranded by a Wave -> Worklist
+  /// switch; the completed closure is the same under either mode, so
+  /// snapshot loaders may retarget freely.
+  void setClosure(ClosureMode Mode) {
     ensureClosed();
     Options.Closure = Mode;
-    Options.WaveSoA = SoA;
   }
 
   /// Overrides the preprocessing mode. Closes any deferred work first, so
@@ -430,7 +431,7 @@ private:
     return Options.Preprocess == PreprocessMode::Offline && !PreprocessDone;
   }
 
-  /// Runs the offline HVN + Nuutila SCC analysis over the deferred
+  /// Runs the offline HVN + Tarjan SCC analysis over the deferred
   /// constraints, applies the resulting merges through the union-find,
   /// and replays the deferred constraints through the normal online path
   /// (per-root worklist drains, or the wave root queue — matching the
@@ -463,8 +464,8 @@ private:
   /// (Re)builds the cached topological order: Tarjan-condense the live
   /// variable graph, level the condensation Kahn-style, assign each live
   /// representative a unique position sorted by (level, order index), and
-  /// — under Options.WaveSoA — lay the successor rows out as CSR arrays in
-  /// position order with targets pre-resolved through forwarding.
+  /// lay the successor rows out as CSR arrays in position order with
+  /// targets pre-resolved through forwarding.
   void buildWaveOrder();
 
   /// Drops the cached order/CSR. Called on any structural change the
@@ -586,16 +587,18 @@ private:
   // Least solution
   //===--------------------------------------------------------------------===
 
-  void computeLeastSolutionIF();
-  /// Wavefront evaluation of the same recurrence: Kahn levels over the
-  /// collapsed (acyclic) representative graph, then per-level parallel
-  /// word-level unions — each level's variables only read solutions
-  /// completed by earlier levels and only write their own bitmap.
-  /// Produces bit-identical LSBits and counters to the sequential pass.
-  void computeLeastSolutionIFParallel(ThreadPool &Pool);
-  /// Builds every live representative's sorted solution view concurrently
-  /// (the per-variable work standard form leaves for query time; the
-  /// parallel finalize front-loads it for both forms).
+  /// Closes, marks the solver finalized and computes the least solutions
+  /// on \p Pool (the body of finalize() minus the view policy).
+  void settleSolutions(ThreadPool &Pool);
+  /// Inductive form's least solutions (equation 1 of the paper) as a
+  /// wavefront: Kahn levels over the collapsed (acyclic) representative
+  /// graph, then per-level word-level unions on \p Pool — each level's
+  /// variables only read solutions completed by earlier levels and only
+  /// write their own bitmap. LSBits and counters are bit-identical for any
+  /// lane count.
+  void computeLeastSolutionIF(ThreadPool &Pool);
+  /// Builds every live representative's sorted solution view not built
+  /// yet, concurrently on \p Pool.
   void materializeAllSolutions(ThreadPool &Pool);
   void invalidateSolutions();
   /// Builds (or returns) the cached sorted-vector view of \p Rep's least
@@ -656,14 +659,13 @@ private:
   bool WaveOrderValid = false;
   std::vector<uint32_t> WaveLevel;
   std::vector<uint32_t> WaveIndex;
-  /// CSR successor rows in WaveIndex position order (Options.WaveSoA):
-  /// row for position P is WaveEdges[WaveRowStart[P] .. WaveRowStart[P+1])
-  /// of tagged refs with variable targets pre-resolved to representatives.
+  /// CSR successor rows in WaveIndex position order: row for position P
+  /// is WaveEdges[WaveRowStart[P] .. WaveRowStart[P+1]) of tagged refs
+  /// with variable targets pre-resolved to representatives.
   /// Arena-backed; rebuilt with the order, reset() reuses the slabs.
   Arena WaveArena{1 << 16};
   uint32_t *WaveRowStart = nullptr;
   uint32_t *WaveEdges = nullptr;
-  size_t WaveNumPositions = 0;
   /// Sweep state: position of the variable being flushed, so deliveries
   /// against the order can be counted as fallbacks.
   bool InWavePass = false;

@@ -6,7 +6,7 @@
 
 #include "setcon/Preprocess.h"
 
-#include "graph/NuutilaSCC.h"
+#include "graph/TarjanSCC.h"
 #include "support/DenseU64Set.h"
 
 #include <algorithm>
@@ -128,12 +128,12 @@ OfflineEquivalence poce::offlinePreprocess(
     }
   }
 
-  // Condense with Nuutila's algorithm. Components come numbered in
+  // Condense with Tarjan's algorithm. Components come numbered in
   // reverse topological order — every condensation edge goes from a
   // higher component id to a lower one — so a descending sweep sees each
   // component after all of its predecessors. The labeling needs the
   // predecessor side, so invert the condensation's successor lists.
-  SCCResult SCCs = computeSCCsNuutila(G);
+  SCCResult SCCs = computeSCCs(G);
   Digraph Cond = condense(G, SCCs);
   const uint32_t NumComps = SCCs.numComponents();
   std::vector<std::vector<uint32_t>> CompPreds(NumComps);

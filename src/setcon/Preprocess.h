@@ -8,7 +8,7 @@
 /// Offline pre-solve analysis of a pending constraint set
 /// (SolverOptions::Preprocess == PreprocessMode::Offline): dry-resolve the
 /// input constraints into the pre-closure inclusion graph, condense it with
-/// Nuutila's SCC algorithm, then run an HVN-style pointer-equivalence
+/// Tarjan's SCC algorithm, then run an HVN-style pointer-equivalence
 /// labeling over the condensation (Hardekopf & Lin, "Exploiting Pointer and
 /// Location Equivalence to Optimize Pointer Analysis", SAS 2007, adapted to
 /// the set-constraint language). Variables with equal labels provably have

@@ -107,7 +107,7 @@ enum class PreprocessMode : uint8_t {
   /// Offline HVN variable substitution before the first closure: initial
   /// addConstraint calls are deferred; when the first solution query (or
   /// graph observer) forces ensureClosed(), the pre-closure variable
-  /// graph is condensed with Nuutila's SCC algorithm and an HVN-style
+  /// graph is condensed with Tarjan's SCC algorithm and an HVN-style
   /// pointer-equivalence labeling merges provably-equivalent variables
   /// through the union-find, after which the deferred constraints replay
   /// through the unchanged online path. Solutions are bit-identical with
@@ -125,7 +125,7 @@ enum class PreprocessMode : uint8_t {
   /// into an HVN-merged class is shared by the whole class, so
   /// post-closure solutions are a sound over-approximation of the
   /// unmerged system — exact when the adds touch no HVN-merged variable.
-  /// See docs/INTERNALS.md, "Offline preprocessing (HVN + Nuutila SCC)".
+  /// See docs/INTERNALS.md, "Offline preprocessing (HVN + Tarjan SCC)".
   Offline,
 };
 
@@ -179,20 +179,13 @@ struct SolverOptions {
   /// closure schedule: Offline shrinks the variable graph before the
   /// first closure, then either schedule closes the condensed system.
   PreprocessMode Preprocess = PreprocessMode::None;
-  /// Wave closure only: flush deltas through the cache-conscious SoA edge
-  /// rows (CSR successor arrays sorted by topological position, targets
-  /// pre-resolved through forwarding) instead of the per-node adjacency
-  /// lists. Purely a layout toggle — deliveries, counters, and solutions
-  /// are identical either way; exposed for the ablation bench.
-  bool WaveSoA = true;
   /// Execution lanes for the least-solution post-pass (0 = one per
   /// hardware thread). Purely a wall-clock knob: with any value the least
-  /// solutions and every paper-defined counter are bit-identical to the
-  /// sequential pass — the online closure itself always runs
-  /// single-threaded. Values > 1 evaluate the acyclic inductive-form
-  /// recurrence as a level-parallel wavefront and materialize solution
-  /// views concurrently (see docs/INTERNALS.md, "Parallel execution
-  /// layer").
+  /// solutions and every paper-defined counter are bit-identical — the
+  /// online closure itself always runs single-threaded. The inductive-form
+  /// recurrence runs as a level-by-level wavefront on this many lanes;
+  /// values > 1 also materialize every solution view concurrently (see
+  /// docs/INTERNALS.md, "Parallel execution layer").
   unsigned Threads = 1;
 
   /// Returns the paper's name for this configuration, e.g. "IF-Online".

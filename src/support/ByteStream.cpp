@@ -118,15 +118,11 @@ bool writeFileBytes(const std::string &Path,
   return Ok;
 }
 
-namespace {
-
 Status posixError(const std::string &What) {
   return Status::error(ErrorCode::IoError,
                        What + ": " + std::strerror(errno));
 }
 
-/// fsyncs the directory containing \p Path so a just-renamed entry is
-/// durable across power loss.
 Status fsyncParentDir(const std::string &Path) {
   size_t Slash = Path.find_last_of('/');
   std::string Dir =
@@ -142,8 +138,6 @@ Status fsyncParentDir(const std::string &Path) {
   ::close(DirFd);
   return St;
 }
-
-} // namespace
 
 Status writeFileAtomic(const std::string &Path,
                        const std::vector<uint8_t> &Buffer) {

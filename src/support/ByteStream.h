@@ -130,6 +130,14 @@ bool writeFileBytes(const std::string &Path,
 Status writeFileAtomic(const std::string &Path,
                        const std::vector<uint8_t> &Buffer);
 
+/// An IoError Status of \p What followed by the message of the current
+/// errno. Call it right after the failing system call.
+Status posixError(const std::string &What);
+
+/// fsyncs the directory containing \p Path so a just-created or renamed
+/// entry is durable across power loss.
+Status fsyncParentDir(const std::string &Path);
+
 /// Reads all of \p Path into \p Buffer. Returns false and fills
 /// \p ErrorOut on failure.
 bool readFileBytes(const std::string &Path, std::vector<uint8_t> &Buffer,

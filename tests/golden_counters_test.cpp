@@ -46,6 +46,11 @@ struct FileGoldens {
   Golden Rows[8];
 };
 
+// Names the parameter by its file, so test names do not embed pointer bytes.
+void PrintTo(const FileGoldens &G, std::ostream *OS) {
+  *OS << '"' << G.File << '"';
+}
+
 // Recorded from the seed implementation (commit with vector-backed sets)
 // by running each corpus file under every configuration.
 const FileGoldens SeedGoldens[] = {

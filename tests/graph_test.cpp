@@ -6,7 +6,6 @@
 
 #include "graph/Digraph.h"
 #include "graph/DotWriter.h"
-#include "graph/NuutilaSCC.h"
 #include "graph/RandomGraph.h"
 #include "graph/TarjanSCC.h"
 
@@ -130,6 +129,12 @@ TEST(TarjanTest, TwoSCCsWithBridge) {
   SCCResult SCCs = computeSCCs(G);
   EXPECT_EQ(SCCs.numComponents(), 3u);
   EXPECT_EQ(SCCs.numNontrivialSCCs(), 2u);
+  // Reverse topological numbering: every edge goes from a higher
+  // component id to a lower one (or stays inside one component) — the
+  // order the offline preprocessing pass and the wave order sweep by.
+  for (uint32_t Node = 0; Node != G.numNodes(); ++Node)
+    for (uint32_t Succ : G.successors(Node))
+      EXPECT_GE(SCCs.ComponentOf[Node], SCCs.ComponentOf[Succ]);
   Digraph Condensed = condense(G, SCCs);
   EXPECT_TRUE(Condensed.isAcyclic());
   EXPECT_EQ(Condensed.numNodes(), 3u);
@@ -171,6 +176,9 @@ TEST_P(TarjanRandomTest, AgreesWithBruteForce) {
       EXPECT_EQ(SCCs.ComponentOf[A] == SCCs.ComponentOf[B],
                 Reference[A] == Reference[B])
           << "nodes " << A << " and " << B;
+  for (uint32_t Node = 0; Node != N; ++Node)
+    for (uint32_t Succ : G.successors(Node))
+      EXPECT_GE(SCCs.ComponentOf[Node], SCCs.ComponentOf[Succ]);
   EXPECT_TRUE(condense(G, SCCs).isAcyclic());
 }
 
@@ -185,107 +193,6 @@ TEST(TarjanTest, LargeCycleDoesNotOverflowStack) {
     G.addEdge(I, I + 1);
   G.addEdge(N - 1, 0);
   SCCResult SCCs = computeSCCs(G);
-  EXPECT_EQ(SCCs.numComponents(), 1u);
-  EXPECT_EQ(SCCs.maxComponentSize(), N);
-}
-
-//===----------------------------------------------------------------------===//
-// Nuutila SCC
-//===----------------------------------------------------------------------===//
-
-// Both algorithms number the finalized roots in the same DFS order, so
-// not just the partition but the ComponentOf values themselves must be
-// exactly equal — the interchangeability contract NuutilaSCC.h promises.
-static void expectSameSCCs(const Digraph &G) {
-  SCCResult Tarjan = computeSCCs(G);
-  SCCResult Nuutila = computeSCCsNuutila(G);
-  EXPECT_EQ(Nuutila.ComponentOf, Tarjan.ComponentOf);
-  EXPECT_EQ(Nuutila.numComponents(), Tarjan.numComponents());
-  ASSERT_EQ(Nuutila.Components.size(), Tarjan.Components.size());
-  for (size_t I = 0; I != Nuutila.Components.size(); ++I) {
-    std::vector<uint32_t> A = Nuutila.Components[I];
-    std::vector<uint32_t> B = Tarjan.Components[I];
-    std::sort(A.begin(), A.end());
-    std::sort(B.begin(), B.end());
-    EXPECT_EQ(A, B) << "component " << I;
-  }
-}
-
-TEST(NuutilaTest, MatchesTarjanOnFixedGraphs) {
-  {
-    Digraph G(4);
-    G.addEdge(0, 1);
-    G.addEdge(1, 2);
-    G.addEdge(2, 0);
-    G.addEdge(2, 3);
-    expectSameSCCs(G);
-  }
-  {
-    Digraph G(6);
-    G.addEdge(0, 1);
-    G.addEdge(1, 2);
-    G.addEdge(2, 0);
-    G.addEdge(2, 3);
-    G.addEdge(3, 4);
-    G.addEdge(4, 3);
-    G.addEdge(4, 5);
-    expectSameSCCs(G);
-  }
-  {
-    // Self loops stay trivial.
-    Digraph G(2);
-    G.addEdge(0, 0);
-    G.addEdge(0, 1);
-    SCCResult SCCs = computeSCCsNuutila(G);
-    EXPECT_EQ(SCCs.numComponents(), 2u);
-    EXPECT_EQ(SCCs.numNodesInNontrivialSCCs(), 0u);
-    expectSameSCCs(G);
-  }
-  {
-    Digraph Empty(0);
-    EXPECT_EQ(computeSCCsNuutila(Empty).numComponents(), 0u);
-  }
-}
-
-TEST(NuutilaTest, ReverseTopologicalNumbering) {
-  // Component ids must number targets before sources (every edge of the
-  // condensation goes from a higher id to a lower one) — the property
-  // the offline preprocessing pass orders its labeling sweep by.
-  Digraph G(6);
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
-  G.addEdge(2, 0);
-  G.addEdge(2, 3);
-  G.addEdge(3, 4);
-  G.addEdge(4, 3);
-  G.addEdge(4, 5);
-  SCCResult SCCs = computeSCCsNuutila(G);
-  for (uint32_t Node = 0; Node != G.numNodes(); ++Node)
-    for (uint32_t Succ : G.successors(Node))
-      EXPECT_GE(SCCs.ComponentOf[Node], SCCs.ComponentOf[Succ]);
-  EXPECT_TRUE(condense(G, SCCs).isAcyclic());
-}
-
-class NuutilaRandomTest : public testing::TestWithParam<uint64_t> {};
-
-TEST_P(NuutilaRandomTest, MatchesTarjanOnRandomGraphs) {
-  PRNG Rng(GetParam());
-  uint32_t N = 5 + static_cast<uint32_t>(Rng.nextBelow(60));
-  double P = 0.02 + Rng.nextDouble() * 0.2;
-  Digraph G = randomDigraph(N, P, Rng);
-  expectSameSCCs(G);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, NuutilaRandomTest,
-                         testing::Range<uint64_t>(1, 26));
-
-TEST(NuutilaTest, LargeCycleDoesNotOverflowStack) {
-  const uint32_t N = 300000;
-  Digraph G(N);
-  for (uint32_t I = 0; I + 1 != N; ++I)
-    G.addEdge(I, I + 1);
-  G.addEdge(N - 1, 0);
-  SCCResult SCCs = computeSCCsNuutila(G);
   EXPECT_EQ(SCCs.numComponents(), 1u);
   EXPECT_EQ(SCCs.maxComponentSize(), N);
 }

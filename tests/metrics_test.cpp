@@ -85,10 +85,12 @@ TEST(HistogramTest, BucketBoundsContainTheirValues) {
     unsigned Index = Histogram::bucketIndex(V);
     uint64_t Upper = Histogram::bucketUpperBound(Index);
     EXPECT_GE(Upper, V);
-    if (V >= 1 && Upper != UINT64_MAX)
+    if (V >= 1 && Upper != UINT64_MAX) {
       EXPECT_LT(Upper, 2 * V);
-    if (Index > 0)
+    }
+    if (Index > 0) {
       EXPECT_GT(V, Histogram::bucketUpperBound(Index - 1));
+    }
   }
 }
 
@@ -254,9 +256,10 @@ void lintPrometheus(const std::string &Text) {
       }
     }
     if (Series.size() > 6 &&
-        Series.compare(Series.size() - 6, 6, "_count") == 0 && SawInf)
+        Series.compare(Series.size() - 6, 6, "_count") == 0 && SawInf) {
       EXPECT_EQ(std::stoull(Value), InfValue)
           << "_count != +Inf bucket: " << Line;
+    }
   }
 }
 

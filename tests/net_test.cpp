@@ -798,8 +798,9 @@ TEST(NetReplicationTest, VerifyConvergesAcrossRepresentationDivergence) {
       Line = "a" + std::to_string(K - 1) + " <= v" +
              std::to_string(AddRng.nextBelow(Vars));
     EXPECT_EQ(ask(P, "add " + Line), "ok added");
-    if (K == Records / 2)
+    if (K == Records / 2) {
       EXPECT_EQ(ask(P, "checkpoint").rfind("ok ", 0), 0u);
+    }
   }
 
   // The follower, exactly as the scserved driver builds one.

@@ -232,6 +232,11 @@ struct OfflineGolden {
   uint64_t OfflineVars, OfflineSCCs, HVNLabels;
 };
 
+// Names the parameter by its file, so test names do not embed pointer bytes.
+void PrintTo(const OfflineGolden &G, std::ostream *OS) {
+  *OS << '"' << G.File << '"';
+}
+
 // Recorded from IF-Online runs with PreprocessMode::Offline on the
 // corpus. The counters are schedule-independent (the pass sees the same
 // pending constraint set whatever the form or closure mode), so one row

@@ -49,8 +49,9 @@ struct FileHarness {
     Status St = System.canonicalizeConstraint(Line, Solver, Canon);
     EXPECT_TRUE(St.ok()) << St.toString();
     bool Removed = Solver.retract(Canon);
-    if (Removed)
+    if (Removed) {
       EXPECT_TRUE(System.removeConstraint(Canon));
+    }
     return Removed;
   }
 

@@ -83,8 +83,9 @@ void expectStatsEqual(const SolverStats &A, const SolverStats &B,
   EXPECT_EQ(A.PeriodicPasses, B.PeriodicPasses) << Context;
   EXPECT_EQ(A.Mismatches, B.Mismatches) << Context;
   EXPECT_EQ(A.ConstraintsProcessed, B.ConstraintsProcessed) << Context;
-  if (!IgnoreLSUnionWords)
+  if (!IgnoreLSUnionWords) {
     EXPECT_EQ(A.LSUnionWords, B.LSUnionWords) << Context;
+  }
   EXPECT_EQ(A.DeltaPropagations, B.DeltaPropagations) << Context;
   EXPECT_EQ(A.PropagationsPruned, B.PropagationsPruned) << Context;
   EXPECT_EQ(A.Aborted, B.Aborted) << Context;
@@ -125,10 +126,12 @@ void expectEquivalent(ConstraintSolver &Original, ConstraintSolver &Loaded,
     EXPECT_EQ(Original.varName(OriginalVar), Loaded.varName(LoadedVar))
         << Context;
   }
-  for (VarId Var = 0; Var != Original.numVars(); ++Var)
-    if (Original.isLive(Var))
+  for (VarId Var = 0; Var != Original.numVars(); ++Var) {
+    if (Original.isLive(Var)) {
       EXPECT_EQ(Original.leastSolution(Var), Loaded.leastSolution(Var))
           << Context << " var " << Var;
+    }
+  }
 }
 
 void roundTrip(ConstraintSolver &Solver, const std::string &Context) {
@@ -304,11 +307,13 @@ TEST(SnapshotTest, ThreadCountOnLoadIsPurelyWallClock) {
   One.Solver->materializeAllViews();
   Eight.Solver->materializeAllViews();
 
-  for (VarId Var = 0; Var != One.Solver->numVars(); ++Var)
-    if (One.Solver->isLive(Var))
+  for (VarId Var = 0; Var != One.Solver->numVars(); ++Var) {
+    if (One.Solver->isLive(Var)) {
       EXPECT_EQ(One.Solver->leastSolution(Var),
                 Eight.Solver->leastSolution(Var))
           << "var " << Var;
+    }
+  }
   EXPECT_EQ(One.Solver->dumpGraph(), Eight.Solver->dumpGraph());
   expectStatsEqual(One.Solver->stats(), Eight.Solver->stats(),
                    "threads 1 vs 8");

@@ -39,6 +39,14 @@ SolverOptions ifPlain() {
 
 } // namespace
 
+namespace poce {
+// Names FormTest's parameter by configuration rather than by its raw bytes,
+// which include struct padding and change with every SolverOptions field.
+static void PrintTo(const SolverOptions &Options, std::ostream *OS) {
+  *OS << Options.configName();
+}
+} // namespace poce
+
 //===----------------------------------------------------------------------===//
 // Basic closure and least solutions
 //===----------------------------------------------------------------------===//

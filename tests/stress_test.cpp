@@ -251,8 +251,9 @@ struct LineHarness {
     Status St = System.canonicalizeConstraint(Line, Solver, Canon);
     EXPECT_TRUE(St.ok()) << St.toString();
     bool Removed = Solver.retract(Canon);
-    if (Removed)
+    if (Removed) {
       EXPECT_TRUE(System.removeConstraint(Canon));
+    }
     return Removed;
   }
 

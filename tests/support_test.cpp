@@ -14,7 +14,6 @@
 #include "support/LruCache.h"
 #include "support/PRNG.h"
 #include "support/SmallVector.h"
-#include "support/Statistic.h"
 #include "support/Status.h"
 #include "support/StringInterner.h"
 #include "support/Timer.h"
@@ -366,7 +365,7 @@ TEST(StringInternerTest, StableIdsInFirstSeenOrder) {
 }
 
 //===----------------------------------------------------------------------===//
-// Timer, Statistic, Format, CommandLine
+// Timer, Format, CommandLine
 //===----------------------------------------------------------------------===//
 
 TEST(TimerTest, MeasuresElapsedTime) {
@@ -391,16 +390,6 @@ TEST(TimerTest, BestOfZeroRepeatsIsZeroNotSentinel) {
   double Best = bestOfN(0, [&] { ++Runs; });
   EXPECT_EQ(Runs, 0);
   EXPECT_EQ(Best, 0.0); // Not the internal -1.0 "no sample yet" marker.
-}
-
-TEST(StatisticTest, CountsAndResets) {
-  static Statistic Counter("test", "A test counter");
-  Counter.reset();
-  ++Counter;
-  Counter += 4;
-  EXPECT_EQ(Counter.value(), 5u);
-  resetAllStatistics();
-  EXPECT_EQ(Counter.value(), 0u);
 }
 
 TEST(FormatTest, GroupedNumbers) {
@@ -458,67 +447,6 @@ TEST(CommandLineTest, RejectsUnknownOptionAndBadValues) {
   Cmd2.addInt("int", &Int, "an int");
   const char *Bad[] = {"tool", "--int=xyz"};
   EXPECT_FALSE(Cmd2.parse(2, Bad));
-}
-
-//===----------------------------------------------------------------------===//
-// ArrayRef
-//===----------------------------------------------------------------------===//
-
-#include "support/ArrayRef.h"
-
-TEST(ArrayRefTest, ConstructionFromEverySource) {
-  int CArray[] = {1, 2, 3};
-  std::vector<int> Vec = {4, 5};
-  SmallVector<int, 4> Small = {6, 7, 8};
-  int Single = 9;
-
-  ArrayRef<int> FromC(CArray);
-  EXPECT_EQ(FromC.size(), 3u);
-  EXPECT_EQ(FromC[2], 3);
-
-  ArrayRef<int> FromVec(Vec);
-  EXPECT_EQ(FromVec.size(), 2u);
-  EXPECT_EQ(FromVec.front(), 4);
-
-  ArrayRef<int> FromSmall(Small);
-  EXPECT_EQ(FromSmall.back(), 8);
-
-  ArrayRef<int> FromSingle(Single);
-  EXPECT_EQ(FromSingle.size(), 1u);
-  EXPECT_EQ(FromSingle[0], 9);
-
-  ArrayRef<int> Empty;
-  EXPECT_TRUE(Empty.empty());
-}
-
-TEST(ArrayRefTest, SliceDropAndEquality) {
-  int Data[] = {0, 1, 2, 3, 4, 5};
-  ArrayRef<int> Ref(Data);
-  ArrayRef<int> Middle = Ref.slice(1, 3);
-  ASSERT_EQ(Middle.size(), 3u);
-  EXPECT_EQ(Middle[0], 1);
-  EXPECT_EQ(Middle[2], 3);
-  // Count clamps to the end.
-  EXPECT_EQ(Ref.slice(4, 100).size(), 2u);
-  EXPECT_EQ(Ref.dropFront(2).front(), 2);
-  EXPECT_EQ(Ref.dropBack(2).back(), 3);
-  EXPECT_EQ(Ref.dropFront(6).size(), 0u);
-
-  int Same[] = {1, 2, 3};
-  int Different[] = {1, 2, 4};
-  EXPECT_TRUE(ArrayRef<int>(Same) == Ref.slice(1, 3));
-  EXPECT_TRUE(ArrayRef<int>(Different) != Ref.slice(1, 3));
-}
-
-TEST(ArrayRefTest, IterationAndVec) {
-  std::vector<int> Source = {10, 20, 30};
-  ArrayRef<int> Ref = makeArrayRef(Source);
-  int Sum = 0;
-  for (int Value : Ref)
-    Sum += Value;
-  EXPECT_EQ(Sum, 60);
-  std::vector<int> Copy = Ref.vec();
-  EXPECT_EQ(Copy, Source);
 }
 
 //===----------------------------------------------------------------------===//
