@@ -84,7 +84,7 @@ RunResult runVariant(const RandomConstraintShape &Shape, bool FactsFirst,
   for (unsigned Repeat = 0; Repeat != Repeats; ++Repeat) {
     ConstructorTable Constructors;
     TermTable Terms(Constructors);
-    SolverOptions Options = makeConfig(Form, Elim);
+    SolverOptions Options = paperConfig(Form, Elim);
     Options.Preprocess = Pre;
     Timer T;
     ConstraintSolver Solver(Terms, Options);
@@ -158,8 +158,8 @@ int main() {
         [&](ConstraintSolver &Solver) {
           emitOrdered(Shape, Solver, Spec.FactsFirst);
         },
-        OracleConstructors, makeConfig(GraphForm::Inductive,
-                                       CycleElim::Online));
+        OracleConstructors, paperConfig(GraphForm::Inductive,
+                                        CycleElim::Online));
     uint64_t Bound = Truth.eliminableVars();
     uint64_t OfflineCaught = 0;
 

@@ -42,7 +42,7 @@ int main() {
   for (auto &Entry : prepareSuite(Env)) {
     for (const OrderChoice &Choice : Choices) {
       SolverOptions Options =
-          makeConfig(GraphForm::Inductive, CycleElim::Online, Choice.Seed);
+          paperConfig(GraphForm::Inductive, CycleElim::Online, Choice.Seed);
       Options.Order = Choice.Kind;
       double Best = 0;
       SolverStats Stats;

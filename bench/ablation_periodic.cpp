@@ -47,7 +47,7 @@ int main() {
     if (Entry->Program->AstNodes < 4000)
       continue; // Cycles only matter at scale; keep the table focused.
     for (const Strategy &S : Strategies) {
-      SolverOptions Options = makeConfig(GraphForm::Inductive, S.Elim);
+      SolverOptions Options = paperConfig(GraphForm::Inductive, S.Elim);
       if (S.Interval)
         Options.PeriodicInterval = S.Interval;
       if (S.Elim == CycleElim::None)

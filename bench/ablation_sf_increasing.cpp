@@ -33,7 +33,7 @@ int main() {
     for (SFChainMode Mode : {SFChainMode::Decreasing,
                              SFChainMode::Increasing, SFChainMode::Both}) {
       SolverOptions Options =
-          makeConfig(GraphForm::Standard, CycleElim::Online);
+          paperConfig(GraphForm::Standard, CycleElim::Online);
       Options.SFChains = Mode;
       double Best = 0;
       SolverStats Stats;

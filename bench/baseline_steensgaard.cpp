@@ -63,7 +63,7 @@ int main() {
     for (unsigned Repeat = 0; Repeat != Env.Repeats; ++Repeat) {
       Andersen = andersen::runAnalysis(
           Entry->Program->Unit, Entry->Constructors,
-          makeConfig(GraphForm::Inductive, CycleElim::Online), nullptr,
+          paperConfig(GraphForm::Inductive, CycleElim::Online), nullptr,
           /*ExtractPointsTo=*/true);
       if (Repeat == 0 || Andersen.AnalysisSeconds < AndersenBest)
         AndersenBest = Andersen.AnalysisSeconds;

@@ -15,6 +15,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchCommon.h"
+
 #include "cfa/ClosureAnalysis.h"
 #include "support/Format.h"
 #include "support/Timer.h"
@@ -22,6 +24,7 @@
 #include <cstdio>
 
 using namespace poce;
+using namespace poce::bench;
 using namespace poce::cfa;
 
 int main() {
@@ -47,7 +50,7 @@ int main() {
       double Seconds = 0;
     };
     auto Run = [&](GraphForm Form, CycleElim Elim) {
-      SolverOptions Options = makeConfig(Form, Elim);
+      SolverOptions Options = paperConfig(Form, Elim);
       Options.MaxWork = 200000000;
       Timer T;
       CFAResult Result = runClosureAnalysis(Program, Constructors, Options);

@@ -192,8 +192,8 @@ static void BM_EdgeInsertionChain(benchmark::State &State) {
     ConstructorTable Constructors;
     TermTable Terms(Constructors);
     ConstraintSolver Solver(Terms,
-                            makeConfig(GraphForm::Inductive,
-                                       CycleElim::None));
+                            bench::paperConfig(GraphForm::Inductive,
+                                               CycleElim::None));
     ExprId S = Terms.cons(Constructors.getOrCreate("s", {}), {});
     std::vector<VarId> Vars;
     for (uint32_t I = 0; I != N; ++I)
@@ -214,7 +214,8 @@ static void BM_SFClosure(benchmark::State &State) {
   PRNG Rng(17);
   RandomConstraintShape Shape =
       randomConstraintShape(3000, 2000, 2.0 / 3000, Rng);
-  SolverOptions Options = makeConfig(GraphForm::Standard, CycleElim::None);
+  SolverOptions Options =
+      bench::paperConfig(GraphForm::Standard, CycleElim::None);
   Options.DiffProp = State.range(0) != 0;
   for (auto _ : State) {
     ConstructorTable Constructors;
@@ -243,8 +244,8 @@ static void BM_OnlineDetectionOverhead(benchmark::State &State) {
     ConstructorTable Constructors;
     TermTable Terms(Constructors);
     ConstraintSolver Solver(Terms,
-                            makeConfig(GraphForm::Inductive,
-                                       CycleElim::Online));
+                            bench::paperConfig(GraphForm::Inductive,
+                                               CycleElim::Online));
     std::vector<VarId> Vars;
     for (uint32_t I = 0; I != N; ++I)
       Vars.push_back(Solver.freshVar("v"));
@@ -263,8 +264,8 @@ static void BM_CycleCollapse(benchmark::State &State) {
     ConstructorTable Constructors;
     TermTable Terms(Constructors);
     ConstraintSolver Solver(Terms,
-                            makeConfig(GraphForm::Inductive,
-                                       CycleElim::Online));
+                            bench::paperConfig(GraphForm::Inductive,
+                                               CycleElim::Online));
     std::vector<VarId> Vars;
     for (uint32_t I = 0; I != N; ++I)
       Vars.push_back(Solver.freshVar("v"));
@@ -287,8 +288,8 @@ static void BM_Compact(benchmark::State &State) {
     State.PauseTiming();
     ConstructorTable Constructors;
     TermTable Terms(Constructors);
-    ConstraintSolver Solver(Terms, makeConfig(GraphForm::Inductive,
-                                              CycleElim::Online));
+    ConstraintSolver Solver(Terms, bench::paperConfig(GraphForm::Inductive,
+                                                      CycleElim::Online));
     workload::emitRandomConstraints(Shape, Solver);
     State.ResumeTiming();
     benchmark::DoNotOptimize(Solver.compact());
@@ -309,8 +310,8 @@ static void BM_LeastSolutionIF(benchmark::State &State) {
     ConstructorTable Constructors;
     TermTable Terms(Constructors);
     ConstraintSolver Solver(Terms,
-                            makeConfig(GraphForm::Inductive,
-                                       CycleElim::Online));
+                            bench::paperConfig(GraphForm::Inductive,
+                                               CycleElim::Online));
     workload::emitRandomConstraints(Shape, Solver);
     State.ResumeTiming();
     size_t Total = 0;
@@ -462,7 +463,8 @@ TrajectoryResult measureTrajectory(const TrajectoryConfig &Config,
   auto solve = [&](bool Optimized) {
     ConstructorTable Constructors;
     TermTable Terms(Constructors);
-    SolverOptions Options = makeConfig(Config.Form, Config.Elim, Config.Seed);
+    SolverOptions Options =
+        bench::paperConfig(Config.Form, Config.Elim, Config.Seed);
     Options.DiffProp = Optimized;
     ConstraintSolver Solver(Terms, Options);
     emitShapeOrdered(Shape, Solver, Config.FactsFirst);
@@ -538,7 +540,8 @@ WaveResult measureWave(const TrajectoryConfig &Config, unsigned Repeats) {
   Out.SeedSeconds = bestOfN(Repeats, [&] {
     ConstructorTable Constructors;
     TermTable Terms(Constructors);
-    SolverOptions Options = makeConfig(Config.Form, Config.Elim, Config.Seed);
+    SolverOptions Options =
+        bench::paperConfig(Config.Form, Config.Elim, Config.Seed);
     Options.DiffProp = false;
     ConstraintSolver Solver(Terms, Options);
     emitShapeOrdered(Shape, Solver, Config.FactsFirst);
@@ -547,6 +550,76 @@ WaveResult measureWave(const TrajectoryConfig &Config, unsigned Repeats) {
       Total += LS.size();
     Out.SeedBits = Total;
   });
+  return Out;
+}
+
+/// Suite-scale schedule A/B: the paper's 27 Table 1 programs analysed
+/// under SF-Online on the default schedule (wave) and on the eager
+/// worklist, alternating per repeat. Times are analysis seconds
+/// (generation + closure + least solution) summed over the suite, best
+/// of N; the points-to checksum folds every program's points-to sets and
+/// must agree between the schedules.
+struct SuiteClosureResult {
+  double WallSeconds = 0;     ///< Default schedule, best suite total.
+  double BaselineSeconds = 0; ///< ClosureMode::Worklist, same.
+  unsigned Programs = 0;
+  SolverStats Stats;         ///< Default-schedule counters, summed.
+  SolverStats BaselineStats; ///< Worklist counters, summed.
+  uint64_t Checksum = 0;
+  uint64_t BaselineChecksum = 0;
+};
+
+SuiteClosureResult measureSuiteClosure(double Scale, unsigned Repeats) {
+  const std::vector<workload::ProgramSpec> Specs = workload::paperSuite(Scale);
+  SuiteClosureResult Out;
+  // One solve of the suite: the summed analysis time, with the summed
+  // counters and the points-to checksum left in *Stats / *Checksum.
+  auto solveOnce = [&](const SolverOptions &Options, SolverStats *Stats,
+                       uint64_t *Checksum) {
+    double Seconds = 0;
+    *Stats = SolverStats();
+    uint64_t Hash = 14695981039346656037ULL;
+    auto fold = [&Hash](const std::string &Text) {
+      for (unsigned char C : Text + '\n')
+        Hash = (Hash ^ C) * 1099511628211ULL;
+    };
+    Out.Programs = 0;
+    for (const workload::BatchSolveResult &Entry :
+         workload::solveSuite(Specs, Options, /*Threads=*/1,
+                              /*ExtractPointsTo=*/true)) {
+      if (!Entry.Ok)
+        continue;
+      const andersen::AnalysisResult &R = Entry.Result;
+      ++Out.Programs;
+      Seconds += R.AnalysisSeconds;
+      Stats->Work += R.Stats.Work;
+      Stats->DeltaPropagations += R.Stats.DeltaPropagations;
+      Stats->VarsEliminated += R.Stats.VarsEliminated;
+      Stats->WavePasses += R.Stats.WavePasses;
+      Stats->WaveFallbacks += R.Stats.WaveFallbacks;
+      for (const auto &[Location, Targets] : R.PointsTo) {
+        fold(Location);
+        for (const std::string &Target : Targets)
+          fold(Target);
+      }
+    }
+    *Checksum = Hash;
+    return Seconds;
+  };
+
+  const SolverOptions Default =
+      makeConfig(GraphForm::Standard, CycleElim::Online);
+  const SolverOptions Worklist =
+      bench::paperConfig(GraphForm::Standard, CycleElim::Online);
+  for (unsigned Rep = 0; Rep != Repeats; ++Rep) {
+    double Wall = solveOnce(Default, &Out.Stats, &Out.Checksum);
+    double Baseline =
+        solveOnce(Worklist, &Out.BaselineStats, &Out.BaselineChecksum);
+    if (Rep == 0 || Wall < Out.WallSeconds)
+      Out.WallSeconds = Wall;
+    if (Rep == 0 || Baseline < Out.BaselineSeconds)
+      Out.BaselineSeconds = Baseline;
+  }
   return Out;
 }
 
@@ -576,7 +649,8 @@ PreprocessResult measurePreprocess(const TrajectoryConfig &Config,
   auto solve = [&](PreprocessMode Mode, size_t *Bits, uint64_t *Edges) {
     ConstructorTable Constructors;
     TermTable Terms(Constructors);
-    SolverOptions Options = makeConfig(Config.Form, Config.Elim, Config.Seed);
+    SolverOptions Options =
+        bench::paperConfig(Config.Form, Config.Elim, Config.Seed);
     Options.Preprocess = Mode;
     ConstraintSolver Solver(Terms, Options);
     emitShapeOrdered(Shape, Solver, Config.FactsFirst);
@@ -628,7 +702,7 @@ ScalingResult measureLSParallel(double Scale, unsigned Repeats,
       ConstructorTable Constructors;
       TermTable Terms(Constructors);
       SolverOptions Options =
-          makeConfig(GraphForm::Inductive, CycleElim::Online);
+          bench::paperConfig(GraphForm::Inductive, CycleElim::Online);
       Options.Threads = Lanes;
       ConstraintSolver Solver(Terms, Options);
       emitShapeOrdered(Shape, Solver, /*FactsFirst=*/false);
@@ -658,7 +732,8 @@ ScalingResult measureBatchSuite(double Scale, unsigned Repeats,
                                 unsigned Threads) {
   std::vector<workload::ProgramSpec> Specs =
       workload::paperSuite(0.05 * Scale);
-  SolverOptions Options = makeConfig(GraphForm::Inductive, CycleElim::Online);
+  SolverOptions Options =
+      bench::paperConfig(GraphForm::Inductive, CycleElim::Online);
 
   auto timeOnce = [&](unsigned Lanes, uint64_t *Checksum) {
     double Best = -1;
@@ -710,7 +785,8 @@ ServeResult measureServe(double Scale, unsigned Repeats, unsigned Threads) {
       std::max<uint32_t>(4, static_cast<uint32_t>(4000 * Scale));
   RandomConstraintShape Shape =
       randomConstraintShape(NumVars, NumCons, 1.5 / NumVars, Rng);
-  SolverOptions Options = makeConfig(GraphForm::Inductive, CycleElim::Online);
+  SolverOptions Options =
+      bench::paperConfig(GraphForm::Inductive, CycleElim::Online);
   Options.Threads = Threads;
 
   ServeResult Out;
@@ -854,7 +930,8 @@ FaultToleranceResult measureFaultTolerance(double Scale, unsigned Repeats) {
       std::max<uint32_t>(4, static_cast<uint32_t>(2600 * Scale));
   RandomConstraintShape Shape =
       randomConstraintShape(NumVars, NumCons, 1.5 / NumVars, Rng);
-  SolverOptions Options = makeConfig(GraphForm::Inductive, CycleElim::Online);
+  SolverOptions Options =
+      bench::paperConfig(GraphForm::Inductive, CycleElim::Online);
 
   FaultToleranceResult Out;
 
@@ -909,6 +986,7 @@ FaultToleranceResult measureFaultTolerance(double Scale, unsigned Repeats) {
                                              PreBytes.size(), Restored))
         return Out;
       Restored.Solver->setBudgets(0, 0, 0);
+      Restored.Solver->setClosure(Options.Closure);
       serve::QueryEngine Accept(std::move(Restored));
       Timer T;
       if (!Accept.addConstraint("heavysrc <= C0"))
@@ -948,6 +1026,7 @@ FaultToleranceResult measureFaultTolerance(double Scale, unsigned Repeats) {
       if (!serve::GraphSnapshot::deserialize(BaseBytes.data(),
                                              BaseBytes.size(), Bundle))
         return;
+      Bundle.Solver->setClosure(Options.Closure);
       ConstraintSystemFile Sys;
       if (!Sys.adoptDeclarations(*Bundle.Solver))
         return;
@@ -1046,7 +1125,8 @@ RetractResult measureRetract(double Scale, unsigned Repeats) {
   for (unsigned I = 0; I != K; ++I)
     Targets.push_back(Lines[(I * Lines.size()) / K]);
 
-  SolverOptions Options = makeConfig(GraphForm::Inductive, CycleElim::Online);
+  SolverOptions Options =
+      bench::paperConfig(GraphForm::Inductive, CycleElim::Online);
   auto feed = [&](ConstraintSystemFile &Sys, ConstraintSolver &Solver,
                   const std::vector<std::string> &Constraints) {
     for (const std::string &Line : Decls)
@@ -1276,6 +1356,49 @@ int emitTrajectory(const std::string &Path) {
     if (!ChecksumMatch) {
       std::fprintf(stderr, "error: wave_closure: wave solutions diverged "
                            "from the worklist/seed solutions\n");
+      return 1;
+    }
+  }
+
+  // The paper's suite under SF-Online: the default (wave) schedule
+  // against the eager worklist, with identical points-to sets.
+  {
+    SuiteClosureResult R = measureSuiteClosure(Scale, Repeats);
+    bool ChecksumMatch = R.Checksum == R.BaselineChecksum;
+    double Speedup = R.BaselineSeconds / std::max(R.WallSeconds, 1e-9);
+    bench::appendf(
+        Run,
+        ",\n    {\"name\": \"suite_sf_closure\", \"config\": \"SF-Online\", "
+        "\"programs\": %u,\n"
+        "     \"wall_s\": %.6f, \"wall_s_baseline\": %.6f, "
+        "\"speedup\": %.2f,\n"
+        "     \"work\": %llu, \"work_baseline\": %llu, "
+        "\"delta_props\": %llu, \"delta_props_baseline\": %llu,\n"
+        "     \"vars_eliminated\": %llu, \"vars_eliminated_baseline\": %llu, "
+        "\"wave_passes\": %llu, \"wave_fallbacks\": %llu,\n"
+        "     \"pts_checksum\": %llu, \"checksum_match\": %s}",
+        R.Programs, R.WallSeconds, R.BaselineSeconds, Speedup,
+        (unsigned long long)R.Stats.Work,
+        (unsigned long long)R.BaselineStats.Work,
+        (unsigned long long)R.Stats.DeltaPropagations,
+        (unsigned long long)R.BaselineStats.DeltaPropagations,
+        (unsigned long long)R.Stats.VarsEliminated,
+        (unsigned long long)R.BaselineStats.VarsEliminated,
+        (unsigned long long)R.Stats.WavePasses,
+        (unsigned long long)R.Stats.WaveFallbacks,
+        (unsigned long long)R.Checksum, ChecksumMatch ? "true" : "false");
+    std::printf("%-14s %-10s programs=%-3u wall=%.3fs baseline=%.3fs "
+                "speedup=%.2fx work=%llu/%llu delta_props=%llu/%llu "
+                "checksum_match=%s\n",
+                "suite_sf_closure", "SF-Online", R.Programs, R.WallSeconds,
+                R.BaselineSeconds, Speedup, (unsigned long long)R.Stats.Work,
+                (unsigned long long)R.BaselineStats.Work,
+                (unsigned long long)R.Stats.DeltaPropagations,
+                (unsigned long long)R.BaselineStats.DeltaPropagations,
+                ChecksumMatch ? "yes" : "NO");
+    if (!ChecksumMatch) {
+      std::fprintf(stderr, "error: suite_sf_closure: default-schedule "
+                           "points-to sets diverged from the worklist's\n");
       return 1;
     }
   }

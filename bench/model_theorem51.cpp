@@ -18,6 +18,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchCommon.h"
+
 #include "model/Model.h"
 #include "setcon/ConstraintSolver.h"
 #include "setcon/Oracle.h"
@@ -28,6 +30,7 @@
 #include <cstdio>
 
 using namespace poce;
+using namespace poce::bench;
 
 int main() {
   std::printf("=== Theorem 5.1: E[X_SF] / E[X_IF] -> ~2.5 "
@@ -77,13 +80,13 @@ int main() {
           N, (2 * N) / 3, 1.0 / N, ShapeRng);
       ConstructorTable Constructors;
       SolverOptions Base =
-          makeConfig(GraphForm::Inductive, CycleElim::Online, Seed);
+          paperConfig(GraphForm::Inductive, CycleElim::Online, Seed);
       Oracle O = buildOracle(workload::makeRandomGenerator(Shape),
                              Constructors, Base);
       for (GraphForm Form : {GraphForm::Standard, GraphForm::Inductive}) {
         TermTable Terms(Constructors);
         ConstraintSolver Solver(Terms,
-                                makeConfig(Form, CycleElim::Oracle, Seed),
+                                paperConfig(Form, CycleElim::Oracle, Seed),
                                 &O);
         workload::emitRandomConstraints(Shape, Solver);
         Solver.finalize();

@@ -56,7 +56,7 @@ int main() {
                       "Steps/Search"});
   for (auto &Entry : prepareSuite(Env)) {
     SolverOptions Options =
-        makeConfig(GraphForm::Inductive, CycleElim::Online);
+        paperConfig(GraphForm::Inductive, CycleElim::Online);
     TermTable Terms(Entry->Constructors);
     ConstraintSolver Solver(Terms, Options);
     andersen::ConstraintGenerator Generator(Solver);

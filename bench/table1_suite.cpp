@@ -36,8 +36,8 @@ int main() {
   for (auto &Entry : prepareSuite(Env)) {
     // A recording IF-Online run provides variable counts, node counts,
     // initial edges, and the initial variable-variable relation.
-    SolverOptions Options = makeConfig(GraphForm::Inductive,
-                                       CycleElim::Online);
+    SolverOptions Options = paperConfig(GraphForm::Inductive,
+                                        CycleElim::Online);
     Options.RecordVarVar = true;
     TermTable Terms(Entry->Constructors);
     ConstraintSolver Solver(Terms, Options);

@@ -64,12 +64,15 @@ int main() {
 
   //===------------------------------------------------------------------===//
   // 3. Cyclic constraints force all variables on the cycle to be equal.
-  //    With inductive form + online elimination the cycle is collapsed the
-  //    moment it appears.
+  //    With inductive form + online elimination on the eager worklist
+  //    schedule the cycle is collapsed the moment it appears. (The default
+  //    wave schedule defers closure until a query and computes the same
+  //    solutions.)
   //===------------------------------------------------------------------===//
   TermTable Terms2(Constructors);
-  ConstraintSolver Online(
-      Terms2, makeConfig(GraphForm::Inductive, CycleElim::Online));
+  SolverOptions Eager = makeConfig(GraphForm::Inductive, CycleElim::Online);
+  Eager.Closure = ClosureMode::Worklist;
+  ConstraintSolver Online(Terms2, Eager);
   VarId P = Online.freshVar("P");
   VarId Q = Online.freshVar("Q");
   VarId R = Online.freshVar("R");

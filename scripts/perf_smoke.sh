@@ -2,9 +2,12 @@
 # Wave-closure perf smoke test: generate the cascade shape (a long
 # variable chain laid down before any source arrives — the worst case for
 # eager singleton-delta propagation), solve it under both closure
-# schedules, and assert
-#   (1) the printed least solutions are byte-identical, and
-#   (2) the wave schedule performs no more delta propagations than the
+# schedules and with no --closure flag, and assert
+#   (1) the printed least solutions are byte-identical,
+#   (2) each flag reaches the solver: the worklist run reports no wave
+#       pass, the wave run at least one, and the flagless run prints the
+#       same --stats as the wave run (wave is the default), and
+#   (3) the wave schedule performs no more delta propagations than the
 #       worklist schedule (on this shape it should do far fewer: one
 #       level-ordered sweep instead of one chain walk per source).
 #
@@ -36,27 +39,32 @@ awk -v chain="$CHAIN" -v sources="$SOURCES" 'BEGIN {
   for (i = 0; i < sources; ++i) printf "s%d() <= C0\n", i;
 }' > "$SCS"
 
-run() { # run <closure> <solutions-out> <stats-out>
-  "$SCSOLVE" --config=sf-plain --closure="$1" "$SCS" > "$2"
-  "$SCSOLVE" --config=sf-plain --closure="$1" --stats "$SCS" > "$3"
+run() { # run <closure|default> <solutions-out> <stats-out>
+  local Flag=()
+  [ "$1" = default ] || Flag=(--closure="$1")
+  "$SCSOLVE" --config=sf-plain ${Flag[@]+"${Flag[@]}"} "$SCS" > "$2"
+  "$SCSOLVE" --config=sf-plain ${Flag[@]+"${Flag[@]}"} --stats "$SCS" > "$3"
 }
 
 run worklist "$WORK/worklist.out" "$WORK/worklist.stats"
 run wave "$WORK/wave.out" "$WORK/wave.stats"
+run default "$WORK/default.out" "$WORK/default.stats"
 
-if ! cmp -s "$WORK/worklist.out" "$WORK/wave.out"; then
-  echo "FAIL: wave least solutions differ from worklist solutions" >&2
-  diff "$WORK/worklist.out" "$WORK/wave.out" >&2 | head -20
-  exit 1
-fi
+for RUN in wave default; do
+  if ! cmp -s "$WORK/worklist.out" "$WORK/$RUN.out"; then
+    echo "FAIL: $RUN least solutions differ from worklist solutions" >&2
+    diff "$WORK/worklist.out" "$WORK/$RUN.out" >&2 | head -20
+    exit 1
+  fi
+done
 
-props() { # props <stats-file>
-  grep '^delta props:' "$1" | tr -d ' ,' | cut -d: -f2
+stat() { # stat <label> <stats-file>
+  grep "^$1:" "$2" | tr -d ' ,' | cut -d: -f2
 }
-WL_PROPS=$(props "$WORK/worklist.stats")
-WAVE_PROPS=$(props "$WORK/wave.stats")
-WAVE_PASSES=$(grep '^wave passes:' "$WORK/wave.stats" | tr -d ' ,' \
-  | cut -d: -f2)
+WL_PROPS=$(stat 'delta props' "$WORK/worklist.stats")
+WAVE_PROPS=$(stat 'delta props' "$WORK/wave.stats")
+WL_PASSES=$(stat 'wave passes' "$WORK/worklist.stats")
+WAVE_PASSES=$(stat 'wave passes' "$WORK/wave.stats")
 
 if [ -z "$WL_PROPS" ] || [ -z "$WAVE_PROPS" ]; then
   echo "FAIL: could not read delta-propagation counts from --stats" >&2
@@ -64,6 +72,17 @@ if [ -z "$WL_PROPS" ] || [ -z "$WAVE_PROPS" ]; then
 fi
 if [ "$WAVE_PASSES" -lt 1 ]; then
   echo "FAIL: wave run reports no wave passes (closure flag not wired?)" >&2
+  exit 1
+fi
+if [ "$WL_PASSES" -ne 0 ]; then
+  echo "FAIL: worklist run reports $WL_PASSES wave passes" \
+       "(--closure=worklist not wired?)" >&2
+  exit 1
+fi
+if ! cmp -s "$WORK/default.stats" "$WORK/wave.stats"; then
+  echo "FAIL: the run without --closure differs from the wave run" \
+       "(wave is the default)" >&2
+  diff "$WORK/wave.stats" "$WORK/default.stats" >&2 || true
   exit 1
 fi
 if [ "$WAVE_PROPS" -gt "$WL_PROPS" ]; then

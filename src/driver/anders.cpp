@@ -57,7 +57,7 @@ int main(int Argc, char **Argv) {
                   "Andersen's points-to analysis via inclusion constraints "
                   "(PLDI 1998 reproduction)");
   std::string Config = "if-online";
-  std::string Closure = "worklist";
+  std::string Closure = "wave";
   std::string Preprocess = "none";
   std::string Synth;
   bool ShowStats = false, ShowPointsTo = false, EmitDot = false;
@@ -70,8 +70,9 @@ int main(int Argc, char **Argv) {
   Cmd.addString("config", &Config,
                 "solver configuration: {sf,if}-{plain,online,oracle}");
   Cmd.addString("closure", &Closure,
-                "closure schedule: worklist (eager) or wave (topo-ordered "
-                "delta sweeps); solutions are identical");
+                "closure schedule: wave (topo-ordered delta sweeps, the "
+                "default) or worklist (eager, per add); solutions are "
+                "identical");
   Cmd.addString("preprocess", &Preprocess,
                 "pre-solve pass: none or offline (HVN + Tarjan SCC "
                 "variable substitution); solutions are identical");
@@ -107,9 +108,9 @@ int main(int Argc, char **Argv) {
   }
   Options.Seed = static_cast<uint64_t>(Seed);
   Options.Threads = static_cast<unsigned>(Threads);
-  if (Closure == "wave")
-    Options.Closure = ClosureMode::Wave;
-  else if (Closure != "worklist") {
+  if (Closure == "worklist")
+    Options.Closure = ClosureMode::Worklist;
+  else if (Closure != "wave") {
     std::fprintf(stderr, "anders: unknown closure schedule '%s'\n",
                  Closure.c_str());
     return 1;

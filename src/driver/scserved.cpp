@@ -207,10 +207,12 @@ int main(int Argc, char **Argv) {
                 "print the intact lines of this WAL and exit");
   Cmd.addString("config", &Config, "{sf,if}-{plain,online} for .scs input");
   Cmd.addString("closure", &Closure,
-                "closure schedule for adds: worklist (eager) or wave "
-                "(topo-ordered delta sweeps); responses are identical. "
-                "Applies to snapshot and .scs bases alike (the schedule "
-                "is not serialized)");
+                "closure schedule for adds: worklist (eager, the default) "
+                "or wave (topo-ordered delta sweeps); responses are "
+                "identical. A .scs base bulk-loads under wave either "
+                "way, then this flag sets the schedule of later adds; "
+                "applies to snapshot bases alike (the schedule is not "
+                "serialized)");
   Cmd.addString("preprocess", &Preprocess,
                 "pre-solve pass for .scs input: none or offline (HVN + "
                 "Tarjan SCC variable substitution before the first "
@@ -291,8 +293,9 @@ int main(int Argc, char **Argv) {
   // Follower mode: the primary's snapshot/WAL pair is the replicated
   // unit, so the local pair and a socket listener are mandatory, and the
   // closure/preprocess flags are ignored — the follower adopts the
-  // primary's serialized options wholesale so replayed adds take the
-  // exact same path and the states stay byte-identical.
+  // primary's serialized options wholesale and replays adds on the
+  // worklist schedule, the primary's default, so the states stay
+  // byte-identical.
   std::string FollowTcp, FollowUnix;
   if (!Follow.empty()) {
     if (Follow.find(':') != std::string::npos)
@@ -312,7 +315,8 @@ int main(int Argc, char **Argv) {
     if (Closure != "worklist" || Preprocess != "none")
       std::fprintf(stderr,
                    "scserved: note: --closure/--preprocess are ignored "
-                   "under --follow (the primary's options are adopted)\n");
+                   "under --follow (the primary's options are adopted; "
+                   "adds replay on the worklist schedule)\n");
     if (::access(Snapshot.c_str(), F_OK) != 0) {
       Status Boot = net::ReplicationClient::coldBootstrap(
           FollowTcp, FollowUnix, Snapshot,
@@ -380,15 +384,18 @@ int main(int Argc, char **Argv) {
   }
 
   Bundle.Solver->setThreads(static_cast<unsigned>(Threads));
-  // Snapshots never carry the closure schedule (the loaded graph is
-  // already closed); re-arm it here so subsequent adds use it. Followers
-  // skip both re-arms: their state must stay byte-identical to the
-  // primary's, so the options ride in with every shipped snapshot.
-  if (Closure == "wave" && Follow.empty())
-    Bundle.Solver->setClosure(ClosureMode::Wave);
+  // Snapshots never carry the closure schedule, and every solver starts
+  // on the bulk-load default (wave), so arm the add schedule explicitly
+  // in both directions. For a .scs base this closes the bulk load under
+  // wave first. Followers ignore --closure and add on the worklist.
+  Bundle.Solver->setClosure(Closure == "wave" && Follow.empty()
+                                ? ClosureMode::Wave
+                                : ClosureMode::Worklist);
   // Snapshots never carry the preprocess option either; re-arm it so the
   // recorded configuration matches the flags (on a warm base the pass
-  // itself never re-runs — incremental adds stay online).
+  // itself never re-runs — incremental adds stay online). Followers skip
+  // this re-arm: their state must stay byte-identical to the primary's,
+  // so the serialized options ride in with every shipped snapshot.
   if (Preprocess == "offline" && Follow.empty())
     Bundle.Solver->setPreprocess(PreprocessMode::Offline);
   Bundle.Solver->materializeAllViews();

@@ -53,7 +53,7 @@ int main(int Argc, char **Argv) {
                   "standalone inclusion-constraint solver (PLDI 1998 "
                   "reproduction)");
   std::string Config = "if-online";
-  std::string Closure = "worklist";
+  std::string Closure = "wave";
   std::string Preprocess = "none";
   bool ShowStats = false, Dump = false, Echo = false;
   int64_t Seed = 0x706f6365;
@@ -61,8 +61,9 @@ int main(int Argc, char **Argv) {
   Cmd.addString("config", &Config,
                 "{sf,if}-{plain,online,oracle} or if-periodic");
   Cmd.addString("closure", &Closure,
-                "closure schedule: worklist (eager) or wave (topo-ordered "
-                "delta sweeps); solutions are identical");
+                "closure schedule: wave (topo-ordered delta sweeps, the "
+                "default) or worklist (eager, per add); solutions are "
+                "identical");
   Cmd.addString("preprocess", &Preprocess,
                 "pre-solve pass: none or offline (HVN + Tarjan SCC "
                 "variable substitution); solutions are identical");
@@ -110,9 +111,9 @@ int main(int Argc, char **Argv) {
   }
   Options.Seed = static_cast<uint64_t>(Seed);
   Options.Threads = static_cast<unsigned>(Threads);
-  if (Closure == "wave")
-    Options.Closure = ClosureMode::Wave;
-  else if (Closure != "worklist") {
+  if (Closure == "worklist")
+    Options.Closure = ClosureMode::Worklist;
+  else if (Closure != "wave") {
     std::fprintf(stderr, "scsolve: unknown closure schedule '%s'\n",
                  Closure.c_str());
     return 1;

@@ -270,9 +270,14 @@ Status QueryEngine::rollback() {
     return Load.withContext("rebuilding pre-batch solver");
 
   // The journal was accepted under budgets; replaying it is not a new
-  // batch, so budgets are off for the duration.
+  // batch, so budgets are off for the duration. The schedule is the live
+  // one (snapshots do not record it, so the rebuilt solver starts on the
+  // default), and each line closes before the next, as it did when it
+  // was accepted: the replay retraces the live history, and no deferred
+  // closure is left to run under the budgets re-armed below.
   ConstraintSolver &Fresh = *Rebuilt.Solver;
   Fresh.setBudgets(0, 0, 0);
+  Fresh.setClosure(Live.Closure);
 
   ConstraintSystemFile Replayed;
   Status Adopt = Replayed.adoptDeclarations(Fresh);
@@ -294,12 +299,12 @@ Status QueryEngine::rollback() {
       if (!St)
         return St.withContext("replaying journal line '" + Line + "'");
     }
+    Fresh.ensureClosed();
     if (Fresh.stats().Aborted)
       return Status::error(ErrorCode::Internal,
                            "journal replay aborted with budgets disabled");
   }
   Fresh.setBudgets(Live.DeadlineMs, Live.MaxEdgeBudget, Live.MaxMemBytes);
-  Fresh.setClosure(Live.Closure);
   Fresh.setPreprocess(Live.Preprocess);
 
   Bundle = std::move(Rebuilt);
@@ -317,6 +322,10 @@ Status QueryEngine::resetFromSnapshot(const uint8_t *Data, size_t Size) {
   Status Adopt = Adopted.adoptDeclarations(*Rebuilt.Solver);
   if (!Adopt)
     return Adopt.withContext("adopting replacement snapshot declarations");
+  // Snapshots do not record the closure schedule; keep the live one, as
+  // rollback() does, instead of falling back to the default.
+  if (Bundle.Solver)
+    Rebuilt.Solver->setClosure(Bundle.Solver->options().Closure);
   Bundle = std::move(Rebuilt);
   System = std::move(Adopted);
   Cache.clear();

@@ -176,7 +176,9 @@ public:
   /// base. The snapshot's recorded solver options are adopted wholesale
   /// (no live re-arm): a replication follower re-bootstrapping from its
   /// primary must end up bit-identical to it, down to the serialized
-  /// option and counter words. Leaves the engine untouched on failure.
+  /// option and counter words. The closure schedule, which snapshots do
+  /// not record, stays the live solver's. Leaves the engine untouched on
+  /// failure.
   Status resetFromSnapshot(const uint8_t *Data, size_t Size);
 
   /// Mutations accepted since the last checkpointBase(): constraint
@@ -205,10 +207,11 @@ private:
 
   const std::vector<std::string> &view(ViewKind Kind, VarId Var);
 
-  /// Rebuilds the bundle from BaseBytes and replays AcceptedLines with
-  /// budgets disabled (they were each within budget when first accepted;
-  /// re-aborting mid-restore would lose the graph). Leaves the engine
-  /// untouched on failure.
+  /// Rebuilds the bundle from BaseBytes and replays AcceptedLines on the
+  /// live closure schedule with budgets disabled (they were each within
+  /// budget when first accepted; re-aborting mid-restore would lose the
+  /// graph), closing each line as it was closed when accepted; only then
+  /// re-arms the live budgets. Leaves the engine untouched on failure.
   Status rollback();
 
   SolverBundle Bundle;

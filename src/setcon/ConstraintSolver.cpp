@@ -1623,17 +1623,22 @@ uint64_t ConstraintSolver::countFinalEdges() {
 
 Digraph ConstraintSolver::varVarDigraph() {
   ensureClosed(); // No-op while a drain is in progress (Draining guard).
+  // Standard form files every X <= Y as a successor of X and keeps only
+  // source terms on the pred side, so the succ lists alone give the graph
+  // without walking every points-to set.
+  const bool ScanPreds = Options.Form == GraphForm::Inductive;
   Digraph G(numVars());
   for (VarId Var = 0; Var != numVars(); ++Var) {
     if (!Forwarding.isRepresentative(Var))
       continue;
-    for (uint32_t Pred : Vars[Var].Preds) {
-      if (isTermRef(Pred))
-        continue;
-      VarId PredRep = Forwarding.find(payloadOf(Pred));
-      if (PredRep != Var)
-        G.addEdge(PredRep, Var);
-    }
+    if (ScanPreds)
+      for (uint32_t Pred : Vars[Var].Preds) {
+        if (isTermRef(Pred))
+          continue;
+        VarId PredRep = Forwarding.find(payloadOf(Pred));
+        if (PredRep != Var)
+          G.addEdge(PredRep, Var);
+      }
     for (uint32_t Succ : Vars[Var].Succs) {
       if (isTermRef(Succ))
         continue;

@@ -156,10 +156,10 @@ public:
 
   /// Completes the closure of everything added so far. A no-op in
   /// worklist mode (addConstraint already closed eagerly); in wave mode
-  /// this drains the deferred constraints and runs topologically ordered
-  /// difference-propagation sweeps to the fixpoint. Every solution query
-  /// and graph observer calls this, so callers only need it to bound
-  /// *when* the wave work happens (e.g. for timing).
+  /// (the default) this drains the deferred constraints and runs
+  /// topologically ordered difference-propagation sweeps to the fixpoint.
+  /// Every solution query and graph observer calls this, so callers only
+  /// need it to bound *when* the wave work happens (e.g. for timing).
   void ensureClosed();
 
   TermTable &terms() { return Terms; }
@@ -232,6 +232,8 @@ public:
   //===--------------------------------------------------------------------===
 
   const SolverOptions &options() const { return Options; }
+  /// The counters so far. stats() does not close the graph: under Wave
+  /// closure (the default) read them after finalize() or ensureClosed().
   const SolverStats &stats() const { return Stats; }
 
   /// Current representative of \p Var's equality class.

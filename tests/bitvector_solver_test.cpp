@@ -113,6 +113,7 @@ TEST(DiffPropTest, MatchesElementwiseCountersWithoutCollapses) {
       SolverOptions Options =
           makeConfig(GraphForm::Standard, CycleElim::None, C.Seed);
       Options.DiffProp = Diff;
+      Options.Closure = ClosureMode::Worklist;
       ConstraintSolver Solver(Terms, Options);
       workload::emitRandomConstraints(Shape, Solver);
       Solver.finalize();

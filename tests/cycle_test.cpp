@@ -36,6 +36,14 @@ SolverOptions onlineConfig(GraphForm Form, uint64_t Seed = 0x5eed) {
   return Options;
 }
 
+/// onlineConfig on the eager worklist, for the tests that read counters
+/// and representatives right after an add, before any query closes.
+SolverOptions eagerOnlineConfig(GraphForm Form, uint64_t Seed = 0x5eed) {
+  SolverOptions Options = onlineConfig(Form, Seed);
+  Options.Closure = ClosureMode::Worklist;
+  return Options;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -44,7 +52,7 @@ SolverOptions onlineConfig(GraphForm Form, uint64_t Seed = 0x5eed) {
 
 TEST(CycleTest, IFDetectsDirectTwoCycleAnyOrder) {
   for (uint64_t Seed = 1; Seed != 20; ++Seed) {
-    SolverHarness H(onlineConfig(GraphForm::Inductive, Seed));
+    SolverHarness H(eagerOnlineConfig(GraphForm::Inductive, Seed));
     VarId X = H.var("X"), Y = H.var("Y");
     H.Solver.addConstraint(H.v(X), H.v(Y));
     H.Solver.addConstraint(H.v(Y), H.v(X));
@@ -55,7 +63,7 @@ TEST(CycleTest, IFDetectsDirectTwoCycleAnyOrder) {
 
 TEST(CycleTest, IFTwoCycleWitnessHasMinimalOrder) {
   for (uint64_t Seed = 1; Seed != 20; ++Seed) {
-    SolverHarness H(onlineConfig(GraphForm::Inductive, Seed));
+    SolverHarness H(eagerOnlineConfig(GraphForm::Inductive, Seed));
     VarId X = H.var("X"), Y = H.var("Y");
     H.Solver.addConstraint(H.v(X), H.v(Y));
     H.Solver.addConstraint(H.v(Y), H.v(X));
@@ -72,7 +80,7 @@ TEST(CycleTest, SFDetectsTwoCycleWhenOrderAgrees) {
   // outcomes occur and that detection, when it happens, is sound.
   unsigned Detected = 0, Total = 40;
   for (uint64_t Seed = 1; Seed <= Total; ++Seed) {
-    SolverHarness H(onlineConfig(GraphForm::Standard, Seed));
+    SolverHarness H(eagerOnlineConfig(GraphForm::Standard, Seed));
     VarId X = H.var("X"), Y = H.var("Y");
     H.Solver.addConstraint(H.v(X), H.v(Y));
     H.Solver.addConstraint(H.v(Y), H.v(X));
@@ -224,7 +232,7 @@ TEST(CycleTest, CollapsedVariablesShareRepresentativeAndLS) {
 }
 
 TEST(CycleTest, ChainSearchStatisticsAreRecorded) {
-  SolverHarness H(onlineConfig(GraphForm::Inductive));
+  SolverHarness H(eagerOnlineConfig(GraphForm::Inductive));
   VarId X = H.var("X"), Y = H.var("Y");
   H.Solver.addConstraint(H.v(X), H.v(Y));
   H.Solver.addConstraint(H.v(Y), H.v(X));
@@ -309,6 +317,7 @@ TEST_P(PeriodicTest, PeriodicLSMatchesPlain) {
   for (GraphForm Form : {GraphForm::Standard, GraphForm::Inductive}) {
     SolverOptions Periodic = makeConfig(Form, CycleElim::Periodic, Seed);
     Periodic.PeriodicInterval = 64; // Aggressive, to exercise many passes.
+    Periodic.Closure = ClosureMode::Worklist; // The pass count below.
     SolverHarness P(Periodic);
     auto PeriodicLS = runRandomSystem(P, Seed * 23);
     SolverHarness Plain(makeConfig(Form, CycleElim::None, Seed));

@@ -117,7 +117,10 @@ SolverOptions configFor(const char *Name) {
                 : Elim == "Online" ? CycleElim::Online
                 : Elim == "Oracle" ? CycleElim::Oracle
                                    : CycleElim::Periodic;
-  return makeConfig(Form, E);
+  // The seed goldens are the eager worklist's counters.
+  SolverOptions Options = makeConfig(Form, E);
+  Options.Closure = ClosureMode::Worklist;
+  return Options;
 }
 
 void expectGolden(const Golden &G, const AnalysisResult &R,
@@ -144,7 +147,7 @@ TEST_P(GoldenCountersTest, CountersMatchSeedAndPathsAgree) {
   ASSERT_TRUE(parseCorpusFile(Goldens.File, Unit));
 
   ConstructorTable Constructors;
-  SolverOptions Base = makeConfig(GraphForm::Inductive, CycleElim::Online);
+  SolverOptions Base = configFor("IF-Online");
   Oracle O = buildOracle(makeGenerator(Unit), Constructors, Base);
 
   for (const Golden &G : Goldens.Rows) {

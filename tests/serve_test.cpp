@@ -269,6 +269,8 @@ void runEquivalence(const SolverOptions &Options, uint64_t ScriptSeed,
   Status Loaded = GraphSnapshot::deserialize(Bytes.data(), Bytes.size(),
                                              Bundle);
   ASSERT_TRUE(Loaded.ok()) << Context << ": " << Loaded;
+  // Snapshots do not record the schedule; re-arm it as scserved does.
+  Bundle.Solver->setClosure(Options.Closure);
 
   QueryEngine Engine(std::move(Bundle));
   ASSERT_TRUE(Engine.valid()) << Context << ": " << Engine.initError();
@@ -309,11 +311,51 @@ TEST(QueryEngineTest, IncrementalMatchesFreshSolve) {
       for (bool DiffProp : {false, true}) {
         SolverOptions Options = makeConfig(Form, Elim);
         Options.DiffProp = DiffProp;
+        // Graph dumps and counters match the per-add worklist history.
+        Options.Closure = ClosureMode::Worklist;
         runEquivalence(Options, ScriptSeed++,
                        Options.configName() +
                            (DiffProp ? "+diffprop" : "-diffprop"));
       }
 }
+
+//===----------------------------------------------------------------------===//
+// Re-bootstrap keeps the closure schedule
+//===----------------------------------------------------------------------===//
+
+class ResetScheduleTest : public testing::TestWithParam<ClosureMode> {};
+
+TEST_P(ResetScheduleTest, ResetFromSnapshotKeepsTheSchedule) {
+  // Snapshots do not record the schedule, so an engine re-bootstrapped
+  // from one (a follower taking its primary's snapshot) must keep the
+  // schedule its solver was armed with, not fall back to the default.
+  SolverOptions Options = makeConfig(GraphForm::Standard, CycleElim::Online);
+  Options.Closure = GetParam();
+  TextSystem Sys(readCorpusFile("swap.scs"), Options);
+  ASSERT_TRUE(Sys.Error.empty()) << Sys.Error;
+  QueryEngine Engine(Sys.take());
+  ASSERT_TRUE(Engine.valid()) << Engine.initError();
+
+  std::vector<uint8_t> Bytes;
+  ASSERT_TRUE(GraphSnapshot::serialize(Engine.solver(), Bytes).ok());
+  ASSERT_TRUE(Engine.resetFromSnapshot(Bytes.data(), Bytes.size()).ok());
+  EXPECT_EQ(Engine.solver().options().Closure, GetParam());
+
+  // Adds after the reset still answer as a fresh solve would.
+  ASSERT_TRUE(Engine.addConstraint("var Z").ok());
+  ASSERT_TRUE(Engine.addConstraint("P <= Z").ok());
+  EXPECT_EQ(Engine.pts(Engine.varOf("Z")),
+            (std::vector<std::string>{"nx", "ny"}));
+}
+
+INSTANTIATE_TEST_SUITE_P(Schedules, ResetScheduleTest,
+                         testing::Values(ClosureMode::Worklist,
+                                         ClosureMode::Wave),
+                         [](const auto &Info) {
+                           return Info.param == ClosureMode::Worklist
+                                      ? "Worklist"
+                                      : "Wave";
+                         });
 
 //===----------------------------------------------------------------------===//
 // Telemetry replies (the scserved stats / counters / metrics verbs)

@@ -347,17 +347,27 @@ TEST(SnapshotTest, RejectsOracleAndAbortedSolvers) {
   EXPECT_NE(OracleStatus.message().find("oracle"), std::string::npos)
       << OracleStatus;
 
-  SolverOptions Tiny = makeConfig(GraphForm::Standard, CycleElim::None);
-  Tiny.MaxWork = 1;
-  OwnedSolver Aborted(Tiny);
-  workload::emitRandomConstraints(Shape, *Aborted.Solver);
-  ASSERT_TRUE(Aborted.Solver->stats().Aborted);
-  EXPECT_EQ(Aborted.Solver->stats().Abort, SolverStats::AbortReason::MaxWork);
-  Status AbortedStatus = GraphSnapshot::serialize(*Aborted.Solver, Bytes);
-  EXPECT_FALSE(AbortedStatus.ok());
-  EXPECT_EQ(AbortedStatus.code(), ErrorCode::FailedPrecondition);
-  EXPECT_NE(AbortedStatus.message().find("aborted"), std::string::npos)
-      << AbortedStatus;
+  // On the eager worklist the abort lands inside addConstraint; on the
+  // default schedule it lands when the deferred closure runs.
+  for (ClosureMode Closure :
+       {ClosureMode::Worklist, SolverOptions().Closure}) {
+    SCOPED_TRACE(Closure == ClosureMode::Worklist ? "worklist" : "wave");
+    SolverOptions Tiny = makeConfig(GraphForm::Standard, CycleElim::None);
+    Tiny.MaxWork = 1;
+    Tiny.Closure = Closure;
+    OwnedSolver Aborted(Tiny);
+    workload::emitRandomConstraints(Shape, *Aborted.Solver);
+    if (Closure != ClosureMode::Worklist)
+      Aborted.Solver->ensureClosed();
+    ASSERT_TRUE(Aborted.Solver->stats().Aborted);
+    EXPECT_EQ(Aborted.Solver->stats().Abort,
+              SolverStats::AbortReason::MaxWork);
+    Status AbortedStatus = GraphSnapshot::serialize(*Aborted.Solver, Bytes);
+    EXPECT_FALSE(AbortedStatus.ok());
+    EXPECT_EQ(AbortedStatus.code(), ErrorCode::FailedPrecondition);
+    EXPECT_NE(AbortedStatus.message().find("aborted"), std::string::npos)
+        << AbortedStatus;
+  }
 }
 
 //===----------------------------------------------------------------------===//

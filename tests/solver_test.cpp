@@ -37,6 +37,29 @@ SolverOptions ifPlain() {
   return makeConfig(GraphForm::Inductive, CycleElim::None);
 }
 
+/// \p Options on closure schedule \p Closure.
+SolverOptions withClosure(SolverOptions Options, ClosureMode Closure) {
+  Options.Closure = Closure;
+  return Options;
+}
+
+/// The schedules the per-add cases below run under: the eager worklist
+/// they assert (each add closes before it returns), and the default,
+/// which must agree once its deferred closure has run.
+const ClosureMode Schedules[] = {ClosureMode::Worklist,
+                                 SolverOptions().Closure};
+
+/// Runs a deferred schedule's pending closure before the first read; the
+/// worklist has nothing pending, so its reads stay per-add.
+void closeIfDeferred(ConstraintSolver &Solver) {
+  if (Solver.options().Closure != ClosureMode::Worklist)
+    Solver.ensureClosed();
+}
+
+const char *scheduleName(ClosureMode Closure) {
+  return Closure == ClosureMode::Worklist ? "worklist" : "wave";
+}
+
 } // namespace
 
 namespace poce {
@@ -185,46 +208,62 @@ TEST(ResolutionTest, MixedVarianceRefLikeConstructor) {
 }
 
 TEST(ResolutionTest, ConstructorMismatchIsCountedAndIgnored) {
-  SolverHarness H(ifPlain());
-  ExprId A = H.source("a");
-  ExprId B = H.source("b");
-  VarId X = H.var("X");
-  H.Solver.addConstraint(A, H.v(X));
-  H.Solver.addConstraint(H.v(X), B); // Sink b; pairing a <= b mismatches.
-  EXPECT_EQ(H.Solver.stats().Mismatches, 1u);
-  EXPECT_TRUE(H.Solver.inconsistencies().empty()); // Ignore policy.
+  for (ClosureMode Closure : Schedules) {
+    SCOPED_TRACE(scheduleName(Closure));
+    SolverHarness H(withClosure(ifPlain(), Closure));
+    ExprId A = H.source("a");
+    ExprId B = H.source("b");
+    VarId X = H.var("X");
+    H.Solver.addConstraint(A, H.v(X));
+    H.Solver.addConstraint(H.v(X), B); // Sink b; pairing a <= b mismatches.
+    closeIfDeferred(H.Solver);
+    EXPECT_EQ(H.Solver.stats().Mismatches, 1u);
+    EXPECT_TRUE(H.Solver.inconsistencies().empty()); // Ignore policy.
+  }
 }
 
 TEST(ResolutionTest, MismatchCollectPolicyRecords) {
-  SolverOptions Options = ifPlain();
-  Options.Mismatch = MismatchPolicy::Collect;
-  SolverHarness H(Options);
-  VarId X = H.var("X");
-  H.Solver.addConstraint(H.source("a"), H.v(X));
-  H.Solver.addConstraint(H.v(X), H.source("b"));
-  ASSERT_EQ(H.Solver.inconsistencies().size(), 1u);
-  EXPECT_NE(H.Solver.inconsistencies()[0].find("a"), std::string::npos);
-  EXPECT_NE(H.Solver.inconsistencies()[0].find("b"), std::string::npos);
+  for (ClosureMode Closure : Schedules) {
+    SCOPED_TRACE(scheduleName(Closure));
+    SolverOptions Options = withClosure(ifPlain(), Closure);
+    Options.Mismatch = MismatchPolicy::Collect;
+    SolverHarness H(Options);
+    VarId X = H.var("X");
+    H.Solver.addConstraint(H.source("a"), H.v(X));
+    H.Solver.addConstraint(H.v(X), H.source("b"));
+    closeIfDeferred(H.Solver);
+    ASSERT_EQ(H.Solver.inconsistencies().size(), 1u);
+    EXPECT_NE(H.Solver.inconsistencies()[0].find("a"), std::string::npos);
+    EXPECT_NE(H.Solver.inconsistencies()[0].find("b"), std::string::npos);
+  }
 }
 
 TEST(ResolutionTest, OneIntoConstructedIsMismatch) {
-  SolverHarness H(ifPlain());
-  VarId X = H.var("X");
-  H.Solver.addConstraint(H.Terms.one(), H.v(X));
-  H.Solver.addConstraint(H.v(X), H.source("c"));
-  EXPECT_EQ(H.Solver.stats().Mismatches, 1u);
+  for (ClosureMode Closure : Schedules) {
+    SCOPED_TRACE(scheduleName(Closure));
+    SolverHarness H(withClosure(ifPlain(), Closure));
+    VarId X = H.var("X");
+    H.Solver.addConstraint(H.Terms.one(), H.v(X));
+    H.Solver.addConstraint(H.v(X), H.source("c"));
+    closeIfDeferred(H.Solver);
+    EXPECT_EQ(H.Solver.stats().Mismatches, 1u);
+  }
 }
 
 TEST(ResolutionTest, ArityMismatchBetweenFamilies) {
-  SolverHarness H(ifPlain());
-  ConsId Lam1 = H.Constructors.getOrCreate("lam$1", {Variance::Covariant});
-  ConsId Lam2 = H.Constructors.getOrCreate(
-      "lam$2", {Variance::Covariant, Variance::Covariant});
-  VarId X = H.var("X"), Y = H.var("Y");
-  H.Solver.addConstraint(H.Terms.cons(Lam1, {H.v(X)}), H.v(Y));
-  H.Solver.addConstraint(
-      H.v(Y), H.Terms.cons(Lam2, {H.v(X), H.v(X)}));
-  EXPECT_EQ(H.Solver.stats().Mismatches, 1u);
+  for (ClosureMode Closure : Schedules) {
+    SCOPED_TRACE(scheduleName(Closure));
+    SolverHarness H(withClosure(ifPlain(), Closure));
+    ConsId Lam1 = H.Constructors.getOrCreate("lam$1", {Variance::Covariant});
+    ConsId Lam2 = H.Constructors.getOrCreate(
+        "lam$2", {Variance::Covariant, Variance::Covariant});
+    VarId X = H.var("X"), Y = H.var("Y");
+    H.Solver.addConstraint(H.Terms.cons(Lam1, {H.v(X)}), H.v(Y));
+    H.Solver.addConstraint(
+        H.v(Y), H.Terms.cons(Lam2, {H.v(X), H.v(X)}));
+    closeIfDeferred(H.Solver);
+    EXPECT_EQ(H.Solver.stats().Mismatches, 1u);
+  }
 }
 
 TEST(ResolutionTest, NestedDecomposition) {
@@ -291,7 +330,7 @@ TEST(WorkTest, InitialEdgesCountsOnlyInputConstraints) {
 }
 
 TEST(WorkTest, DistinctSourceAndSinkCounts) {
-  SolverHarness H(sfPlain());
+  SolverHarness H(withClosure(sfPlain(), ClosureMode::Worklist));
   VarId X = H.var("X"), Y = H.var("Y");
   ExprId S = H.source("s");
   H.Solver.addConstraint(S, H.v(X));
@@ -302,20 +341,24 @@ TEST(WorkTest, DistinctSourceAndSinkCounts) {
 }
 
 TEST(WorkTest, MaxWorkAborts) {
-  SolverOptions Options = sfPlain();
-  Options.MaxWork = 10;
-  SolverHarness H(Options);
-  // A quadratic-ish system that needs more than 10 additions.
-  std::vector<VarId> Vars;
-  for (int I = 0; I != 10; ++I)
-    Vars.push_back(H.var(("V" + std::to_string(I)).c_str()));
-  for (int I = 0; I != 5; ++I)
-    H.Solver.addConstraint(H.source(("s" + std::to_string(I)).c_str()),
-                           H.v(Vars[0]));
-  for (int I = 0; I + 1 != 10; ++I)
-    H.Solver.addConstraint(H.v(Vars[I]), H.v(Vars[I + 1]));
-  EXPECT_TRUE(H.Solver.stats().Aborted);
-  EXPECT_LE(H.Solver.stats().Work, 12u); // Stops promptly after the bound.
+  for (ClosureMode Closure : Schedules) {
+    SCOPED_TRACE(scheduleName(Closure));
+    SolverOptions Options = withClosure(sfPlain(), Closure);
+    Options.MaxWork = 10;
+    SolverHarness H(Options);
+    // A quadratic-ish system that needs more than 10 additions.
+    std::vector<VarId> Vars;
+    for (int I = 0; I != 10; ++I)
+      Vars.push_back(H.var(("V" + std::to_string(I)).c_str()));
+    for (int I = 0; I != 5; ++I)
+      H.Solver.addConstraint(H.source(("s" + std::to_string(I)).c_str()),
+                             H.v(Vars[0]));
+    for (int I = 0; I + 1 != 10; ++I)
+      H.Solver.addConstraint(H.v(Vars[I]), H.v(Vars[I + 1]));
+    closeIfDeferred(H.Solver);
+    EXPECT_TRUE(H.Solver.stats().Aborted);
+    EXPECT_LE(H.Solver.stats().Work, 12u); // Stops promptly after the bound.
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -344,7 +387,7 @@ TEST(IntrospectionTest, VarVarDigraphDirections) {
 }
 
 TEST(IntrospectionTest, RecordedVarVarInCreationIndexSpace) {
-  SolverOptions Options = ifPlain();
+  SolverOptions Options = withClosure(ifPlain(), ClosureMode::Worklist);
   Options.RecordVarVar = true;
   SolverHarness H(Options);
   VarId X = H.var("X"), Y = H.var("Y");

@@ -120,23 +120,32 @@ TEST(StressTest, DeepTermNesting) {
 //===----------------------------------------------------------------------===//
 
 TEST(StressTest, AbortedSolverStaysUsable) {
-  SolverOptions Options = makeConfig(GraphForm::Standard, CycleElim::None);
-  Options.MaxWork = 50;
-  SolverHarness H(Options);
-  std::vector<VarId> Vars;
-  for (int I = 0; I != 30; ++I)
-    Vars.push_back(H.var("v" + std::to_string(I)));
-  for (int I = 0; I != 10; ++I)
-    H.Solver.addConstraint(H.source("s" + std::to_string(I)),
-                           H.v(Vars[0]));
-  for (int I = 0; I + 1 != 30; ++I)
-    H.Solver.addConstraint(H.v(Vars[I]), H.v(Vars[I + 1]));
-  ASSERT_TRUE(H.Solver.stats().Aborted);
-  // Queries on an aborted solver return partial but well-formed data.
-  H.Solver.finalize();
-  EXPECT_NO_FATAL_FAILURE(H.Solver.leastSolution(Vars[29]));
-  EXPECT_NO_FATAL_FAILURE(H.Solver.countFinalEdges());
-  EXPECT_NO_FATAL_FAILURE(H.Solver.varVarDigraph());
+  // On the eager worklist the abort lands inside addConstraint; on the
+  // default schedule it lands when the deferred closure runs.
+  for (ClosureMode Closure :
+       {ClosureMode::Worklist, SolverOptions().Closure}) {
+    SCOPED_TRACE(Closure == ClosureMode::Worklist ? "worklist" : "wave");
+    SolverOptions Options = makeConfig(GraphForm::Standard, CycleElim::None);
+    Options.MaxWork = 50;
+    Options.Closure = Closure;
+    SolverHarness H(Options);
+    std::vector<VarId> Vars;
+    for (int I = 0; I != 30; ++I)
+      Vars.push_back(H.var("v" + std::to_string(I)));
+    for (int I = 0; I != 10; ++I)
+      H.Solver.addConstraint(H.source("s" + std::to_string(I)),
+                             H.v(Vars[0]));
+    for (int I = 0; I + 1 != 30; ++I)
+      H.Solver.addConstraint(H.v(Vars[I]), H.v(Vars[I + 1]));
+    if (Closure != ClosureMode::Worklist)
+      H.Solver.ensureClosed();
+    ASSERT_TRUE(H.Solver.stats().Aborted);
+    // Queries on an aborted solver return partial but well-formed data.
+    H.Solver.finalize();
+    EXPECT_NO_FATAL_FAILURE(H.Solver.leastSolution(Vars[29]));
+    EXPECT_NO_FATAL_FAILURE(H.Solver.countFinalEdges());
+    EXPECT_NO_FATAL_FAILURE(H.Solver.varVarDigraph());
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -381,6 +381,7 @@ TEST(WaveIncrementalTest, QueriesBetweenAddsSeeConsistentClosure) {
 
   ConstructorTable Constructors;
   SolverOptions Options = makeConfig(GraphForm::Standard, CycleElim::Online);
+  Options.Closure = ClosureMode::Worklist;
 
   // One-shot worklist reference.
   TermTable TermsA(Constructors);
@@ -415,6 +416,7 @@ TEST(WaveIncrementalTest, SwitchingClosureModesMidStreamIsSound) {
 
   ConstructorTable Constructors;
   SolverOptions Options = makeConfig(GraphForm::Inductive, CycleElim::Online);
+  Options.Closure = ClosureMode::Worklist;
 
   TermTable TermsA(Constructors);
   ConstraintSolver Reference(TermsA, Options);

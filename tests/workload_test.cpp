@@ -88,8 +88,9 @@ TEST(RandomConstraintsTest, EmissionMatchesShape) {
   RandomConstraintShape Shape = randomConstraintShape(40, 20, 0.05, Rng);
   ConstructorTable Constructors;
   TermTable Terms(Constructors);
-  ConstraintSolver Solver(Terms,
-                          makeConfig(GraphForm::Inductive, CycleElim::None));
+  SolverOptions Options = makeConfig(GraphForm::Inductive, CycleElim::None);
+  Options.Closure = ClosureMode::Worklist; // Work is read without closing.
+  ConstraintSolver Solver(Terms, Options);
   workload::emitRandomConstraints(Shape, Solver);
   EXPECT_EQ(Solver.stats().VarsCreated, 40u);
   // Every initial constraint lands in the graph (minus duplicates and
