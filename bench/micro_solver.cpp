@@ -880,9 +880,10 @@ ServeResult measureServe(double Scale, unsigned Repeats, unsigned Threads) {
     serve::QueryEngine Engine(std::move(Bundle));
     Latencies.clear();
     Out.Checksum = runQueries(Engine, &Latencies);
-    HitRate = Engine.counters().Queries
+    // Each scripted query makes exactly one engine call.
+    HitRate = Out.NumQueries
                   ? static_cast<double>(Engine.counters().CacheHits) /
-                        static_cast<double>(Engine.counters().Queries)
+                        static_cast<double>(Out.NumQueries)
                   : 0;
   });
   Out.FreshPathSeconds = bestOfN(Repeats, [&] {

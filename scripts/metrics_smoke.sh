@@ -68,10 +68,16 @@ check "$WORK/s1.out" \
   "poce_snapshot_serialize_us_count" \
   "# EOF"
 
-# The latency histogram must have counted the three queries.
+# The latency histogram must have counted the three queries, and the
+# read counter beside it the same reads (one meter, both series).
 LAT_COUNT=$(grep "^poce_query_latency_us_count" "$WORK/s1.out" | awk '{print $2}')
 [ "$LAT_COUNT" -ge 3 ] || {
   echo "FAIL: expected >=3 latency samples, got '$LAT_COUNT'" >&2
+  exit 1
+}
+READS=$(grep "^poce_query_requests_total" "$WORK/s1.out" | awk '{print $2}')
+[ "$READS" = "$LAT_COUNT" ] || {
+  echo "FAIL: read counter '$READS' != latency samples '$LAT_COUNT'" >&2
   exit 1
 }
 

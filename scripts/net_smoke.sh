@@ -83,10 +83,15 @@ grep -q '^err' "$WORK/mixed.c1.out" "$WORK/mixed.c2.out" &&
 grep -q '^ok { nx, ny }$' "$WORK/mixed.w.out" ||
   fail "mixed: read-your-writes failed (pts Z after P <= Z)"
 
-# The metrics verb serves the net series over the socket.
-printf 'metrics\nquit\n' | NC --unix "$SOCK" > "$WORK/mixed.m.out"
-grep -q 'poce_net_queries_total' "$WORK/mixed.m.out" ||
-  fail "mixed: metrics reply lacks the net series"
+# Socket reads land in the same read meter as stdin reads: `counters`
+# and `metrics` count the 151 queries above, and the metrics verb serves
+# the per-lane counters too.
+printf 'counters\nmetrics\nquit\n' | NC --unix "$SOCK" > "$WORK/mixed.m.out"
+QUERIES=$(grep -o '^ok queries=[0-9]*' "$WORK/mixed.m.out" | cut -d= -f2)
+[ "${QUERIES:-0}" -ge 151 ] ||
+  fail "mixed: counters reports queries=${QUERIES:-none}, want >= 151"
+grep -q '^poce_query_requests_total' "$WORK/mixed.m.out" ||
+  fail "mixed: metrics reply lacks the read counter"
 grep -q 'poce_net_lane0_queries' "$WORK/mixed.m.out" ||
   fail "mixed: metrics reply lacks the per-lane counters"
 

@@ -179,7 +179,6 @@ int main(int Argc, char **Argv) {
   std::string WalPath;
   std::string DumpWal;
   std::string Config = "if-online";
-  std::string Closure = "worklist";
   std::string Preprocess = "none";
   int64_t Seed = 0x706f6365;
   int64_t Threads = 1;
@@ -206,13 +205,6 @@ int main(int Argc, char **Argv) {
   Cmd.addString("dump-wal", &DumpWal,
                 "print the intact lines of this WAL and exit");
   Cmd.addString("config", &Config, "{sf,if}-{plain,online} for .scs input");
-  Cmd.addString("closure", &Closure,
-                "closure schedule for adds: worklist (eager, the default) "
-                "or wave (topo-ordered delta sweeps); responses are "
-                "identical. A .scs base bulk-loads under wave either "
-                "way, then this flag sets the schedule of later adds; "
-                "applies to snapshot bases alike (the schedule is not "
-                "serialized)");
   Cmd.addString("preprocess", &Preprocess,
                 "pre-solve pass for .scs input: none or offline (HVN + "
                 "Tarjan SCC variable substitution before the first "
@@ -271,12 +263,6 @@ int main(int Argc, char **Argv) {
   if (!DumpWal.empty())
     return dumpWal(DumpWal);
 
-  if (Closure != "worklist" && Closure != "wave") {
-    std::fprintf(stderr, "scserved: unknown closure schedule '%s'\n",
-                 Closure.c_str());
-    return 1;
-  }
-
   if (Preprocess != "none" && Preprocess != "offline") {
     std::fprintf(stderr, "scserved: unknown preprocess mode '%s'\n",
                  Preprocess.c_str());
@@ -291,10 +277,10 @@ int main(int Argc, char **Argv) {
   }
 
   // Follower mode: the primary's snapshot/WAL pair is the replicated
-  // unit, so the local pair and a socket listener are mandatory, and the
-  // closure/preprocess flags are ignored — the follower adopts the
-  // primary's serialized options wholesale and replays adds on the
-  // worklist schedule, the primary's default, so the states stay
+  // unit, so the local pair and a socket listener are mandatory, and
+  // --preprocess is ignored — the follower adopts the primary's
+  // serialized options wholesale and replays adds on the worklist
+  // schedule, as the primary serves them, so the states stay
   // byte-identical.
   std::string FollowTcp, FollowUnix;
   if (!Follow.empty()) {
@@ -312,11 +298,10 @@ int main(int Argc, char **Argv) {
                            "--unix (followers serve over sockets)\n");
       return 1;
     }
-    if (Closure != "worklist" || Preprocess != "none")
+    if (Preprocess != "none")
       std::fprintf(stderr,
-                   "scserved: note: --closure/--preprocess are ignored "
-                   "under --follow (the primary's options are adopted; "
-                   "adds replay on the worklist schedule)\n");
+                   "scserved: note: --preprocess is ignored under "
+                   "--follow (the primary's options are adopted)\n");
     if (::access(Snapshot.c_str(), F_OK) != 0) {
       Status Boot = net::ReplicationClient::coldBootstrap(
           FollowTcp, FollowUnix, Snapshot,
@@ -384,13 +369,13 @@ int main(int Argc, char **Argv) {
   }
 
   Bundle.Solver->setThreads(static_cast<unsigned>(Threads));
-  // Snapshots never carry the closure schedule, and every solver starts
-  // on the bulk-load default (wave), so arm the add schedule explicitly
-  // in both directions. For a .scs base this closes the bulk load under
-  // wave first. Followers ignore --closure and add on the worklist.
-  Bundle.Solver->setClosure(Closure == "wave" && Follow.empty()
-                                ? ClosureMode::Wave
-                                : ClosureMode::Worklist);
+  // Served adds run on the worklist: a standard-form add under wave may
+  // rebuild the cached topological order, which costs many times the add
+  // itself (README, `--closure`), and inductive-form adds cost the same
+  // on both. Every solver starts on the bulk-load default (wave) and
+  // snapshots never carry the schedule, so arm it explicitly; for a .scs
+  // base this closes the bulk load under wave first.
+  Bundle.Solver->setClosure(ClosureMode::Worklist);
   // Snapshots never carry the preprocess option either; re-arm it so the
   // recorded configuration matches the flags (on a warm base the pass
   // itself never re-runs — incremental adds stay online). Followers skip
@@ -506,12 +491,24 @@ int main(int Argc, char **Argv) {
     std::fflush(stdout);
   };
   auto ReplyErr = [&Reply](const Status &St) { Reply("err " + St.wire()); };
-  auto ResolveVar = [&](const std::string &Name, VarId &Out) {
-    uint32_t Var = Engine.varOf(Name);
-    if (Var == QueryEngine::NotFound)
-      return false;
-    Out = Var;
-    return true;
+  // One ls/pts/alias reply, `ok ...` or `err not_found ...`.
+  auto AnswerRead = [&Engine](const Request &Req) -> std::string {
+    auto Unknown = [](const std::string &Name) {
+      return "err " + Status::error(ErrorCode::NotFound,
+                                    "unknown variable '" + Name + "'")
+                          .wire();
+    };
+    uint32_t X = Engine.varOf(Req.Arg1);
+    if (X == QueryEngine::NotFound)
+      return Unknown(Req.Arg1);
+    if (Req.Verb == "alias") {
+      uint32_t Y = Engine.varOf(Req.Arg2);
+      if (Y == QueryEngine::NotFound)
+        return Unknown(Req.Arg2);
+      return Engine.alias(X, Y) ? "ok true" : "ok false";
+    }
+    return "ok " + render::renderSet(Req.Verb == "ls" ? Engine.ls(X)
+                                                      : Engine.pts(X));
   };
 
   // Returns false when the loop should stop (quit or shutdown).
@@ -537,25 +534,8 @@ int main(int Argc, char **Argv) {
     }
     if (Req.Verb == "ls" || Req.Verb == "pts" || Req.Verb == "alias") {
       const uint64_t StartUs = trace::nowMicros();
-      std::string Response;
-      VarId X = 0, Y = 0;
-      if (!ResolveVar(Req.Arg1, X)) {
-        ReplyErr(Status::error(ErrorCode::NotFound,
-                               "unknown variable '" + Req.Arg1 + "'"));
-        return true;
-      }
-      if (Req.Verb == "alias") {
-        if (!ResolveVar(Req.Arg2, Y)) {
-          ReplyErr(Status::error(ErrorCode::NotFound,
-                                 "unknown variable '" + Req.Arg2 + "'"));
-          return true;
-        }
-        Response = Engine.alias(X, Y) ? "ok true" : "ok false";
-      } else if (Req.Verb == "ls") {
-        Response = "ok " + render::renderSet(Engine.ls(X));
-      } else {
-        Response = "ok " + render::renderSet(Engine.pts(X));
-      }
+      std::string Response = AnswerRead(Req);
+      telemetry::queryCounter().inc();
       telemetry::queryLatencyHistogram().record(trace::nowMicros() -
                                                 StartUs);
       trace::complete("serve.query", StartUs);
@@ -564,7 +544,8 @@ int main(int Argc, char **Argv) {
     }
 
     std::string WriterReply;
-    if (Core.handleWriterVerb(Req, WriterReply)) {
+    if (Core.handleWriterVerb(Req, WriterReply) !=
+        ServerCore::VerbResult::NotMine) {
       Reply(WriterReply);
       return !Core.shutdownRequested();
     }

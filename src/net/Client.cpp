@@ -113,7 +113,10 @@ Status LineClient::sendLine(const std::string &Line) {
   std::string Wire = Line + "\n";
   size_t Sent = 0;
   while (Sent < Wire.size()) {
-    ssize_t N = ::write(Fd, Wire.data() + Sent, Wire.size() - Sent);
+    // MSG_NOSIGNAL: a closed peer is an error to report, not a SIGPIPE
+    // (a follower's tail must outlive its primary).
+    ssize_t N =
+        ::send(Fd, Wire.data() + Sent, Wire.size() - Sent, MSG_NOSIGNAL);
     if (N < 0) {
       if (errno == EINTR)
         continue;

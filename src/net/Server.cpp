@@ -8,6 +8,7 @@
 
 #include "net/Replication.h"
 #include "net/Socket.h"
+#include "serve/Telemetry.h"
 #include "support/Trace.h"
 
 #include <algorithm>
@@ -110,14 +111,9 @@ Status NetServer::init() {
                          "--unix)");
 
   MetricsRegistry &R = MetricsRegistry::global();
-  LatencyHist = &R.histogram(
-      "poce_net_query_latency_us",
-      "End-to-end read-lane execution latency of one socket query");
   PublishHist = &R.histogram(
       "poce_net_view_publish_us",
       "Wall time to rebuild and publish a ReadView epoch");
-  QueriesTotal = &R.counter("poce_net_queries_total",
-                            "Socket queries executed on read lanes");
   ErrorsTotal = &R.counter("poce_net_query_errors_total",
                            "Socket queries answered with an err reply");
   ConnsTotal = &R.counter("poce_net_connections_total",
@@ -139,9 +135,6 @@ Status NetServer::init() {
                               "WAL records streamed to replicas");
   SnapshotsShipped = &R.counter("poce_repl_snapshots_shipped_total",
                                 "Bootstrap snapshots shipped to replicas");
-  P50 = &R.gauge("poce_net_query_p50_us", "Read-lane query latency p50");
-  P99 = &R.gauge("poce_net_query_p99_us", "Read-lane query latency p99");
-  P999 = &R.gauge("poce_net_query_p999_us", "Read-lane query latency p999");
   EpochGauge = &R.gauge("poce_net_epoch", "Published ReadView epoch");
   R.gauge("poce_net_lanes", "Read lanes serving queries")
       .set(Pool.numLanes());
@@ -299,7 +292,10 @@ void NetServer::readConn(Conn &C) {
 
 void NetServer::flushConn(Conn &C) {
   while (!C.Out.empty()) {
-    ssize_t N = ::write(C.Fd, C.Out.data(), C.Out.size());
+    // MSG_NOSIGNAL: a peer that stopped reading fails this send with
+    // EPIPE, which closes its connection below, instead of raising a
+    // SIGPIPE that would kill the whole server.
+    ssize_t N = ::send(C.Fd, C.Out.data(), C.Out.size(), MSG_NOSIGNAL);
     if (N < 0) {
       if (errno == EINTR)
         continue;
@@ -506,21 +502,22 @@ void NetServer::runReadWave(std::vector<ReadTask> &Batch) {
 
 void NetServer::mergeLaneStats() {
   // The wave barrier in parallelFor() is the happens-before edge that
-  // makes the plain per-lane stores visible here.
+  // makes the plain per-lane stores visible here. Reads land in the same
+  // meter the stdin loop records into, so `counters` and `metrics`
+  // report them in either mode.
+  Counter &Queries = serve::telemetry::queryCounter();
+  Histogram &Latency = serve::telemetry::queryLatencyHistogram();
   for (unsigned Lane = 0; Lane != Pool.numLanes(); ++Lane) {
     LaneAccum &Accum = LaneSlots[Lane].Value;
     if (Accum.Queries == 0 && Accum.LatenciesUs.empty())
       continue;
-    QueriesTotal->inc(Accum.Queries);
+    Queries.inc(Accum.Queries);
     ErrorsTotal->inc(Accum.Errors);
     LaneQueryCounters[Lane]->inc(Accum.Queries);
     for (uint64_t Us : Accum.LatenciesUs)
-      LatencyHist->record(Us);
+      Latency.record(Us);
     Accum.clear();
   }
-  P50->set(LatencyHist->quantile(0.50));
-  P99->set(LatencyHist->quantile(0.99));
-  P999->set(LatencyHist->quantile(0.999));
 }
 
 void NetServer::applyCompletions() {
@@ -805,14 +802,14 @@ void NetServer::handleClientJob(WriterJob &Job, Completion &Comp,
                       "primary or promote this one"));
     return;
   }
-  if (!Core.handleWriterVerb(Req, Comp.Reply))
+  using VerbResult = serve::ServerCore::VerbResult;
+  VerbResult Result = Core.handleWriterVerb(Req, Comp.Reply);
+  if (Result == VerbResult::NotMine)
     Comp.Reply = "err " + Status::error(ErrorCode::InvalidArgument,
                                         "unknown verb '" + Req.Verb +
                                             "'; try help")
                               .wire();
-  if ((Req.Verb == "add" && Comp.Reply == "ok added") ||
-      (Req.Verb == "retract" && Comp.Reply == "ok retracted"))
-    Mutated = true;
+  Mutated |= Result == VerbResult::Mutated;
   if (Core.shutdownRequested())
     Comp.Shutdown = true;
 }

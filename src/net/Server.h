@@ -272,9 +272,7 @@ private:
   std::vector<Completion> WriterOut;
 
   // Metrics (registered in init; references are process-stable).
-  Histogram *LatencyHist = nullptr;
   Histogram *PublishHist = nullptr;
-  Counter *QueriesTotal = nullptr;
   Counter *ErrorsTotal = nullptr;
   Counter *ConnsTotal = nullptr;
   Counter *OversizedTotal = nullptr;
@@ -282,9 +280,6 @@ private:
   Counter *ReadsDuringWrite = nullptr;
   Counter *PublishesTotal = nullptr;
   Gauge *ConnsOpen = nullptr;
-  Gauge *P50 = nullptr;
-  Gauge *P99 = nullptr;
-  Gauge *P999 = nullptr;
   Gauge *EpochGauge = nullptr;
   Gauge *FollowersGauge = nullptr;
   Counter *RecordsShipped = nullptr;

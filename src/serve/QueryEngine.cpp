@@ -6,7 +6,6 @@
 
 #include "serve/QueryEngine.h"
 
-#include "serve/Wal.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
@@ -107,7 +106,6 @@ std::string render::renderSet(const std::vector<std::string> &Items) {
 }
 
 const std::vector<std::string> &QueryEngine::view(ViewKind Kind, VarId Var) {
-  ++Stats.Queries;
   ConstraintSolver &Solver = *Bundle.Solver;
   // Settle the graph before resolving the representative (a pending wave
   // closure may collapse Var into a class), and force the lazy finalize
@@ -154,82 +152,80 @@ const std::vector<std::string> &QueryEngine::pts(VarId Var) {
 }
 
 bool QueryEngine::alias(VarId X, VarId Y) {
-  ++Stats.Queries;
   ConstraintSolver &Solver = *Bundle.Solver;
   if (Solver.rep(X) == Solver.rep(Y))
     return true;
   return Solver.leastSolutionBits(X).intersects(Solver.leastSolutionBits(Y));
 }
 
-Status QueryEngine::checkConstraint(const std::string &Line) const {
+Status QueryEngine::check(WalRecord &Rec) const {
   if (!Valid)
     return Status::error(ErrorCode::FailedPrecondition,
                          "engine is invalid: " + InitError);
-  return System.checkLine(Line, *Bundle.Solver);
-}
-
-Status QueryEngine::addConstraint(const std::string &Line) {
-  if (!Valid)
-    return Status::error(ErrorCode::FailedPrecondition,
-                         "engine is invalid: " + InitError);
-  Status St = System.addLine(Line, *Bundle.Solver);
+  const ConstraintSolver &Solver = *Bundle.Solver;
+  if (!Rec.isRetract())
+    return System.checkLine(Rec.Line, Solver);
+  std::string Canon;
+  Status St = System.canonicalizeConstraint(Rec.Line, Solver, Canon);
   if (!St)
     return St;
-  // Wave closure defers consequences until a solution is needed; force
-  // them now so a budget breach surfaces (and rolls back) at the add that
-  // caused it, exactly as in worklist mode. No-op for worklist closure.
-  Bundle.Solver->ensureClosed();
-  if (Bundle.Solver->stats().Aborted) {
-    ++Stats.BudgetAborts;
-    SolverStats::AbortReason Why = Bundle.Solver->stats().Abort;
-    Status Restored = rollback();
-    if (!Restored)
-      return Status::error(
-          ErrorCode::Internal,
-          std::string("budget breach (") + SolverStats::abortReasonName(Why) +
-              ") could not be rolled back: " + Restored.message());
-    ++Stats.Rollbacks;
-    return Status::error(ErrorCode::BudgetExceeded,
-                         std::string(SolverStats::abortReasonName(Why)) +
-                             " budget exceeded; batch rolled back");
-  }
-  AcceptedLines.push_back(Line);
-  ++Stats.Additions;
+  if (!Solver.hasRootTag(Canon))
+    return Status::error(ErrorCode::NotFound,
+                         "no live constraint '" + Canon + "' to retract");
+  Rec.Line = std::move(Canon);
   return Status();
+}
+
+Status QueryEngine::checkConstraint(const std::string &Line) const {
+  WalRecord Rec = WalRecord::add(Line);
+  return check(Rec);
 }
 
 Status QueryEngine::checkRetract(const std::string &Line,
                                  std::string *Canon) const {
-  if (!Valid)
-    return Status::error(ErrorCode::FailedPrecondition,
-                         "engine is invalid: " + InitError);
-  std::string Text;
-  Status St = System.canonicalizeConstraint(Line, *Bundle.Solver, Text);
-  if (!St)
-    return St;
-  if (!Bundle.Solver->hasRootTag(Text))
-    return Status::error(ErrorCode::NotFound,
-                         "no live constraint '" + Text + "' to retract");
-  if (Canon)
-    *Canon = std::move(Text);
+  WalRecord Rec = WalRecord::retract(Line);
+  Status St = check(Rec);
+  if (St.ok() && Canon)
+    *Canon = std::move(Rec.Line);
+  return St;
+}
+
+Status QueryEngine::mutate(ConstraintSystemFile &System,
+                           ConstraintSolver &Solver, WalRecord &Rec) {
+  if (Rec.isRetract()) {
+    std::string Canon;
+    Status St = System.canonicalizeConstraint(Rec.Line, Solver, Canon);
+    if (!St)
+      return St;
+    if (!Solver.retract(Canon))
+      return Status::error(ErrorCode::NotFound,
+                           "no live constraint '" + Canon + "' to retract");
+    // The system records only constraints added through an engine —
+    // adoptDeclarations() cleared the pre-existing ones, for which the
+    // solver's base-root provenance is authoritative — so removal here is
+    // best-effort.
+    (void)System.removeConstraint(Canon);
+    Rec.Line = std::move(Canon);
+  } else {
+    Status St = System.addLine(Rec.Line, Solver);
+    if (!St)
+      return St;
+  }
+  // Wave closure defers consequences until a solution is needed; force
+  // them now so a budget breach surfaces at the record that caused it,
+  // exactly as in worklist mode. A retraction's cone replay runs under
+  // the same budgets. No-op for worklist closure.
+  Solver.ensureClosed();
   return Status();
 }
 
-Status QueryEngine::retractConstraint(const std::string &Line) {
+Status QueryEngine::apply(WalRecord Rec) {
   if (!Valid)
     return Status::error(ErrorCode::FailedPrecondition,
                          "engine is invalid: " + InitError);
-  std::string Canon;
-  Status St = System.canonicalizeConstraint(Line, *Bundle.Solver, Canon);
+  Status St = mutate(System, *Bundle.Solver, Rec);
   if (!St)
     return St;
-  if (!Bundle.Solver->retract(Canon))
-    return Status::error(ErrorCode::NotFound,
-                         "no live constraint '" + Canon + "' to retract");
-  // The cone replay runs under the live budgets (a retraction can
-  // trigger arbitrary re-propagation); a breach rolls the whole batch
-  // back, exactly as for an addition.
-  Bundle.Solver->ensureClosed();
   if (Bundle.Solver->stats().Aborted) {
     ++Stats.BudgetAborts;
     SolverStats::AbortReason Why = Bundle.Solver->stats().Abort;
@@ -244,13 +240,8 @@ Status QueryEngine::retractConstraint(const std::string &Line) {
                          std::string(SolverStats::abortReasonName(Why)) +
                              " budget exceeded; batch rolled back");
   }
-  // The system records only constraints added through this engine —
-  // adoptDeclarations() cleared the pre-existing ones, for which the
-  // solver's base-root provenance is authoritative — so removal here is
-  // best-effort.
-  (void)System.removeConstraint(Canon);
-  AcceptedLines.push_back(WalRetractPrefix + Canon);
-  ++Stats.Retractions;
+  ++(Rec.isRetract() ? Stats.Retractions : Stats.Additions);
+  AcceptedLines.push_back(Rec.encode());
   return Status();
 }
 
@@ -272,7 +263,7 @@ Status QueryEngine::rollback() {
   // The journal was accepted under budgets; replaying it is not a new
   // batch, so budgets are off for the duration. The schedule is the live
   // one (snapshots do not record it, so the rebuilt solver starts on the
-  // default), and each line closes before the next, as it did when it
+  // default), and each record closes before the next, as it did when it
   // was accepted: the replay retraces the live history, and no deferred
   // closure is left to run under the budgets re-armed below.
   ConstraintSolver &Fresh = *Rebuilt.Solver;
@@ -283,23 +274,11 @@ Status QueryEngine::rollback() {
   Status Adopt = Replayed.adoptDeclarations(Fresh);
   if (!Adopt)
     return Adopt.withContext("re-adopting declarations during rollback");
-  constexpr size_t PrefixLen = sizeof(WalRetractPrefix) - 1;
   for (const std::string &Line : AcceptedLines) {
-    if (Line.compare(0, PrefixLen, WalRetractPrefix) == 0) {
-      // Journaled retractions store the canonical text, so they apply
-      // directly — each matched a live constraint when first accepted.
-      std::string Canon = Line.substr(PrefixLen);
-      if (!Fresh.retract(Canon))
-        return Status::error(ErrorCode::Internal,
-                             "journal retraction '" + Canon +
-                                 "' did not match during rollback");
-      (void)Replayed.removeConstraint(Canon);
-    } else {
-      Status St = Replayed.addLine(Line, Fresh);
-      if (!St)
-        return St.withContext("replaying journal line '" + Line + "'");
-    }
-    Fresh.ensureClosed();
+    WalRecord Rec = WalRecord::decode(Line);
+    Status St = mutate(Replayed, Fresh, Rec);
+    if (!St)
+      return St.withContext("replaying journal line '" + Line + "'");
     if (Fresh.stats().Aborted)
       return Status::error(ErrorCode::Internal,
                            "journal replay aborted with budgets disabled");
@@ -323,7 +302,7 @@ Status QueryEngine::resetFromSnapshot(const uint8_t *Data, size_t Size) {
   if (!Adopt)
     return Adopt.withContext("adopting replacement snapshot declarations");
   // Snapshots do not record the closure schedule; keep the live one, as
-  // rollback() does, instead of falling back to the default.
+  // a rollback does, instead of falling back to the default.
   if (Bundle.Solver)
     Rebuilt.Solver->setClosure(Bundle.Solver->options().Closure);
   Bundle = std::move(Rebuilt);
@@ -345,8 +324,12 @@ Status QueryEngine::checkpointBase() {
   Status St = GraphSnapshot::serialize(*Bundle.Solver, Fresh);
   if (!St)
     return St.withContext("checkpointing rollback base");
-  BaseBytes = std::move(Fresh);
+  checkpointBase(std::move(Fresh));
+  return Status();
+}
+
+void QueryEngine::checkpointBase(std::vector<uint8_t> Bytes) {
+  BaseBytes = std::move(Bytes);
   AcceptedLines.clear();
   RollbackArmed = true;
-  return Status();
 }

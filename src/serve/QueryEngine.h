@@ -12,16 +12,19 @@
 /// the solver's fully online closure — cycle elimination keeps running on
 /// the warm graph, exactly as it would have during the original solve.
 ///
-/// The engine owns its SolverBundle so it can make constraint batches
-/// transactional against resource budgets: at construction (and at every
-/// checkpointBase()) it captures a serialized base snapshot, and every
-/// accepted constraint line is journaled. When an addition trips a budget
-/// (deadline, edge, or memory — see SolverOptions) the closure aborts
-/// mid-flight and leaves the graph half-propagated; the engine then rolls
-/// back by rebuilding the bundle from the base snapshot and replaying the
-/// journal with budgets disabled, which restores a state bit-identical to
-/// the one before the offending line. The caller sees a clean
-/// BudgetExceeded error and can keep querying.
+/// Every mutation — add or retract, live, replayed from the WAL, or
+/// replayed from the rollback journal — is one WalRecord (serve/Wal.h)
+/// through one step: mutate the graph, close it. The engine owns its
+/// SolverBundle so it can make each record transactional against
+/// resource budgets: at construction (and at every checkpointBase()) it
+/// captures a serialized base snapshot, and every accepted record is
+/// journaled. When a record trips a budget (deadline, edge, or memory —
+/// see SolverOptions) the closure aborts mid-flight and leaves the graph
+/// half-propagated; the engine then rolls back by rebuilding the bundle
+/// from the base snapshot and replaying the journal with budgets
+/// disabled, which restores a state bit-identical to the one before the
+/// offending record. The caller sees a clean BudgetExceeded error and can
+/// keep querying.
 ///
 /// Rendered views are kept in a bounded LRU cache keyed by (query kind,
 /// representative). A cached view is valid iff the representative's
@@ -46,6 +49,7 @@
 #define POCE_SERVE_QUERYENGINE_H
 
 #include "serve/GraphSnapshot.h"
+#include "serve/Wal.h"
 #include "setcon/ConstraintFile.h"
 #include "setcon/ConstraintSolver.h"
 #include "support/LruCache.h"
@@ -89,12 +93,11 @@ public:
   /// Query-layer counters (the solver's own stats stay separate and are
   /// exposed through solver().stats()).
   struct Counters {
-    uint64_t Queries = 0;       ///< ls/pts/alias calls answered.
     uint64_t CacheHits = 0;     ///< Served from a still-valid cached view.
     uint64_t CacheMisses = 0;   ///< View built fresh (first touch).
     uint64_t StaleRebuilds = 0; ///< Cached view outgrown by additions.
-    uint64_t Additions = 0;     ///< addConstraint lines accepted.
-    uint64_t Retractions = 0;   ///< retractConstraint lines accepted.
+    uint64_t Additions = 0;     ///< Add records accepted.
+    uint64_t Retractions = 0;   ///< Retract records accepted.
     uint64_t BudgetAborts = 0;  ///< Mutations rejected by a budget breach.
     uint64_t Rollbacks = 0;     ///< Successful pre-batch state restores.
   };
@@ -131,37 +134,42 @@ public:
   /// collapses, or intersecting least solutions.
   bool alias(VarId X, VarId Y);
 
-  /// Feeds one line of the constraint-file format (declaration or
-  /// constraint) through the online closure. Affected cached views are
-  /// invalidated by the fingerprint check on their next access. On parse
-  /// failure the graph is untouched; on a budget breach the engine rolls
-  /// back to the pre-line state and returns BudgetExceeded (or Internal,
-  /// if rollback itself is impossible — see rollbackArmed()).
-  Status addConstraint(const std::string &Line);
+  /// Applies one mutation: an add feeds one line of the constraint-file
+  /// format (declaration or constraint) through the online closure; a
+  /// retraction deletes the constraint added earlier whose canonical text
+  /// matches \p Rec's line (whitespace and comments need not match) and
+  /// incrementally recomputes the affected cone, splitting collapsed
+  /// cycle classes whose witness cycle lost an edge (see
+  /// ConstraintSolver::retract). Cached views invalidate through the
+  /// mutation-epoch check on their next access. On a parse failure, or a
+  /// retraction that matches no live constraint (NotFound; a
+  /// non-constraint line is InvalidArgument), the graph is untouched; on
+  /// a budget breach the engine rolls back to the pre-record state and
+  /// returns BudgetExceeded (or Internal, if rollback itself is
+  /// impossible — see rollbackArmed()).
+  Status apply(WalRecord Rec);
 
-  /// Dry-run of addConstraint(): parses and validates \p Line against
-  /// the live system without mutating anything. A line that passes can
-  /// only be rejected later by a resource-budget breach. Lets the server
-  /// WAL-append only lines that are known to replay cleanly.
+  /// Dry-run of apply(): parses and validates \p Rec against the live
+  /// system without mutating anything; a retraction must also match a
+  /// live constraint, and its line is rewritten to the canonical text —
+  /// the exact payload its WAL record must carry. A record that passes
+  /// can only be rejected by apply() through a resource-budget breach,
+  /// which lets the server WAL-append only records known to replay
+  /// cleanly.
+  Status check(WalRecord &Rec) const;
+
+  /// apply() of an add record.
+  Status addConstraint(const std::string &Line) {
+    return apply(WalRecord::add(Line));
+  }
+  /// apply() of a retract record.
+  Status retractConstraint(const std::string &Line) {
+    return apply(WalRecord::retract(Line));
+  }
+  /// check() of an add record.
   Status checkConstraint(const std::string &Line) const;
-
-  /// Retracts the constraint \p Line added earlier: the solver deletes
-  /// its base edge and incrementally recomputes the affected cone
-  /// (splitting collapsed cycle classes whose witness cycle lost an
-  /// edge — see ConstraintSolver::retract). \p Line is canonicalized
-  /// first, so whitespace and comments do not have to match the
-  /// original text. NotFound when no live constraint matches;
-  /// InvalidArgument for non-constraint lines. On a budget breach
-  /// mid-recompute the engine rolls back to the pre-line state exactly
-  /// as addConstraint does. Affected cached views invalidate through
-  /// the mutation-epoch check on their next access — no cache flush.
-  Status retractConstraint(const std::string &Line);
-
-  /// Dry-run of retractConstraint(): canonicalizes \p Line and checks a
-  /// live constraint matches, without mutating anything. Lets the
-  /// server WAL-append only retractions that are known to apply. On
-  /// success \p Canon (if given) receives the canonical text — the
-  /// exact payload the WAL record must carry.
+  /// check() of a retract record; on success \p Canon (if given)
+  /// receives the canonical text.
   Status checkRetract(const std::string &Line,
                       std::string *Canon = nullptr) const;
 
@@ -170,6 +178,11 @@ public:
   /// lockstep with the on-disk WAL. Fails for non-serializable solvers
   /// (rollback stays armed on the previous base in that case).
   Status checkpointBase();
+
+  /// checkpointBase() adopting \p Bytes, a serialization of the current
+  /// graph the caller already made (a checkpoint's snapshot), so the
+  /// graph is not serialized a second time.
+  void checkpointBase(std::vector<uint8_t> Bytes);
 
   /// Replaces the engine's entire state with the graph deserialized from
   /// \p Data — cache and journal cleared, rollback re-armed on the new
@@ -181,9 +194,8 @@ public:
   /// failure.
   Status resetFromSnapshot(const uint8_t *Data, size_t Size);
 
-  /// Mutations accepted since the last checkpointBase(): constraint
-  /// lines verbatim, retractions as `!retract <canonical line>` (the
-  /// WAL record payload encoding — see serve/Wal.h).
+  /// Records accepted since the last checkpointBase(), as WAL payloads
+  /// (WalRecord::encode()).
   const std::vector<std::string> &journal() const { return AcceptedLines; }
 
   const Counters &counters() const { return Stats; }
@@ -207,11 +219,19 @@ private:
 
   const std::vector<std::string> &view(ViewKind Kind, VarId Var);
 
+  /// The one mutation step under apply() and rollback(): applies \p Rec
+  /// to \p Solver through \p System and closes the graph, so a budget
+  /// breach surfaces at the record that caused it whatever the schedule.
+  /// A retraction's line is rewritten to its canonical text.
+  static Status mutate(ConstraintSystemFile &System, ConstraintSolver &Solver,
+                       WalRecord &Rec);
+
   /// Rebuilds the bundle from BaseBytes and replays AcceptedLines on the
   /// live closure schedule with budgets disabled (they were each within
   /// budget when first accepted; re-aborting mid-restore would lose the
-  /// graph), closing each line as it was closed when accepted; only then
-  /// re-arms the live budgets. Leaves the engine untouched on failure.
+  /// graph), closing each record as it was closed when accepted; only
+  /// then re-arms the live budgets. Leaves the engine untouched on
+  /// failure.
   Status rollback();
 
   SolverBundle Bundle;

@@ -67,14 +67,8 @@ Status ServerCore::recover(uint64_t SnapBase) {
       // accepted, and a snapshot saved with budgets armed must not
       // re-abort here.
       Engine.solver().setBudgets(0, 0, 0);
-      constexpr size_t PrefixLen = sizeof(WalRetractPrefix) - 1;
       for (const std::string &ReplayLine : Recovered->Lines) {
-        // A `!retract <line>` record undoes the earlier record whose
-        // payload is <line>; everything else is an accepted constraint.
-        Status Applied =
-            ReplayLine.compare(0, PrefixLen, WalRetractPrefix) == 0
-                ? Engine.retractConstraint(ReplayLine.substr(PrefixLen))
-                : Engine.addConstraint(ReplayLine);
+        Status Applied = Engine.apply(WalRecord::decode(ReplayLine));
         if (!Applied)
           return Applied.withContext("WAL replay failed (log does not "
                                      "extend this snapshot?)");
@@ -147,16 +141,14 @@ uint64_t ServerCore::canonicalChecksum() {
   return Hash;
 }
 
-Status ServerCore::saveSnapshot(const std::string &Path, size_t &SizeOut,
+Status ServerCore::saveSnapshot(const std::string &Path,
+                                std::vector<uint8_t> &Bytes,
                                 uint64_t &ChecksumOut) {
   if (FailPoint::hit("snapshot.save") != FailPoint::Mode::Off)
     return FailPoint::injectedError("snapshot.save");
-  std::vector<uint8_t> Bytes;
-  Status Serialized = GraphSnapshot::serialize(Engine.solver(), Bytes);
+  Status Serialized = serializeState(Bytes, &ChecksumOut);
   if (!Serialized)
     return Serialized;
-  SizeOut = Bytes.size();
-  ChecksumOut = GraphSnapshot::payloadChecksum(Bytes.data(), Bytes.size());
   return writeFileAtomic(Path, Bytes);
 }
 
@@ -176,7 +168,7 @@ Status ServerCore::doCheckpoint(const std::string &Path) {
                          "WAL is disabled after a failed checkpoint; "
                          "restart to recover");
   const uint64_t StartUs = trace::nowMicros();
-  size_t Bytes = 0;
+  std::vector<uint8_t> Bytes;
   uint64_t NewBase = 0;
   Status Saved = saveSnapshot(Path, Bytes, NewBase);
   if (!Saved) {
@@ -205,14 +197,9 @@ Status ServerCore::doCheckpoint(const std::string &Path) {
   }
   if (Wal.isOpen() && Repl.OnRebase)
     Repl.OnRebase(NewBase);
-  // A checkpointBase failure is benign for durability: the engine just
-  // keeps its older rollback base plus the full journal, which still
-  // restores the current state; the WAL stays live.
-  Status Based = Engine.checkpointBase();
-  if (!Based)
-    return Based.withContext("checkpoint");
+  Engine.checkpointBase(std::move(Bytes));
   ++Checkpoints;
-  AddsSinceCheckpoint = 0;
+  WritesSinceCheckpoint = 0;
   telemetry::checkpointHistogram().record(trace::nowMicros() - StartUs);
   trace::complete("serve.checkpoint", StartUs);
   return Status();
@@ -227,11 +214,12 @@ Status ServerCore::checkpoint(const std::string &Path) {
 }
 
 Expected<uint64_t> ServerCore::save(const std::string &Path) {
-  size_t Bytes = 0;
+  std::vector<uint8_t> Bytes;
   uint64_t Checksum = 0;
   Status Saved = saveSnapshot(Path, Bytes, Checksum);
   if (!Saved)
     return Saved;
+  const uint64_t Size = Bytes.size();
   // Saving over the startup snapshot (under whatever spelling of its
   // path) makes the open WAL stale: every record is contained in the
   // file just written. Promote the save to a checkpoint so restart
@@ -247,57 +235,68 @@ Expected<uint64_t> ServerCore::save(const std::string &Path) {
     }
     if (Repl.OnRebase)
       Repl.OnRebase(Checksum);
-    Status Based = Engine.checkpointBase();
-    if (!Based)
-      return Based.withContext("save");
+    Engine.checkpointBase(std::move(Bytes));
     ++Checkpoints;
-    AddsSinceCheckpoint = 0;
+    WritesSinceCheckpoint = 0;
   }
-  return static_cast<uint64_t>(Bytes);
+  return Size;
 }
 
-Status ServerCore::addLine(const std::string &Line) {
-  if (Line.empty())
-    return Status::error(ErrorCode::InvalidArgument,
-                         "add needs a constraint-file line");
+Status ServerCore::commit(WalRecord Rec, bool Replicated) {
   if (walDegraded())
     return Status::error(ErrorCode::FailedPrecondition,
                          "WAL is disabled after a failed "
                          "checkpoint; restart to recover");
   // Validation before durability, durability before application: a
-  // line reaches the WAL only after a dry-run parse proves it would
-  // apply cleanly (so a crash right after the fsync can never leave
-  // an unreplayable line durable), and once the append returns, a
-  // crash at any later point leaves the line in the WAL, so
-  // `ok added` implies it survives recovery. The only post-append
-  // rejection left is a budget breach, whose line is erased again so
-  // the log only ever contains accepted lines.
-  Status Checked = Engine.checkConstraint(Line);
+  // record reaches the WAL only after a dry run proves it would apply
+  // cleanly (so a crash right after the fsync can never leave an
+  // unreplayable record durable), and once the append returns, a crash
+  // at any later point leaves the record in the WAL, so `ok added` /
+  // `ok retracted` implies it survives recovery. The WAL carries a
+  // retraction's canonical text, so recovery retracts exactly the tag
+  // the solver recorded, however the client spelled the line. The only
+  // post-append rejection left is a budget breach, whose record is
+  // erased again so the log only ever contains accepted records.
+  Status Checked = Engine.check(Rec);
   if (!Checked)
-    return Checked;
-  uint64_t WalMark = Wal.sizeBytes();
+    return Replicated ? Checked.withContext("replicated line rejected")
+                      : Checked;
+  const std::string Payload = Rec.encode();
+  const char *What = Replicated         ? "replicated line"
+                     : Rec.isRetract() ? "retraction"
+                                       : "add";
+  const uint64_t WalMark = Wal.sizeBytes();
   if (Wal.isOpen()) {
-    Status Logged = Wal.append(Line);
+    Status Logged = Wal.append(Payload);
     if (!Logged)
       return Logged;
   }
-  Status Added = Engine.addConstraint(Line);
-  if (!Added) {
+  // A replicated record fit the primary's budgets when it was first
+  // accepted; a follower that re-aborts it has diverged, not been
+  // protected, so budgets are off around its apply.
+  if (Replicated)
+    Engine.solver().setBudgets(0, 0, 0);
+  Status Applied = Engine.apply(std::move(Rec));
+  if (Replicated)
+    Engine.solver().setBudgets(Config.DeadlineMs, Config.EdgeBudget,
+                               Config.MaxMemBytes);
+  if (!Applied) {
     if (Wal.isOpen()) {
       Status Undone = Wal.truncateTo(WalMark);
       if (!Undone)
-        return Undone.withContext("unlogging rejected add");
+        return Undone.withContext(std::string("unlogging rejected ") + What);
     }
-    return Added;
+    return Applied;
   }
-  ++AddsSinceCheckpoint;
+  ++WritesSinceCheckpoint;
   if (Wal.isOpen() && Repl.OnRecord)
-    Repl.OnRecord(Wal.records() - 1, Line);
-  if (Config.CheckpointEvery > 0 &&
-      AddsSinceCheckpoint >= Config.CheckpointEvery) {
+    Repl.OnRecord(Wal.records() - 1, Payload);
+  // Followers checkpoint on the primary's rebase events instead.
+  if (!Replicated && Config.CheckpointEvery > 0 &&
+      WritesSinceCheckpoint >= Config.CheckpointEvery) {
     Status Done = doCheckpoint(Config.SnapshotPath);
     if (!Done)
-      // The add itself succeeded and is durable; surface the
+      // The write itself succeeded and is durable; surface the
       // checkpoint failure without un-acking it.
       std::fprintf(stderr, "scserved: auto-checkpoint failed: %s\n",
                    Done.toString().c_str());
@@ -305,49 +304,18 @@ Status ServerCore::addLine(const std::string &Line) {
   return Status();
 }
 
+Status ServerCore::addLine(const std::string &Line) {
+  if (Line.empty())
+    return Status::error(ErrorCode::InvalidArgument,
+                         "add needs a constraint-file line");
+  return commit(WalRecord::add(Line), /*Replicated=*/false);
+}
+
 Status ServerCore::retractLine(const std::string &Line) {
   if (Line.empty())
     return Status::error(ErrorCode::InvalidArgument,
                          "retract needs a constraint line");
-  if (walDegraded())
-    return Status::error(ErrorCode::FailedPrecondition,
-                         "WAL is disabled after a failed "
-                         "checkpoint; restart to recover");
-  // Same contract as addLine: validate (canonicalize + match a live
-  // constraint) before durability, durability before application. The
-  // WAL carries the canonical text so recovery retracts exactly the
-  // tag the solver recorded, however the client spelled the line.
-  std::string Canon;
-  Status Checked = Engine.checkRetract(Line, &Canon);
-  if (!Checked)
-    return Checked;
-  const std::string Record = WalRetractPrefix + Canon;
-  uint64_t WalMark = Wal.sizeBytes();
-  if (Wal.isOpen()) {
-    Status Logged = Wal.append(Record);
-    if (!Logged)
-      return Logged;
-  }
-  Status Done = Engine.retractConstraint(Canon);
-  if (!Done) {
-    if (Wal.isOpen()) {
-      Status Undone = Wal.truncateTo(WalMark);
-      if (!Undone)
-        return Undone.withContext("unlogging rejected retraction");
-    }
-    return Done;
-  }
-  ++AddsSinceCheckpoint;
-  if (Wal.isOpen() && Repl.OnRecord)
-    Repl.OnRecord(Wal.records() - 1, Record);
-  if (Config.CheckpointEvery > 0 &&
-      AddsSinceCheckpoint >= Config.CheckpointEvery) {
-    Status Saved = doCheckpoint(Config.SnapshotPath);
-    if (!Saved)
-      std::fprintf(stderr, "scserved: auto-checkpoint failed: %s\n",
-                   Saved.toString().c_str());
-  }
-  return Status();
+  return commit(WalRecord::retract(Line), /*Replicated=*/false);
 }
 
 Status ServerCore::buildReplicateStream(uint64_t FollowerBase,
@@ -431,36 +399,7 @@ Status ServerCore::applyReplicated(const std::string &Line) {
                          "follower WAL is not open");
   if (FailPoint::hit("repl.apply") != FailPoint::Mode::Off)
     return FailPoint::injectedError("repl.apply");
-  // Same pipeline as addLine/retractLine — validate, append + fsync,
-  // apply — except budgets are off around the apply: the record fit the
-  // primary's budgets when it was first accepted, and a follower that
-  // re-aborts it has diverged, not been protected.
-  constexpr size_t PrefixLen = sizeof(WalRetractPrefix) - 1;
-  const bool IsRetract = Line.compare(0, PrefixLen, WalRetractPrefix) == 0;
-  const std::string Payload = IsRetract ? Line.substr(PrefixLen) : Line;
-  Status Checked = IsRetract ? Engine.checkRetract(Payload)
-                             : Engine.checkConstraint(Payload);
-  if (!Checked)
-    return Checked.withContext("replicated line rejected");
-  uint64_t WalMark = Wal.sizeBytes();
-  Status Logged = Wal.append(Line);
-  if (!Logged)
-    return Logged;
-  Engine.solver().setBudgets(0, 0, 0);
-  Status Added = IsRetract ? Engine.retractConstraint(Payload)
-                           : Engine.addConstraint(Payload);
-  Engine.solver().setBudgets(Config.DeadlineMs, Config.EdgeBudget,
-                             Config.MaxMemBytes);
-  if (!Added) {
-    Status Undone = Wal.truncateTo(WalMark);
-    if (!Undone)
-      return Undone.withContext("unlogging rejected replicated line");
-    return Added;
-  }
-  ++AddsSinceCheckpoint;
-  if (Repl.OnRecord)
-    Repl.OnRecord(Wal.records() - 1, Line);
-  return Status();
+  return commit(WalRecord::decode(Line), /*Replicated=*/true);
 }
 
 Status ServerCore::replicaRebase(uint64_t ExpectedBase) {
@@ -501,7 +440,7 @@ Status ServerCore::rebootstrap(const std::vector<uint8_t> &Bytes,
   Status Stamped = Wal.reset(Base);
   if (!Stamped)
     return Stamped.withContext("re-stamping the follower WAL");
-  AddsSinceCheckpoint = 0;
+  WritesSinceCheckpoint = 0;
   if (Repl.OnRebase)
     Repl.OnRebase(Base);
   return Status();
@@ -533,61 +472,54 @@ Status ServerCore::dumpMetricsTo(const std::string &Path) {
   return writeFileAtomic(Path, Bytes);
 }
 
-bool ServerCore::handleWriterVerb(const Request &Req, std::string &Reply) {
+ServerCore::VerbResult ServerCore::handleWriterVerb(const Request &Req,
+                                                    std::string &Reply) {
   auto Err = [&Reply](const Status &St) { Reply = "err " + St.wire(); };
   if (Req.Verb == "stats") {
     Reply = statsReply();
-    return true;
+    return VerbResult::Answered;
   }
   if (Req.Verb == "counters") {
     Reply = countersReply();
-    return true;
+    return VerbResult::Answered;
   }
   if (Req.Verb == "metrics") {
     Reply = metricsReply();
-    return true;
+    return VerbResult::Answered;
   }
   if (Req.Verb == "save") {
     if (Req.Arg1.empty()) {
       Err(Status::error(ErrorCode::InvalidArgument, "save needs a path"));
-      return true;
+      return VerbResult::Answered;
     }
     Expected<uint64_t> Bytes = save(Req.Arg1);
     if (!Bytes.ok()) {
       Err(Bytes.status());
-      return true;
+      return VerbResult::Answered;
     }
     Reply = "ok saved " + Req.Arg1 + " (" + std::to_string(*Bytes) +
             " bytes)";
-    return true;
+    return VerbResult::Answered;
   }
   if (Req.Verb == "checkpoint") {
     Status Done = checkpoint(Req.Arg1);
     if (!Done) {
       Err(Done);
-      return true;
+      return VerbResult::Answered;
     }
     Reply = "ok checkpoint " +
             (Req.Arg1.empty() ? Config.SnapshotPath : Req.Arg1);
-    return true;
+    return VerbResult::Answered;
   }
-  if (Req.Verb == "add") {
-    Status Added = addLine(Req.Rest);
-    if (!Added) {
-      Err(Added);
-      return true;
-    }
-    Reply = "ok added";
-    return true;
-  }
-  if (Req.Verb == "retract") {
-    Status Done = retractLine(Req.Rest);
+  if (Req.Verb == "add" || Req.Verb == "retract") {
+    const bool Add = Req.Verb == "add";
+    Status Done = Add ? addLine(Req.Rest) : retractLine(Req.Rest);
     if (!Done) {
       Err(Done);
-      return true;
+      return VerbResult::Answered;
     }
-    Reply = "ok retracted";
-    return true;
+    Reply = Add ? "ok added" : "ok retracted";
+    return VerbResult::Mutated;
   }
   if (Req.Verb == "verify") {
     // Consistency check across a replication pair: both sides hash every
@@ -597,7 +529,7 @@ bool ServerCore::handleWriterVerb(const Request &Req, std::string &Reply) {
     Reply = "ok verify checksum=" + hexId(canonicalChecksum()) +
             " base=" + hexId(Wal.baseId()) +
             " records=" + std::to_string(Wal.records());
-    return true;
+    return VerbResult::Answered;
   }
   if (Req.Verb == "shutdown") {
     // Graceful drain: the caller stops its loop; every acknowledged add
@@ -605,7 +537,7 @@ bool ServerCore::handleWriterVerb(const Request &Req, std::string &Reply) {
     ShutdownSeen = true;
     shutdownDrain();
     Reply = "ok shutting_down";
-    return true;
+    return VerbResult::Answered;
   }
-  return false;
+  return VerbResult::NotMine;
 }

@@ -108,12 +108,19 @@ public:
   QueryEngine &engine() { return Engine; }
   const QueryEngine &engine() const { return Engine; }
 
+  /// What handleWriterVerb() did with a request.
+  enum class VerbResult : uint8_t {
+    NotMine,  ///< Not a writer verb (queries, help, quit); no reply.
+    Answered, ///< Replied; the served state is unchanged.
+    Mutated,  ///< Replied to an accepted add or retract.
+  };
+
   /// Handles one writer-side verb — add, retract, save, checkpoint,
-  /// stats, counters, metrics, shutdown — and writes the full reply (one line,
-  /// or the multi-line metrics payload) to \p Reply. Returns false for
-  /// verbs this core does not own (queries, help, quit), leaving \p Reply
-  /// untouched. A handled `shutdown` also flips shutdownRequested().
-  bool handleWriterVerb(const Request &Req, std::string &Reply);
+  /// stats, counters, metrics, verify, shutdown — and writes the full
+  /// reply (one line, or the multi-line metrics payload) to \p Reply,
+  /// which stays untouched for NotMine. A handled `shutdown` also flips
+  /// shutdownRequested().
+  VerbResult handleWriterVerb(const Request &Req, std::string &Reply);
 
   /// True when a handled `shutdown` verb asked the caller to drain and
   /// exit (the caller owns the actual loop teardown).
@@ -123,15 +130,12 @@ public:
   /// just closes the WAL cleanly (recovery replays it either way).
   void shutdownDrain() { Wal.close(); }
 
-  /// The add pipeline (validate, WAL-append + fsync, apply, un-log on a
-  /// budget rollback, auto-checkpoint) — `ok added` iff this returns OK.
+  /// Commits an add record (see commit()); `ok added` iff this returns OK.
   Status addLine(const std::string &Line);
 
-  /// The retraction pipeline — the same durability contract as
-  /// addLine(), with the record logged as `!retract <canonical line>`
-  /// (a WAL v3 record; see serve/Wal.h) so warm recovery and followers
-  /// replay the deletion in sequence with the adds around it. `ok
-  /// retracted` iff this returns OK.
+  /// Commits a retract record (see commit()), logged with the canonical
+  /// text so warm recovery and followers replay the deletion in sequence
+  /// with the adds around it — `ok retracted` iff this returns OK.
   Status retractLine(const std::string &Line);
 
   /// Atomic snapshot write; on success returns the byte count. A save
@@ -150,8 +154,8 @@ public:
     return telemetry::buildStatsReply(Engine, counters());
   }
   std::string countersReply() const {
-    return telemetry::buildCountersReply(
-        Engine, telemetry::queryLatencyHistogram());
+    return telemetry::buildCountersReply(Engine, telemetry::queryCounter(),
+                                         telemetry::queryLatencyHistogram());
   }
   std::string metricsReply() {
     return telemetry::buildMetricsReply(MetricsRegistry::global(), Engine,
@@ -215,12 +219,9 @@ public:
   /// \name Replication (follower side)
   /// @{
 
-  /// Applies one line shipped by the primary: validate, WAL-append +
-  /// fsync, apply with budgets disabled (the line already fit the
-  /// primary's budgets; re-aborting here would be divergence, not
-  /// protection). No auto-checkpoint — the primary's rebase events drive
-  /// the follower's checkpoint cadence. Any failure after validation is
-  /// divergence; the caller must re-bootstrap rather than keep serving.
+  /// Commits one record payload shipped by the primary as a replicated
+  /// record (see commit()). Any failure after validation is divergence;
+  /// the caller must re-bootstrap rather than keep serving.
   Status applyReplicated(const std::string &Line);
 
   /// Mirrors a primary checkpoint: checkpoints locally, then requires the
@@ -243,10 +244,19 @@ public:
   /// @}
 
 private:
-  /// Atomic snapshot write shared by save and checkpoint; SizeOut and
+  /// The one mutation pipeline under addLine, retractLine and
+  /// applyReplicated: validate (canonicalizing a retraction), WAL-append
+  /// + fsync, apply, un-log on a budget rollback, publish the record to
+  /// the replication sink, auto-checkpoint. A \p Replicated record comes
+  /// from the primary: it applies with budgets disabled (it already fit
+  /// the primary's; re-aborting here would be divergence, not
+  /// protection) and never auto-checkpoints — the primary's rebase
+  /// events drive a follower's checkpoint cadence.
+  Status commit(WalRecord Rec, bool Replicated);
+  /// Atomic snapshot write shared by save and checkpoint; Bytes and
   /// ChecksumOut are set as soon as serialization succeeds, even if the
   /// write then fails.
-  Status saveSnapshot(const std::string &Path, size_t &SizeOut,
+  Status saveSnapshot(const std::string &Path, std::vector<uint8_t> &Bytes,
                       uint64_t &ChecksumOut);
   /// Enters degraded mode: closes the WAL with a stderr note.
   void disableWal(const std::string &Why);
@@ -260,7 +270,7 @@ private:
   uint64_t WalReplayed = 0;
   uint64_t WalSkipped = 0;
   uint64_t Checkpoints = 0;
-  uint64_t AddsSinceCheckpoint = 0;
+  uint64_t WritesSinceCheckpoint = 0;
   bool ShutdownSeen = false;
 };
 

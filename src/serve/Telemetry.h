@@ -45,8 +45,11 @@ struct ServerCounters {
   uint64_t WalBytes = 0;
 };
 
-/// End-to-end latency of one ls/pts/alias request
-/// (poce_query_latency_us in the global registry).
+/// The read meter. Both front ends — the stdin loop and the socket read
+/// lanes — record every ls/pts/alias request they answer (ok or err)
+/// here: one count (poce_query_requests_total) and its end-to-end
+/// latency (poce_query_latency_us), both in the global registry.
+Counter &queryCounter();
 Histogram &queryLatencyHistogram();
 
 /// Wall time of one checkpoint: snapshot write + WAL reset + base
@@ -57,14 +60,16 @@ Histogram &checkpointHistogram();
 std::string buildStatsReply(const QueryEngine &Engine,
                             const ServerCounters &Server);
 
-/// The `counters` verb's reply line (starts with "ok "), reading p50/p99
-/// from \p Latency.
+/// The `counters` verb's reply line (starts with "ok "): the read count
+/// from \p Queries, p50/p99 from \p Latency, and the engine's view-cache
+/// and mutation counters.
 std::string buildCountersReply(const QueryEngine &Engine,
+                               const Counter &Queries,
                                const Histogram &Latency);
 
-/// Mirrors the engine's query counters and the server-loop counters into
-/// \p Registry (poce_query_* / poce_serve_* series). Observe-only, like
-/// SolverStats::exportTo.
+/// Mirrors the engine's cache and mutation counters and the server-loop
+/// counters into \p Registry (poce_query_cache_* / poce_serve_* series).
+/// Observe-only, like SolverStats::exportTo.
 void exportServeMetrics(MetricsRegistry &Registry, const QueryEngine &Engine,
                         const ServerCounters &Server);
 

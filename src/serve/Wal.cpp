@@ -100,6 +100,17 @@ Counter &replayedLinesCounter() {
 
 } // namespace
 
+std::string WalRecord::encode() const {
+  return isRetract() ? WalRetractPrefix + Line : Line;
+}
+
+WalRecord WalRecord::decode(const std::string &Payload) {
+  constexpr size_t PrefixLen = sizeof(WalRetractPrefix) - 1;
+  if (Payload.compare(0, PrefixLen, WalRetractPrefix) == 0)
+    return retract(Payload.substr(PrefixLen));
+  return add(Payload);
+}
+
 Expected<WalContents> WriteAheadLog::replay(const std::string &Path) {
   const uint64_t StartUs = trace::nowMicros();
   WalContents Contents;
@@ -157,9 +168,7 @@ Expected<WalContents> WriteAheadLog::replay(const std::string &Path) {
     // version-2 file means the header was downgraded or tampered with,
     // and replaying it as a constraint line would corrupt the recovered
     // state. Refuse rather than guess.
-    if (FileVersion < 3 &&
-        Contents.Lines.back().compare(0, sizeof(WalRetractPrefix) - 1,
-                                      WalRetractPrefix) == 0)
+    if (FileVersion < 3 && WalRecord::decode(Contents.Lines.back()).isRetract())
       return Status::error(ErrorCode::WalVersion,
                            "WAL '" + Path +
                                "' claims version 2 but contains a "

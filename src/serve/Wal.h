@@ -10,13 +10,14 @@
 ///
 ///     acknowledged  =>  durable  =>  replayed
 ///
-/// scserved appends every `add` line to the WAL (record + fsync) BEFORE
-/// applying it to the solver, and only acknowledges after both
-/// succeeded. Warm recovery is: load the last good snapshot, then replay
-/// the WAL's lines through the engine — which reproduces the crashed
-/// process's state exactly (a solve is a deterministic function of the
-/// constraint sequence). A checkpoint (atomic snapshot save) resets the
-/// WAL to empty, bounding replay time.
+/// scserved appends every accepted write — an add or a retraction, one
+/// WalRecord each — to the WAL (record + fsync) BEFORE applying it to the
+/// solver, and only acknowledges after both succeeded. Warm recovery is:
+/// load the last good snapshot, then replay the WAL's records through
+/// the engine — which reproduces the crashed process's state exactly (a
+/// solve is a deterministic function of the constraint sequence). A
+/// checkpoint (atomic snapshot save) resets the WAL to empty, bounding
+/// replay time.
 ///
 /// File layout (little-endian):
 ///
@@ -64,6 +65,31 @@ namespace serve {
 /// records share one payload namespace unambiguously — and retractions
 /// ride the replication stream (`r <seq> !retract <line>`) unchanged.
 inline constexpr char WalRetractPrefix[] = "!retract ";
+
+/// One mutation as the WAL, the rollback journal and the replication
+/// stream carry it: a constraint line to add, or one to retract. This is
+/// the only codec for the payload encoding above — an add's payload is
+/// its line verbatim, a retraction's is the prefix plus its line.
+struct WalRecord {
+  enum class Kind : uint8_t { Add, Retract };
+  Kind Op = Kind::Add;
+  /// The constraint line; for an accepted retraction, its canonical text.
+  std::string Line;
+
+  static WalRecord add(std::string Line) {
+    return {Kind::Add, std::move(Line)};
+  }
+  static WalRecord retract(std::string Line) {
+    return {Kind::Retract, std::move(Line)};
+  }
+  bool isRetract() const { return Op == Kind::Retract; }
+
+  /// The record's payload bytes.
+  std::string encode() const;
+  /// The record a payload encodes: a retraction iff it starts with the
+  /// prefix, an add of the whole payload otherwise.
+  static WalRecord decode(const std::string &Payload);
+};
 
 /// What replay() recovered from a WAL file.
 struct WalContents {

@@ -6,8 +6,9 @@
 //
 // Fault-tolerance unit tests: the write-ahead log's record format and
 // torn-tail handling, failpoint-driven IO fault injection, resource-budget
-// aborts with transactional rollback in QueryEngine, and warm-recovery
-// equivalence (snapshot + journal replay == never having crashed).
+// aborts with transactional rollback in QueryEngine, warm-recovery
+// equivalence (snapshot + journal replay == never having crashed), and
+// ServerCore's one mutation pipeline (WAL record codec, checkpoints).
 // Process-level crash injection (SIGKILL at armed failpoints) lives in
 // scripts/crash_recovery.sh; these tests cover everything observable
 // in-process.
@@ -16,9 +17,11 @@
 
 #include "serve/GraphSnapshot.h"
 #include "serve/QueryEngine.h"
+#include "serve/ServerCore.h"
 #include "serve/Wal.h"
 #include "support/ByteStream.h"
 #include "support/FailPoint.h"
+#include "support/Metrics.h"
 
 #include "gtest/gtest.h"
 
@@ -851,4 +854,124 @@ TEST(SnapshotFaultTest, LoadFailpointInjectsIoError) {
   ASSERT_TRUE(GraphSnapshot::load(Path, Bundle).ok());
   ASSERT_NE(Bundle.Solver, nullptr);
   std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// ServerCore: one record codec, one commit
+//===----------------------------------------------------------------------===//
+
+TEST(WalRecordTest, EncodeDecodeRoundTrip) {
+  WalRecord Add = WalRecord::add("a <= X");
+  EXPECT_FALSE(Add.isRetract());
+  EXPECT_EQ(Add.encode(), "a <= X");
+  WalRecord Retract = WalRecord::retract("a <= X");
+  EXPECT_TRUE(Retract.isRetract());
+  EXPECT_EQ(Retract.encode(), "!retract a <= X");
+
+  for (const WalRecord &Rec : {Add, Retract}) {
+    WalRecord Back = WalRecord::decode(Rec.encode());
+    EXPECT_EQ(Back.Op, Rec.Op) << Rec.encode();
+    EXPECT_EQ(Back.Line, Rec.Line) << Rec.encode();
+  }
+  // Only the full prefix, space included, marks a retraction.
+  EXPECT_FALSE(WalRecord::decode("!retract").isRetract());
+  EXPECT_FALSE(WalRecord::decode("retract a <= X").isRetract());
+}
+
+namespace {
+
+/// A WAL-armed ServerCore over chainText(\p N), recovered and ready.
+std::unique_ptr<ServerCore> makeCore(unsigned N, ServerCoreConfig Config) {
+  auto Core = std::make_unique<ServerCore>(
+      makeBundle(chainText(N),
+                 makeConfig(GraphForm::Inductive, CycleElim::Online)),
+      /*CacheCapacity=*/16, std::move(Config));
+  EXPECT_TRUE(Core->valid()) << Core->initError();
+  Status Recovered = Core->recover(/*SnapBase=*/0);
+  EXPECT_TRUE(Recovered.ok()) << Recovered;
+  return Core;
+}
+
+uint64_t serializations() {
+  return MetricsRegistry::global()
+      .histogram("poce_snapshot_serialize_us")
+      .count();
+}
+
+} // namespace
+
+TEST(ServerCoreTest, CheckpointSerializesOnceAndRollsBackToIt) {
+  ServerCoreConfig Config;
+  Config.SnapshotPath = tempPath("core_checkpoint.snap");
+  Config.WalPath = tempPath("core_checkpoint.wal");
+  Config.EdgeBudget = 1000; // Roomy: accepts the small adds below.
+  std::unique_ptr<ServerCore> Core = makeCore(32, Config);
+  ASSERT_TRUE(Core->addLine("cons t").ok());
+  ASSERT_TRUE(Core->addLine("t <= C16").ok());
+  EXPECT_EQ(Core->walRecords(), 2u);
+
+  // The snapshot the checkpoint writes is also the engine's new rollback
+  // base: one serialization, not one per consumer. A save over the
+  // startup snapshot is promoted to a checkpoint and serializes once too.
+  uint64_t Before = serializations();
+  ASSERT_TRUE(Core->checkpoint("").ok());
+  EXPECT_EQ(serializations(), Before + 1);
+  EXPECT_EQ(Core->walRecords(), 0u);
+  EXPECT_TRUE(Core->engine().journal().empty());
+  Before = serializations();
+  ASSERT_TRUE(Core->save(Config.SnapshotPath).ok());
+  EXPECT_EQ(serializations(), Before + 1);
+
+  // A breach right after the checkpoint restores the checkpointed state,
+  // and its record is erased from the WAL again. (Budgets are serialized
+  // options, so the reference bytes are captured after arming them.)
+  Core->engine().solver().setBudgets(0, 1, 0);
+  std::vector<uint8_t> CheckpointBytes = serialized(Core->engine().solver());
+  EXPECT_EQ(Core->addLine("s <= C0").code(), ErrorCode::BudgetExceeded);
+  EXPECT_EQ(Core->engine().counters().Rollbacks, 1u);
+  EXPECT_EQ(serialized(Core->engine().solver()), CheckpointBytes);
+  EXPECT_EQ(Core->engine().pts(Core->engine().varOf("C31")),
+            (std::vector<std::string>{"t"}));
+  EXPECT_EQ(Core->walRecords(), 0u);
+  Core->shutdownDrain();
+  std::remove(Config.SnapshotPath.c_str());
+  std::remove(Config.WalPath.c_str());
+}
+
+TEST(ServerCoreTest, RetractPrefixIsNotAVerbPayload) {
+  // `!retract ` belongs to the WAL record encoding, not to the protocol:
+  // a client spelling it inside an add or retract is refused exactly as
+  // any other unparsable line, and nothing reaches the WAL.
+  ServerCoreConfig Config;
+  Config.WalPath = tempPath("core_prefix.wal");
+  std::unique_ptr<ServerCore> Core = makeCore(4, Config);
+  ASSERT_TRUE(Core->addLine("s <= C0").ok());
+  const uint64_t Records = Core->walRecords();
+  ASSERT_EQ(Records, 1u);
+
+  for (const char *Line :
+       {"add !retract s <= C0", "retract !retract s <= C0"}) {
+    std::string Reply;
+    EXPECT_EQ(Core->handleWriterVerb(parseRequest(Line), Reply),
+              ServerCore::VerbResult::Answered)
+        << Line;
+    EXPECT_EQ(Reply, "err parse_error expected expression") << Line;
+    EXPECT_EQ(Core->walRecords(), Records) << Line;
+  }
+  EXPECT_TRUE(Core->engine().solver().hasRootTag("s <= C0"));
+  EXPECT_EQ(Core->engine().pts(Core->engine().varOf("C3")),
+            (std::vector<std::string>{"s"}));
+
+  // The verb that does retract reports the mutation, and its WAL record
+  // carries the canonical text behind the prefix.
+  std::string Reply;
+  EXPECT_EQ(Core->handleWriterVerb(parseRequest("retract s   <= C0"), Reply),
+            ServerCore::VerbResult::Mutated);
+  EXPECT_EQ(Reply, "ok retracted");
+  Core->shutdownDrain();
+  Expected<WalContents> Contents = WriteAheadLog::replay(Config.WalPath);
+  ASSERT_TRUE(Contents.ok()) << Contents.status();
+  EXPECT_EQ(Contents->Lines,
+            (std::vector<std::string>{"s <= C0", "!retract s <= C0"}));
+  std::remove(Config.WalPath.c_str());
 }

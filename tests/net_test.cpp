@@ -39,6 +39,9 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 using namespace poce;
 using namespace poce::net;
 
@@ -307,7 +310,7 @@ TEST(NetServerTest, ProtocolMatchesStdinMode) {
 
   std::string Metrics = ask(C, "metrics");
   EXPECT_EQ(Metrics.rfind("ok metrics", 0), 0u);
-  EXPECT_NE(Metrics.find("poce_net_queries_total"), std::string::npos);
+  EXPECT_NE(Metrics.find("poce_query_requests_total"), std::string::npos);
   EXPECT_NE(Metrics.find("poce_net_lane0_queries"), std::string::npos);
   std::string Trailer = "# EOF";
   ASSERT_GE(Metrics.size(), Trailer.size());
@@ -429,6 +432,109 @@ TEST(NetServerTest, ServesUnixDomainSockets) {
   // Graceful exit unlinks the socket path.
   LineClient After;
   EXPECT_FALSE(After.connectUnix(Path).ok());
+}
+
+/// The value of \p Key in a one-line `key=value ...` reply (0 if absent).
+uint64_t replyField(const std::string &Reply, const std::string &Key) {
+  size_t At = Reply.find(" " + Key + "=");
+  if (At == std::string::npos)
+    return 0;
+  return std::stoull(Reply.substr(At + Key.size() + 2));
+}
+
+/// The value of the exposition line starting with \p Series + " ".
+uint64_t seriesValue(const std::string &Metrics, const std::string &Series) {
+  size_t At = Metrics.find("\n" + Series + " ");
+  if (At == std::string::npos)
+    return 0;
+  return std::stoull(Metrics.substr(At + Series.size() + 2));
+}
+
+TEST(NetServerTest, SocketReadsReachCountersAndMetrics) {
+  // Socket reads record into the same read meter as stdin reads, so
+  // `counters` and `metrics` count them. The meter is process-wide, so
+  // the test measures deltas.
+  LoopbackServer S(SwapText);
+  ASSERT_TRUE(S.Error.empty()) << S.Error;
+  LineClient C = S.client();
+  const uint64_t Before = replyField(ask(C, "counters"), "queries");
+  const uint64_t LatencyBefore =
+      seriesValue(ask(C, "metrics"), "poce_query_latency_us_count");
+
+  constexpr uint64_t N = 50;
+  for (uint64_t I = 0; I != N; ++I)
+    EXPECT_EQ(ask(C, "pts P"), "ok { nx, ny }");
+
+  EXPECT_EQ(replyField(ask(C, "counters"), "queries"), Before + N);
+  std::string Metrics = ask(C, "metrics");
+  EXPECT_EQ(seriesValue(Metrics, "poce_query_requests_total"), Before + N);
+  EXPECT_EQ(seriesValue(Metrics, "poce_query_latency_us_count"),
+            LatencyBefore + N);
+  // One meter: the socket-only duplicates are gone.
+  EXPECT_EQ(Metrics.find("poce_net_queries_total"), std::string::npos);
+  EXPECT_EQ(Metrics.find("poce_net_query_latency_us"), std::string::npos);
+  EXPECT_EQ(S.stop(), 0);
+}
+
+TEST(NetServerTest, RetractPrefixIsNotAVerbPayload) {
+  // `!retract ` belongs to the WAL record encoding, not to the protocol:
+  // over a socket too, an add or retract spelling it is refused like any
+  // other unparsable line, nothing reaches the WAL, and the line the
+  // payload names stays live.
+  std::string WalPath = ::testing::TempDir() + "poce_net_prefix.wal";
+  std::remove(WalPath.c_str());
+  serve::ServerCoreConfig CoreCfg;
+  CoreCfg.WalPath = WalPath;
+  LoopbackServer S("cons a\nvar V\na <= V\n", {}, CoreCfg);
+  ASSERT_TRUE(S.Error.empty()) << S.Error;
+  LineClient C = S.client();
+
+  for (const char *Line : {"add !retract a <= V", "retract !retract a <= V"})
+    EXPECT_EQ(ask(C, Line), "err parse_error expected expression") << Line;
+  EXPECT_EQ(replyField(ask(C, "stats"), "wal_records"), 0u);
+  EXPECT_EQ(parseSet(ask(C, "ls V")), std::set<std::string>{"a"});
+  EXPECT_EQ(ask(C, "retract a <= V"), "ok retracted");
+  EXPECT_EQ(parseSet(ask(C, "ls V")), std::set<std::string>{});
+  EXPECT_EQ(S.stop(), 0);
+  std::remove(WalPath.c_str());
+}
+
+TEST(NetServerTest, PeerThatStopsReadingDoesNotKillTheServer) {
+  // A reply to a Unix-socket peer that no longer reads fails with EPIPE.
+  // That must cost the server one connection, not the process: a
+  // replica that closes its bootstrap connection while a record is on
+  // its way hits exactly this.
+  std::string Path = ::testing::TempDir() + "poce_net_epipe.sock";
+  NetServerOptions Opts;
+  Opts.UnixPath = Path;
+  LoopbackServer S(SwapText, Opts);
+  ASSERT_TRUE(S.Error.empty()) << S.Error;
+  LineClient Deaf;
+  ASSERT_TRUE(Deaf.connectUnix(Path).ok());
+  ASSERT_EQ(::shutdown(Deaf.fd(), SHUT_RD), 0);
+  ASSERT_TRUE(Deaf.sendLine("stats").ok());
+
+  LineClient C;
+  ASSERT_TRUE(C.connectUnix(Path).ok());
+  for (int I = 0; I != 20; ++I)
+    EXPECT_EQ(ask(C, "alias X Y"), "ok false");
+  EXPECT_EQ(S.stop(), 0);
+}
+
+TEST(NetClientTest, SendToClosedPeerIsAnError) {
+  // The client half of the same rule: a follower's tail writing to a
+  // primary that just died gets an error it can reconnect from.
+  std::string Path = ::testing::TempDir() + "poce_net_closed_peer.sock";
+  Expected<int> Listener = listenUnix(Path);
+  ASSERT_TRUE(Listener.ok()) << Listener.status();
+  LineClient C;
+  ASSERT_TRUE(C.connectUnix(Path).ok());
+  int Accepted = ::accept(*Listener, nullptr, nullptr);
+  ASSERT_GE(Accepted, 0);
+  closeFd(Accepted);
+  EXPECT_EQ(C.sendLine("ls X").code(), ErrorCode::IoError);
+  closeFd(*Listener);
+  ::unlink(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//
