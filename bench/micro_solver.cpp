@@ -771,7 +771,6 @@ struct ServeResult {
   double FreshPathSeconds = 0; ///< fresh solve + the same queries.
   uint64_t P50Micros = 0;      ///< Per-query latency on the load path.
   uint64_t P99Micros = 0;
-  double HitRate = 0;          ///< Cache hits / queries on the load path.
   uint64_t Checksum = 0;       ///< Folded query answers, load path.
   uint64_t BaselineChecksum = 0; ///< Same, fresh path.
   unsigned NumQueries = 0;
@@ -792,8 +791,8 @@ ServeResult measureServe(double Scale, unsigned Repeats, unsigned Threads) {
   ServeResult Out;
   Out.NumQueries = 1000;
 
-  // The query script: a deterministic ls/pts/alias mix with enough repeat
-  // touches that the LRU cache matters (clients hammer hot variables).
+  // The query script: a deterministic ls/pts/alias mix with repeat
+  // touches (clients hammer hot variables).
   PRNG QueryRng(404);
   struct Query {
     uint8_t Kind; // 0 = ls, 1 = pts, 2 = alias
@@ -866,7 +865,6 @@ ServeResult measureServe(double Scale, unsigned Repeats, unsigned Threads) {
   });
 
   std::vector<uint64_t> Latencies;
-  double HitRate = 0;
   Out.LoadPathSeconds = bestOfN(Repeats, [&] {
     serve::SolverBundle Bundle;
     Status St =
@@ -876,15 +874,9 @@ ServeResult measureServe(double Scale, unsigned Repeats, unsigned Threads) {
                    St.toString().c_str());
       return;
     }
-    Bundle.Solver->materializeAllViews();
     serve::QueryEngine Engine(std::move(Bundle));
     Latencies.clear();
     Out.Checksum = runQueries(Engine, &Latencies);
-    // Each scripted query makes exactly one engine call.
-    HitRate = Out.NumQueries
-                  ? static_cast<double>(Engine.counters().CacheHits) /
-                        static_cast<double>(Out.NumQueries)
-                  : 0;
   });
   Out.FreshPathSeconds = bestOfN(Repeats, [&] {
     serve::SolverBundle Fresh;
@@ -892,7 +884,6 @@ ServeResult measureServe(double Scale, unsigned Repeats, unsigned Threads) {
     Fresh.Terms = std::make_unique<TermTable>(*Fresh.Constructors);
     Fresh.Solver = std::make_unique<ConstraintSolver>(*Fresh.Terms, Options);
     emitShapeOrdered(Shape, *Fresh.Solver, /*FactsFirst=*/false);
-    Fresh.Solver->materializeAllViews();
     serve::QueryEngine Engine(std::move(Fresh));
     Out.BaselineChecksum = runQueries(Engine, nullptr);
   });
@@ -903,7 +894,6 @@ ServeResult measureServe(double Scale, unsigned Repeats, unsigned Threads) {
     Out.P99Micros = Latencies[std::min(Latencies.size() - 1,
                                        Latencies.size() * 99 / 100)];
   }
-  Out.HitRate = HitRate;
   return Out;
 }
 
@@ -1523,25 +1513,23 @@ int emitTrajectory(const std::string &Path) {
         "\"queries\": %u,\n"
         "     \"wall_s\": %.6f, \"wall_s_baseline\": %.6f, "
         "\"speedup\": %.2f,\n"
-        "     \"p50_us\": %llu, \"p99_us\": %llu, \"hit_rate\": %.3f,\n"
+        "     \"p50_us\": %llu, \"p99_us\": %llu,\n"
         "     \"checksum\": %llu, \"checksum_match\": %s}",
         R.SaveSeconds, (unsigned long long)R.SnapshotBytes, R.LoadSeconds,
         R.FreshSeconds, LoadSpeedup, R.NumQueries, R.LoadPathSeconds,
         R.FreshPathSeconds, PathSpeedup, (unsigned long long)R.P50Micros,
-        (unsigned long long)R.P99Micros, R.HitRate,
-        (unsigned long long)R.Checksum,
+        (unsigned long long)R.P99Micros, (unsigned long long)R.Checksum,
         R.Checksum == R.BaselineChecksum ? "true" : "false");
     std::printf("%-14s wall=%.3fs bytes=%llu\n", "snapshot_save",
                 R.SaveSeconds, (unsigned long long)R.SnapshotBytes);
     std::printf("%-14s wall=%.3fs baseline=%.3fs speedup=%.2fx\n",
                 "snapshot_load", R.LoadSeconds, R.FreshSeconds, LoadSpeedup);
     std::printf("%-14s queries=%-4u wall=%.3fs baseline=%.3fs "
-                "speedup=%.2fx p50=%lluus p99=%lluus hit_rate=%.2f "
-                "checksum_match=%s\n",
+                "speedup=%.2fx p50=%lluus p99=%lluus checksum_match=%s\n",
                 "query_engine", R.NumQueries, R.LoadPathSeconds,
                 R.FreshPathSeconds, PathSpeedup,
                 (unsigned long long)R.P50Micros,
-                (unsigned long long)R.P99Micros, R.HitRate,
+                (unsigned long long)R.P99Micros,
                 R.Checksum == R.BaselineChecksum ? "yes" : "NO");
     if (R.Checksum != R.BaselineChecksum) {
       std::fprintf(stderr, "error: query_engine: snapshot-path answers "

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Builds the serve subsystem under AddressSanitizer and runs the
-# snapshot, query-engine, WAL, and fault-injection tests plus the
-# scserved end-to-end smoke and crash-recovery scripts.
+# snapshot, query-engine, read-view, WAL, and fault-injection tests plus
+# the scserved end-to-end smoke and crash-recovery scripts.
 #
 # The snapshot loader and the WAL replayer consume untrusted bytes, so
 # every bounds bug in them is memory-unsafe by definition; this script is
@@ -19,7 +19,7 @@ cmake -B "$BUILD_DIR" -S . -DPOCE_SANITIZE=address
 cmake --build "$BUILD_DIR" -j --target serve_tests core_tests scserved \
   scsolve scnetcat
 (cd "$BUILD_DIR" && ctest --output-on-failure \
-  -R '(Snapshot|QueryEngine|LruCache|ByteStream|Wal|FailPoint|Status|Expected|Budget|WarmRecovery|Metrics|Histogram|Percentile|Trace|Telemetry)' \
+  -R '(Snapshot|QueryEngine|ReadView|ByteStream|Wal|FailPoint|Status|Expected|Budget|WarmRecovery|Metrics|Histogram|Percentile|Trace|Telemetry)' \
   "$@")
 scripts/serve_smoke.sh "$BUILD_DIR"
 # The socket layer parses untrusted network bytes (framing, size limits)

@@ -61,7 +61,7 @@ check "$WORK/s1.out" \
   "poce_query_latency_us_bucket{le=\"+Inf\"}" \
   "poce_query_latency_us_count" \
   "poce_query_requests_total" \
-  "poce_query_cache_misses_total" \
+  "poce_query_view_rows_built_total" \
   "# TYPE poce_wal_append_us histogram" \
   "poce_wal_append_us_count" \
   "poce_checkpoint_us_count" \

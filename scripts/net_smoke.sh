@@ -85,11 +85,15 @@ grep -q '^ok { nx, ny }$' "$WORK/mixed.w.out" ||
 
 # Socket reads land in the same read meter as stdin reads: `counters`
 # and `metrics` count the 151 queries above, and the metrics verb serves
-# the per-lane counters too.
+# the per-lane counters too. The rows those reads came from were built
+# into the views the writer published.
 printf 'counters\nmetrics\nquit\n' | NC --unix "$SOCK" > "$WORK/mixed.m.out"
 QUERIES=$(grep -o '^ok queries=[0-9]*' "$WORK/mixed.m.out" | cut -d= -f2)
 [ "${QUERIES:-0}" -ge 151 ] ||
   fail "mixed: counters reports queries=${QUERIES:-none}, want >= 151"
+ROWS=$(grep -o ' rows_built=[0-9]*' "$WORK/mixed.m.out" | cut -d= -f2)
+[ "${ROWS:-0}" -gt 0 ] ||
+  fail "mixed: counters reports rows_built=${ROWS:-none}, want > 0"
 grep -q '^poce_query_requests_total' "$WORK/mixed.m.out" ||
   fail "mixed: metrics reply lacks the read counter"
 grep -q 'poce_net_lane0_queries' "$WORK/mixed.m.out" ||

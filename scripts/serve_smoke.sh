@@ -89,6 +89,17 @@ check "$WORK/s2.out" \
   exit 1
 }
 
+# A negative count is a usage error, refused at parse time (it once
+# wrapped to 4294967295 read lanes and died in std::bad_alloc).
+code=0
+"$SCSERVED" --net-lanes=-1 examples/data/swap.scs < /dev/null \
+  > "$WORK/neg.out" 2>&1 || code=$?
+[ "$code" -eq 1 ] || {
+  echo "FAIL: --net-lanes=-1 exited $code, want 1" >&2
+  exit 1
+}
+check "$WORK/neg.out" "--net-lanes must not be negative"
+
 # A truncated snapshot must be rejected with an actionable message.
 head -c 40 "$SNAP" > "$WORK/short.snap"
 if "$SCSERVED" --snapshot="$WORK/short.snap" < /dev/null > "$WORK/s3.out" 2>&1; then

@@ -6,7 +6,10 @@
 # be TSan-clean (all cross-thread visibility goes through the pool's wave
 # mutex), and so is the whole socket serving stack — event loop, writer
 # lane, read-wave pool, and RCU view publishing, exercised end to end over
-# loopback by net_tests; this script is the check. Uses a dedicated build
+# loopback by net_tests; this script is the check. Published views share
+# rows, names and term text with the views the writer builds after them;
+# ReadViewTest.ReadersKeepAnOldViewWhileTheWriterPublishes (in net_tests)
+# queries an old view from reader threads while the writer publishes. Uses a dedicated build
 # directory so the instrumented build never mixes with the normal one.
 #
 # Usage: scripts/tsan.sh [extra ctest args...]
@@ -21,4 +24,4 @@ cd "$BUILD_DIR"
 # increments are TSan-clean alongside the pool's wave protocol; the Net
 # suites drive concurrent socket clients against the epoll server.
 ctest --output-on-failure \
-  -R '(ThreadPool|Determinism|BatchSolve|Histogram|MetricsRegistry|Net)' "$@"
+  -R '(ThreadPool|Determinism|BatchSolve|Histogram|MetricsRegistry|Net|ReadView)' "$@"

@@ -34,24 +34,6 @@
 
 using namespace poce;
 
-static bool parseConfig(const std::string &Name, SolverOptions &Options) {
-  if (Name == "sf-plain")
-    Options = makeConfig(GraphForm::Standard, CycleElim::None);
-  else if (Name == "if-plain")
-    Options = makeConfig(GraphForm::Inductive, CycleElim::None);
-  else if (Name == "sf-online")
-    Options = makeConfig(GraphForm::Standard, CycleElim::Online);
-  else if (Name == "if-online")
-    Options = makeConfig(GraphForm::Inductive, CycleElim::Online);
-  else if (Name == "sf-oracle")
-    Options = makeConfig(GraphForm::Standard, CycleElim::Oracle);
-  else if (Name == "if-oracle")
-    Options = makeConfig(GraphForm::Inductive, CycleElim::Oracle);
-  else
-    return false;
-  return true;
-}
-
 int main(int Argc, char **Argv) {
   CommandLine Cmd("anders",
                   "Andersen's points-to analysis via inclusion constraints "
@@ -64,11 +46,12 @@ int main(int Argc, char **Argv) {
   bool DumpAst = false, EmitC = false, EmitConstraints = false;
   bool Json = false, PointsToDot = false, Batch = false;
   int64_t Seed = 0x706f6365;
-  int64_t SynthSize = 5000;
-  int64_t Threads = 1;
+  uint64_t SynthSize = 5000;
+  uint64_t Threads = 1;
   double BatchScale = 0.1;
   Cmd.addString("config", &Config,
-                "solver configuration: {sf,if}-{plain,online,oracle}");
+                "solver configuration: "
+                "{sf,if}-{plain,online,oracle,periodic}");
   Cmd.addString("closure", &Closure,
                 "closure schedule: wave (topo-ordered delta sweeps, the "
                 "default) or worklist (eager, per add); solutions are "
@@ -78,9 +61,9 @@ int main(int Argc, char **Argv) {
                 "variable substitution); solutions are identical");
   Cmd.addString("synth", &Synth,
                 "analyze a generated benchmark (name or 'custom')");
-  Cmd.addInt("synth-size", &SynthSize, "target AST nodes for --synth=custom");
+  Cmd.addUInt("synth-size", &SynthSize, "target AST nodes for --synth=custom");
   Cmd.addInt("seed", &Seed, "variable-order seed");
-  Cmd.addInt("threads", &Threads,
+  Cmd.addUInt("threads", &Threads,
              "execution lanes: parallel least-solution pass, and with "
              "--batch concurrent suite inputs (0 = hardware)");
   Cmd.addFlag("batch", &Batch,
@@ -101,23 +84,19 @@ int main(int Argc, char **Argv) {
     return 1;
 
   SolverOptions Options;
-  if (!parseConfig(Config, Options)) {
+  if (!parseConfigName(Config, Options)) {
     std::fprintf(stderr, "anders: unknown configuration '%s'\n",
                  Config.c_str());
     return 1;
   }
   Options.Seed = static_cast<uint64_t>(Seed);
   Options.Threads = static_cast<unsigned>(Threads);
-  if (Closure == "worklist")
-    Options.Closure = ClosureMode::Worklist;
-  else if (Closure != "wave") {
+  if (!parseClosureName(Closure, Options.Closure)) {
     std::fprintf(stderr, "anders: unknown closure schedule '%s'\n",
                  Closure.c_str());
     return 1;
   }
-  if (Preprocess == "offline")
-    Options.Preprocess = PreprocessMode::Offline;
-  else if (Preprocess != "none") {
+  if (!parsePreprocessName(Preprocess, Options.Preprocess)) {
     std::fprintf(stderr, "anders: unknown preprocess mode '%s'\n",
                  Preprocess.c_str());
     return 1;

@@ -32,13 +32,13 @@ int main(int Argc, char **Argv) {
                   "scserved and print the replies");
   std::string Tcp;
   std::string Unix;
-  int64_t RetryMs = 0;
+  uint64_t RetryMs = 0;
   Cmd.addString("connect", &Tcp, "TCP server address as host:port");
   Cmd.addString("unix", &Unix, "Unix-domain socket path");
-  Cmd.addInt("retry-ms", &RetryMs,
-             "retry the connect with jittered exponential backoff for up "
-             "to this long before giving up (0 = single attempt), so "
-             "scripts need not race server startup with sleeps");
+  Cmd.addUInt("retry-ms", &RetryMs,
+              "retry the connect with jittered exponential backoff for up "
+              "to this long before giving up (0 = single attempt), so "
+              "scripts need not race server startup with sleeps");
   if (!Cmd.parse(Argc, Argv))
     return 1;
   if (Tcp.empty() == Unix.empty()) {
@@ -48,12 +48,11 @@ int main(int Argc, char **Argv) {
   }
 
   net::LineClient Client;
-  uint64_t Deadline = static_cast<uint64_t>(RetryMs);
   Status Connected =
-      Deadline ? (Tcp.empty() ? Client.connectUnixWithBackoff(Unix, Deadline)
-                              : Client.connectTcpWithBackoff(Tcp, Deadline))
-               : (Tcp.empty() ? Client.connectUnix(Unix)
-                              : Client.connectTcp(Tcp));
+      RetryMs ? (Tcp.empty() ? Client.connectUnixWithBackoff(Unix, RetryMs)
+                             : Client.connectTcpWithBackoff(Tcp, RetryMs))
+              : (Tcp.empty() ? Client.connectUnix(Unix)
+                             : Client.connectTcp(Tcp));
   if (!Connected) {
     std::fprintf(stderr, "scnetcat: %s\n", Connected.toString().c_str());
     return 1;

@@ -19,10 +19,11 @@
 /// The writer pipeline (WAL recovery, append-before-apply, budget
 /// rollback, atomic checkpoints, degraded mode) lives in
 /// serve/ServerCore and is shared verbatim between the stdin loop and
-/// the socket front end (net/Server.h). In socket mode, reads execute
-/// concurrently on a thread-pool wave against an immutable published
-/// ReadView while a single writer lane owns the core — queries never
-/// block on adds; see net/Server.h for the full concurrency story.
+/// the socket front end (net/Server.h). Both answer reads from the
+/// engine's ReadView (serve/ReadView.h). In socket mode, reads execute
+/// concurrently on a thread-pool wave against the published view while a
+/// single writer lane owns the core — queries never block on adds; see
+/// net/Server.h for the full concurrency story.
 ///
 /// Fault tolerance (see INTERNALS.md for the recovery invariant):
 ///   - With --wal, every accepted `add` line is validated (dry-run parse)
@@ -57,7 +58,7 @@
 ///   save PATH     snapshot the current graph (atomic write)
 ///   checkpoint [PATH]  snapshot + reset the WAL (default: --snapshot path)
 ///   stats         solver statistics + fault-tolerance counters
-///   counters      query latency percentiles and cache counters
+///   counters      query latency percentiles and view-row counters
 ///   metrics       Prometheus text exposition (multi-line, ends "# EOF")
 ///   verify        canonical answer checksum (replica consistency check)
 ///   shutdown      graceful drain and exit 0
@@ -110,20 +111,6 @@ using namespace poce;
 using namespace poce::serve;
 
 namespace {
-
-bool parseConfig(const std::string &Name, SolverOptions &Options) {
-  if (Name == "sf-plain")
-    Options = makeConfig(GraphForm::Standard, CycleElim::None);
-  else if (Name == "if-plain")
-    Options = makeConfig(GraphForm::Inductive, CycleElim::None);
-  else if (Name == "sf-online")
-    Options = makeConfig(GraphForm::Standard, CycleElim::Online);
-  else if (Name == "if-online")
-    Options = makeConfig(GraphForm::Inductive, CycleElim::Online);
-  else
-    return false;
-  return true;
-}
 
 /// --dump-wal=FILE: print every intact line of a WAL (one per line) and
 /// exit. This is the recovery harness's oracle input: snapshot + these
@@ -181,21 +168,20 @@ int main(int Argc, char **Argv) {
   std::string Config = "if-online";
   std::string Preprocess = "none";
   int64_t Seed = 0x706f6365;
-  int64_t Threads = 1;
-  int64_t CacheCapacity = 256;
-  int64_t DeadlineMs = 0;
-  int64_t EdgeBudget = 0;
-  int64_t MaxMemMb = 0;
-  int64_t MaxRequest = 64 * 1024;
-  int64_t CheckpointEvery = 0;
+  uint64_t Threads = 1;
+  uint64_t DeadlineMs = 0;
+  uint64_t EdgeBudget = 0;
+  uint64_t MaxMemMb = 0;
+  uint64_t MaxRequest = 64 * 1024;
+  uint64_t CheckpointEvery = 0;
   std::string MetricsOut;
-  int64_t MetricsEvery = 64;
+  uint64_t MetricsEvery = 64;
   std::string Listen;
   std::string UnixPath;
-  int64_t NetLanes = 0;
-  int64_t IdleTimeoutMs = 0;
+  uint64_t NetLanes = 0;
+  uint64_t IdleTimeoutMs = 0;
   std::string Follow;
-  int64_t FollowDeadlineMs = 30000;
+  uint64_t FollowDeadlineMs = 30000;
   Cmd.addString("snapshot", &Snapshot, "load this snapshot instead of "
                                        "solving a .scs file");
   Cmd.addString("wal", &WalPath,
@@ -211,37 +197,36 @@ int main(int Argc, char **Argv) {
                 "closure); responses are identical. Snapshot bases load "
                 "already closed, so there the option is only recorded");
   Cmd.addInt("seed", &Seed, "variable-order seed for .scs input");
-  Cmd.addInt("threads", &Threads,
-             "lanes for least-solution materialization on load "
-             "(0 = hardware); results identical for any value");
-  Cmd.addInt("cache", &CacheCapacity, "materialized-view LRU capacity");
-  Cmd.addInt("deadline-ms", &DeadlineMs,
-             "per-add closure deadline in ms (0 = unlimited)");
-  Cmd.addInt("edge-budget", &EdgeBudget,
-             "per-add closure work budget in edges (0 = unlimited)");
-  Cmd.addInt("max-mem-mb", &MaxMemMb,
-             "abort an add when process RSS exceeds this (0 = unlimited)");
-  Cmd.addInt("max-request", &MaxRequest,
-             "longest accepted request line in bytes");
-  Cmd.addInt("checkpoint-every", &CheckpointEvery,
-             "auto-checkpoint after this many accepted adds "
-             "(requires --snapshot and --wal; 0 = never)");
+  Cmd.addUInt("threads", &Threads,
+              "lanes for the least-solution pass (0 = hardware); results "
+              "identical for any value");
+  Cmd.addUInt("deadline-ms", &DeadlineMs,
+              "per-add closure deadline in ms (0 = unlimited)");
+  Cmd.addUInt("edge-budget", &EdgeBudget,
+              "per-add closure work budget in edges (0 = unlimited)");
+  Cmd.addUInt("max-mem-mb", &MaxMemMb,
+              "abort an add when process RSS exceeds this (0 = unlimited)");
+  Cmd.addUInt("max-request", &MaxRequest,
+              "longest accepted request line in bytes");
+  Cmd.addUInt("checkpoint-every", &CheckpointEvery,
+              "auto-checkpoint after this many accepted adds "
+              "(requires --snapshot and --wal; 0 = never)");
   Cmd.addString("metrics-out", &MetricsOut,
                 "dump the metrics registry to this file as JSON every "
                 "--metrics-every requests and at exit");
-  Cmd.addInt("metrics-every", &MetricsEvery,
-             "requests between --metrics-out dumps (default 64)");
+  Cmd.addUInt("metrics-every", &MetricsEvery,
+              "requests between --metrics-out dumps (default 64)");
   Cmd.addString("listen", &Listen,
                 "serve the protocol on this TCP address (host:port; "
                 "port 0 picks an ephemeral port) instead of stdin");
   Cmd.addString("unix", &UnixPath,
                 "serve the protocol on this Unix-domain socket path "
                 "instead of stdin (combinable with --listen)");
-  Cmd.addInt("net-lanes", &NetLanes,
-             "reader lanes for socket mode (0 = one per hardware "
-             "thread); answers are identical for any value");
-  Cmd.addInt("idle-timeout-ms", &IdleTimeoutMs,
-             "close socket connections idle this long (0 = never)");
+  Cmd.addUInt("net-lanes", &NetLanes,
+              "reader lanes for socket mode (0 = one per hardware "
+              "thread); answers are identical for any value");
+  Cmd.addUInt("idle-timeout-ms", &IdleTimeoutMs,
+              "close socket connections idle this long (0 = never)");
   Cmd.addString("follow", &Follow,
                 "run as a read-only replica of the primary at this "
                 "address (host:port, or a Unix-socket path): bootstrap "
@@ -249,9 +234,9 @@ int main(int Argc, char **Argv) {
                 "tail its WAL stream, answer writes with `err "
                 "read_only` until a `promote` verb. Requires "
                 "--snapshot, --wal, and a socket listener");
-  Cmd.addInt("follow-deadline-ms", &FollowDeadlineMs,
-             "give up on the initial bootstrap connection after this "
-             "long (the running tail retries forever)");
+  Cmd.addUInt("follow-deadline-ms", &FollowDeadlineMs,
+              "give up on the initial bootstrap connection after this "
+              "long (the running tail retries forever)");
   if (!Cmd.parse(Argc, Argv))
     return 1;
 
@@ -263,7 +248,8 @@ int main(int Argc, char **Argv) {
   if (!DumpWal.empty())
     return dumpWal(DumpWal);
 
-  if (Preprocess != "none" && Preprocess != "offline") {
+  PreprocessMode PreprocessArg = PreprocessMode::None;
+  if (!parsePreprocessName(Preprocess, PreprocessArg)) {
     std::fprintf(stderr, "scserved: unknown preprocess mode '%s'\n",
                  Preprocess.c_str());
     return 1;
@@ -298,14 +284,13 @@ int main(int Argc, char **Argv) {
                            "--unix (followers serve over sockets)\n");
       return 1;
     }
-    if (Preprocess != "none")
+    if (PreprocessArg != PreprocessMode::None)
       std::fprintf(stderr,
                    "scserved: note: --preprocess is ignored under "
                    "--follow (the primary's options are adopted)\n");
     if (::access(Snapshot.c_str(), F_OK) != 0) {
       Status Boot = net::ReplicationClient::coldBootstrap(
-          FollowTcp, FollowUnix, Snapshot,
-          static_cast<uint64_t>(FollowDeadlineMs));
+          FollowTcp, FollowUnix, Snapshot, FollowDeadlineMs);
       if (!Boot) {
         std::fprintf(stderr, "scserved: %s\n", Boot.toString().c_str());
         return 1;
@@ -352,7 +337,9 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     SolverOptions Options;
-    if (!parseConfig(Config, Options)) {
+    if (!parseConfigName(Config, Options) ||
+        Options.Elim == CycleElim::Oracle ||
+        Options.Elim == CycleElim::Periodic) {
       std::fprintf(stderr, "scserved: unknown configuration '%s' (oracle "
                            "and periodic solvers cannot serve)\n",
                    Config.c_str());
@@ -360,8 +347,7 @@ int main(int Argc, char **Argv) {
     }
     Options.Seed = static_cast<uint64_t>(Seed);
     // Armed pre-construction so the .scs bulk load defers into the pass.
-    if (Preprocess == "offline")
-      Options.Preprocess = PreprocessMode::Offline;
+    Options.Preprocess = PreprocessArg;
     Bundle.Constructors = std::make_unique<ConstructorTable>();
     Bundle.Terms = std::make_unique<TermTable>(*Bundle.Constructors);
     Bundle.Solver = std::make_unique<ConstraintSolver>(*Bundle.Terms, Options);
@@ -381,19 +367,17 @@ int main(int Argc, char **Argv) {
   // itself never re-runs — incremental adds stay online). Followers skip
   // this re-arm: their state must stay byte-identical to the primary's,
   // so the serialized options ride in with every shipped snapshot.
-  if (Preprocess == "offline" && Follow.empty())
+  if (PreprocessArg == PreprocessMode::Offline && Follow.empty())
     Bundle.Solver->setPreprocess(PreprocessMode::Offline);
-  Bundle.Solver->materializeAllViews();
 
   ServerCoreConfig CoreConfig;
   CoreConfig.SnapshotPath = Snapshot;
   CoreConfig.WalPath = WalPath;
-  CoreConfig.CheckpointEvery = static_cast<uint64_t>(CheckpointEvery);
-  CoreConfig.DeadlineMs = static_cast<uint64_t>(DeadlineMs);
-  CoreConfig.EdgeBudget = static_cast<uint64_t>(EdgeBudget);
-  CoreConfig.MaxMemBytes = static_cast<uint64_t>(MaxMemMb) * 1024 * 1024;
-  ServerCore Core(std::move(Bundle), static_cast<size_t>(CacheCapacity),
-                  CoreConfig);
+  CoreConfig.CheckpointEvery = CheckpointEvery;
+  CoreConfig.DeadlineMs = DeadlineMs;
+  CoreConfig.EdgeBudget = EdgeBudget;
+  CoreConfig.MaxMemBytes = MaxMemMb * 1024 * 1024;
+  ServerCore Core(std::move(Bundle), 0, CoreConfig);
   if (!Core.valid()) {
     std::fprintf(stderr, "scserved: %s\n", Core.initError().c_str());
     return 1;
@@ -427,9 +411,9 @@ int main(int Argc, char **Argv) {
     NetOpts.UnixPath = UnixPath;
     NetOpts.Lanes = static_cast<unsigned>(NetLanes);
     NetOpts.MaxRequest = static_cast<size_t>(MaxRequest);
-    NetOpts.IdleTimeoutMs = static_cast<uint64_t>(IdleTimeoutMs);
+    NetOpts.IdleTimeoutMs = IdleTimeoutMs;
     NetOpts.MetricsOut = MetricsOut;
-    NetOpts.MetricsEvery = static_cast<uint64_t>(MetricsEvery);
+    NetOpts.MetricsEvery = MetricsEvery;
     NetOpts.ReadOnly = !Follow.empty();
     // A promote must stop the tail without joining it (the tail thread
     // may be blocked inside a queued writer-lane job); requestStop only
@@ -491,25 +475,6 @@ int main(int Argc, char **Argv) {
     std::fflush(stdout);
   };
   auto ReplyErr = [&Reply](const Status &St) { Reply("err " + St.wire()); };
-  // One ls/pts/alias reply, `ok ...` or `err not_found ...`.
-  auto AnswerRead = [&Engine](const Request &Req) -> std::string {
-    auto Unknown = [](const std::string &Name) {
-      return "err " + Status::error(ErrorCode::NotFound,
-                                    "unknown variable '" + Name + "'")
-                          .wire();
-    };
-    uint32_t X = Engine.varOf(Req.Arg1);
-    if (X == QueryEngine::NotFound)
-      return Unknown(Req.Arg1);
-    if (Req.Verb == "alias") {
-      uint32_t Y = Engine.varOf(Req.Arg2);
-      if (Y == QueryEngine::NotFound)
-        return Unknown(Req.Arg2);
-      return Engine.alias(X, Y) ? "ok true" : "ok false";
-    }
-    return "ok " + render::renderSet(Req.Verb == "ls" ? Engine.ls(X)
-                                                      : Engine.pts(X));
-  };
 
   // Returns false when the loop should stop (quit or shutdown).
   auto HandleLine = [&](const std::string &Line) -> bool {
@@ -518,8 +483,7 @@ int main(int Argc, char **Argv) {
       return true;
 
     ++RequestsHandled;
-    if (MetricsEvery > 0 &&
-        RequestsHandled % static_cast<uint64_t>(MetricsEvery) == 0)
+    if (MetricsEvery > 0 && RequestsHandled % MetricsEvery == 0)
       DumpMetrics();
 
     if (Req.Verb == "quit" || Req.Verb == "exit") {
@@ -532,9 +496,9 @@ int main(int Argc, char **Argv) {
             "counters | metrics | verify | shutdown | help | quit");
       return true;
     }
-    if (Req.Verb == "ls" || Req.Verb == "pts" || Req.Verb == "alias") {
+    if (isReadVerb(Req.Verb)) {
       const uint64_t StartUs = trace::nowMicros();
-      std::string Response = AnswerRead(Req);
+      std::string Response = Engine.answer(Req);
       telemetry::queryCounter().inc();
       telemetry::queryLatencyHistogram().record(trace::nowMicros() -
                                                 StartUs);

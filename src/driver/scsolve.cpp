@@ -28,26 +28,6 @@
 
 using namespace poce;
 
-static bool parseConfig(const std::string &Name, SolverOptions &Options) {
-  if (Name == "sf-plain")
-    Options = makeConfig(GraphForm::Standard, CycleElim::None);
-  else if (Name == "if-plain")
-    Options = makeConfig(GraphForm::Inductive, CycleElim::None);
-  else if (Name == "sf-online")
-    Options = makeConfig(GraphForm::Standard, CycleElim::Online);
-  else if (Name == "if-online")
-    Options = makeConfig(GraphForm::Inductive, CycleElim::Online);
-  else if (Name == "sf-oracle")
-    Options = makeConfig(GraphForm::Standard, CycleElim::Oracle);
-  else if (Name == "if-oracle")
-    Options = makeConfig(GraphForm::Inductive, CycleElim::Oracle);
-  else if (Name == "if-periodic")
-    Options = makeConfig(GraphForm::Inductive, CycleElim::Periodic);
-  else
-    return false;
-  return true;
-}
-
 int main(int Argc, char **Argv) {
   CommandLine Cmd("scsolve",
                   "standalone inclusion-constraint solver (PLDI 1998 "
@@ -57,9 +37,9 @@ int main(int Argc, char **Argv) {
   std::string Preprocess = "none";
   bool ShowStats = false, Dump = false, Echo = false;
   int64_t Seed = 0x706f6365;
-  int64_t Threads = 1;
+  uint64_t Threads = 1;
   Cmd.addString("config", &Config,
-                "{sf,if}-{plain,online,oracle} or if-periodic");
+                "{sf,if}-{plain,online,oracle,periodic}");
   Cmd.addString("closure", &Closure,
                 "closure schedule: wave (topo-ordered delta sweeps, the "
                 "default) or worklist (eager, per add); solutions are "
@@ -68,7 +48,7 @@ int main(int Argc, char **Argv) {
                 "pre-solve pass: none or offline (HVN + Tarjan SCC "
                 "variable substitution); solutions are identical");
   Cmd.addInt("seed", &Seed, "variable-order seed");
-  Cmd.addInt("threads", &Threads,
+  Cmd.addUInt("threads", &Threads,
              "execution lanes for the least-solution pass (0 = hardware); "
              "solutions are identical for any value");
   Cmd.addFlag("stats", &ShowStats, "print solver statistics");
@@ -104,23 +84,19 @@ int main(int Argc, char **Argv) {
   }
 
   SolverOptions Options;
-  if (!parseConfig(Config, Options)) {
+  if (!parseConfigName(Config, Options)) {
     std::fprintf(stderr, "scsolve: unknown configuration '%s'\n",
                  Config.c_str());
     return 1;
   }
   Options.Seed = static_cast<uint64_t>(Seed);
   Options.Threads = static_cast<unsigned>(Threads);
-  if (Closure == "worklist")
-    Options.Closure = ClosureMode::Worklist;
-  else if (Closure != "wave") {
+  if (!parseClosureName(Closure, Options.Closure)) {
     std::fprintf(stderr, "scsolve: unknown closure schedule '%s'\n",
                  Closure.c_str());
     return 1;
   }
-  if (Preprocess == "offline")
-    Options.Preprocess = PreprocessMode::Offline;
-  else if (Preprocess != "none") {
+  if (!parsePreprocessName(Preprocess, Options.Preprocess)) {
     std::fprintf(stderr, "scsolve: unknown preprocess mode '%s'\n",
                  Preprocess.c_str());
     return 1;

@@ -1,91 +1,35 @@
-//===- net/ReadView.h - RCU-published immutable query views -----*- C++ -*-===//
+//===- net/ReadView.h - Publishing views to the read lanes ------*- C++ -*-===//
 //
 // Part of the poce project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The read side of the socket server's concurrency story. A ReadView is
-/// an *immutable* solved solver: built once from a GraphSnapshot byte
-/// image (the same serialization `save` writes), settled with
-/// materializeAllViews(), and then never mutated — every query goes
-/// through ConstraintSolver's const read surface (repConst /
-/// leastSolutionViewConst / aliasConst), which does no lazy closure, no
-/// lazy finalize, and no union-find path compression. That makes a
-/// published view shareable across any number of reader lanes with no
-/// synchronization at all.
-///
-/// Publication is epoch/RCU-style: the single writer lane rebuilds a
-/// fresh view after each accepted add batch and swaps it into the
-/// ViewPublisher; readers acquire() a shared_ptr at the start of a wave
-/// and keep querying that epoch even while the next one is being built.
-/// Readers therefore never block on writers (the only shared state is
-/// one pointer swap), and the writer never waits for readers (old epochs
-/// are reclaimed by the last shared_ptr release). The round trip through
-/// the snapshot format is deliberate: serialize→deserialize is the one
-/// operation the repo already proves produces a semantically identical
-/// solver (snapshot_test round-trip tests), so published answers are
-/// bit-identical to the writer's own.
+/// How the socket server hands the writer's views (serve/ReadView.h) to
+/// its read lanes. Publication is epoch/RCU-style: after each accepted
+/// write batch the single writer lane publishes the engine's current view;
+/// readers acquire() a shared_ptr at the start of a wave and keep querying
+/// that view even while the next one is being built. Readers therefore
+/// never block on writers (the only shared state is one pointer swap), and
+/// the writer never waits for readers (old views are reclaimed by the last
+/// shared_ptr release).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef POCE_NET_READVIEW_H
 #define POCE_NET_READVIEW_H
 
-#include "serve/GraphSnapshot.h"
-#include "setcon/ConstraintFile.h"
-#include "support/Status.h"
+#include "serve/ReadView.h"
 
-#include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
-#include <vector>
 
 namespace poce {
 namespace net {
 
-/// One immutable epoch of the solved state. Every method is const and
-/// thread-safe by construction (see file comment).
-class ReadView {
-public:
-  /// Builds a view from a snapshot byte image: deserialize, settle every
-  /// least-solution view, and adopt declarations so textual names
-  /// resolve. \p Epoch is the publisher's sequence number for this view.
-  static Expected<std::shared_ptr<const ReadView>>
-  build(const std::vector<uint8_t> &SnapshotBytes, uint64_t Epoch);
-
-  static constexpr uint32_t NotFound = ~0U;
-
-  /// Resolves a variable name, or NotFound.
-  uint32_t varOf(const std::string &Name) const;
-
-  /// "ok { ... }" for `ls X`.
-  std::string ls(uint32_t Var) const;
-
-  /// "ok { ... }" for `pts X`.
-  std::string pts(uint32_t Var) const;
-
-  /// "ok true" / "ok false" for `alias X Y`.
-  std::string alias(uint32_t X, uint32_t Y) const;
-
-  /// The snapshot payload checksum this view was built from — the
-  /// epoch's durable identity (matches what `save` would write).
-  uint64_t checksum() const { return Checksum; }
-
-  /// Publisher sequence number (0 = the startup view).
-  uint64_t epoch() const { return Epoch; }
-
-  const ConstraintSolver &solver() const { return *Bundle.Solver; }
-
-private:
-  ReadView() = default;
-
-  serve::SolverBundle Bundle;
-  ConstraintSystemFile System;
-  uint64_t Checksum = 0;
-  uint64_t Epoch = 0;
-};
+/// The view type under its network-layer name, which the benchmark
+/// (perfbench) still spells; the server itself uses serve::ReadView.
+using ReadView = serve::ReadView;
 
 /// The one mutable cell of the read path: a mutex-guarded shared_ptr
 /// swap. The mutex is held only for the pointer copy (never while
@@ -94,19 +38,19 @@ private:
 /// std::atomic<std::shared_ptr>.
 class ViewPublisher {
 public:
-  void publish(std::shared_ptr<const ReadView> View) {
+  void publish(std::shared_ptr<const serve::ReadView> View) {
     std::lock_guard<std::mutex> Lock(Mutex);
     Current = std::move(View);
   }
 
-  std::shared_ptr<const ReadView> acquire() const {
+  std::shared_ptr<const serve::ReadView> acquire() const {
     std::lock_guard<std::mutex> Lock(Mutex);
     return Current;
   }
 
 private:
   mutable std::mutex Mutex;
-  std::shared_ptr<const ReadView> Current;
+  std::shared_ptr<const serve::ReadView> Current;
 };
 
 } // namespace net

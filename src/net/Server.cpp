@@ -34,10 +34,6 @@ std::atomic<int> GStopFd{-1};
 /// Set by requestStop() so a stop that races init() is not lost.
 std::atomic<bool> GStopRequested{false};
 
-bool isReadVerb(const std::string &Verb) {
-  return Verb == "ls" || Verb == "pts" || Verb == "alias";
-}
-
 bool isLocalVerb(const std::string &Verb) {
   return Verb == "help" || Verb == "quit" || Verb == "exit";
 }
@@ -113,7 +109,7 @@ Status NetServer::init() {
   MetricsRegistry &R = MetricsRegistry::global();
   PublishHist = &R.histogram(
       "poce_net_view_publish_us",
-      "Wall time to rebuild and publish a ReadView epoch");
+      "Wall time to build and publish the view after a write batch");
   ErrorsTotal = &R.counter("poce_net_query_errors_total",
                            "Socket queries answered with an err reply");
   ConnsTotal = &R.counter("poce_net_connections_total",
@@ -127,7 +123,7 @@ Status NetServer::init() {
       &R.counter("poce_net_reads_during_write_total",
                  "Queries executed while a writer batch was in flight");
   PublishesTotal = &R.counter("poce_net_view_publishes_total",
-                              "ReadView epochs published");
+                              "Views published (the startup view included)");
   ConnsOpen = &R.gauge("poce_net_conns_open", "Connections currently open");
   FollowersGauge = &R.gauge("poce_repl_followers",
                             "Replica connections currently registered");
@@ -135,7 +131,7 @@ Status NetServer::init() {
                               "WAL records streamed to replicas");
   SnapshotsShipped = &R.counter("poce_repl_snapshots_shipped_total",
                                 "Bootstrap snapshots shipped to replicas");
-  EpochGauge = &R.gauge("poce_net_epoch", "Published ReadView epoch");
+  EpochGauge = &R.gauge("poce_net_epoch", "Epoch of the published view");
   R.gauge("poce_net_lanes", "Read lanes serving queries")
       .set(Pool.numLanes());
   LaneQueryCounters.clear();
@@ -182,19 +178,9 @@ Status NetServer::init() {
       return Added;
   }
 
-  // The startup epoch: published before any connection can be accepted,
-  // so the first read wave always has a view.
-  std::vector<uint8_t> Bytes;
-  Status Serialized = Core.serializeState(Bytes);
-  if (!Serialized)
-    return Serialized.withContext("publishing startup view");
-  Expected<std::shared_ptr<const ReadView>> View =
-      ReadView::build(Bytes, ViewEpoch);
-  if (!View.ok())
-    return View.status().withContext("publishing startup view");
-  Publisher.publish(*View);
-  PublishesTotal->inc();
-  EpochGauge->set(ViewEpoch);
+  // The startup view: published before any connection can be accepted,
+  // so the first read wave always has one.
+  publish();
 
   // Replication sink: fires on the writer thread (the core's owner once
   // the writer starts below), staging stream events into the same
@@ -368,7 +354,7 @@ void NetServer::dispatch() {
       serve::Request Req = serve::parseRequest(Line);
       if (Req.Verb.empty() || Req.Verb[0] == '#')
         continue; // Blank/comment lines get no reply, as on stdin.
-      if (isReadVerb(Req.Verb)) {
+      if (serve::isReadVerb(Req.Verb)) {
         Task.IsQuery = true;
         Task.Line = std::move(Line);
         Batch.push_back(std::move(Task));
@@ -457,7 +443,7 @@ void NetServer::runReadWave(std::vector<ReadTask> &Batch) {
   // One epoch pin for the whole wave: every query in the batch answers
   // against the same published state, concurrent with whatever the
   // writer lane is doing to its own solver.
-  std::shared_ptr<const ReadView> View = Publisher.acquire();
+  std::shared_ptr<const serve::ReadView> View = Publisher.acquire();
   Pool.parallelFor(
       Batch.size(),
       [&](size_t I, unsigned Lane) {
@@ -466,30 +452,8 @@ void NetServer::runReadWave(std::vector<ReadTask> &Batch) {
           return;
         LaneAccum &Accum = LaneSlots[Lane].Value;
         const uint64_t StartUs = trace::nowMicros();
-        serve::Request Req = serve::parseRequest(Task.Line);
-        uint32_t X = View->varOf(Req.Arg1);
-        if (X == ReadView::NotFound) {
-          Task.Reply = "err " + Status::error(ErrorCode::NotFound,
-                                              "unknown variable '" +
-                                                  Req.Arg1 + "'")
-                                    .wire();
-          Task.Errored = true;
-        } else if (Req.Verb == "alias") {
-          uint32_t Y = View->varOf(Req.Arg2);
-          if (Y == ReadView::NotFound) {
-            Task.Reply = "err " + Status::error(ErrorCode::NotFound,
-                                                "unknown variable '" +
-                                                    Req.Arg2 + "'")
-                                      .wire();
-            Task.Errored = true;
-          } else {
-            Task.Reply = View->alias(X, Y);
-          }
-        } else if (Req.Verb == "ls") {
-          Task.Reply = View->ls(X);
-        } else {
-          Task.Reply = View->pts(X);
-        }
+        Task.Reply = View->answer(serve::parseRequest(Task.Line));
+        Task.Errored = Task.Reply.compare(0, 4, "err ") == 0;
         ++Accum.Queries;
         Accum.Errors += Task.Errored;
         Accum.LatenciesUs.push_back(trace::nowMicros() - StartUs);
@@ -701,30 +665,11 @@ int NetServer::run() {
   return 0;
 }
 
-void NetServer::republish() {
-  const uint64_t StartUs = trace::nowMicros();
-  std::vector<uint8_t> Bytes;
-  Status Serialized = Core.serializeState(Bytes);
-  if (!Serialized) {
-    std::fprintf(stderr,
-                 "scserved: view republish failed (%s); readers keep "
-                 "the previous epoch\n",
-                 Serialized.toString().c_str());
-    return;
-  }
-  Expected<std::shared_ptr<const ReadView>> View =
-      ReadView::build(Bytes, ++ViewEpoch);
-  if (!View.ok()) {
-    std::fprintf(stderr,
-                 "scserved: view republish failed (%s); readers keep "
-                 "the previous epoch\n",
-                 View.status().toString().c_str());
-    return;
-  }
-  Publisher.publish(*View);
+void NetServer::publish() {
+  std::shared_ptr<const serve::ReadView> View = Core.engine().view();
+  EpochGauge->set(View->epoch());
+  Publisher.publish(std::move(View));
   PublishesTotal->inc();
-  EpochGauge->set(ViewEpoch);
-  PublishHist->record(trace::nowMicros() - StartUs);
 }
 
 void NetServer::handleClientJob(WriterJob &Job, Completion &Comp,
@@ -924,12 +869,15 @@ void NetServer::writerLoop() {
       }
       WriterOut.push_back(std::move(Comp));
     }
-    // Ack-after-publish: the epoch containing this batch's additions is
+    // Ack-after-publish: the view containing this batch's additions is
     // visible to every reader before any `ok added` goes out (and before
     // any replicated-apply waiter resumes), so a client that saw the ack
     // reads its own write.
-    if (Mutated)
-      republish();
+    if (Mutated) {
+      const uint64_t StartUs = trace::nowMicros();
+      publish();
+      PublishHist->record(trace::nowMicros() - StartUs);
+    }
 
     {
       std::lock_guard<std::mutex> Lock(WriterMutex);

@@ -15,12 +15,12 @@
 ///     re-arm backpressure, idle timeouts, and graceful drain.
 ///   - *Read lanes* (a support/ThreadPool wave per loop iteration)
 ///     execute ls/pts/alias batches against the immutable published
-///     ReadView epoch (net/ReadView.h), recording latencies into
+///     ReadView (serve/ReadView.h, net/ReadView.h), recording latencies into
 ///     cache-line-padded per-lane accumulators (net/LaneStats.h) that
 ///     the loop thread merges after the wave barrier.
 ///   - A single *writer thread* owns the ServerCore — WAL append + apply,
-///     save/checkpoint, stats/counters/metrics — and republishes a fresh
-///     ReadView after every batch that mutated the graph, *before*
+///     save/checkpoint, stats/counters/metrics — and publishes its
+///     engine's view after every batch that mutated the graph, *before*
 ///     acknowledging it (ack-after-publish), so a client that saw
 ///     `ok added` observes its constraint in every subsequent query:
 ///     read-your-writes without ever taking a lock on the read path.
@@ -100,8 +100,8 @@ public:
   NetServer(const NetServer &) = delete;
   NetServer &operator=(const NetServer &) = delete;
 
-  /// Binds listeners, creates the epoll/eventfd plumbing, builds and
-  /// publishes the startup ReadView, and starts the writer thread.
+  /// Binds listeners, creates the epoll/eventfd plumbing, publishes the
+  /// startup view, and starts the writer thread.
   Status init();
 
   /// The TCP port actually bound (resolves an ephemeral ":0" request);
@@ -118,7 +118,7 @@ public:
 
   /// \name Follower-side entry points (ReplicationClient thread)
   /// Synchronous: each enqueues an internal writer job and blocks until
-  /// the writer lane has processed it (and republished the read view, so
+  /// the writer lane has processed it (and published the new view, so
   /// an acked apply is visible to every subsequent query). Refused once
   /// the server is promoted or stopping.
   /// @{
@@ -231,7 +231,9 @@ private:
 
   // Writer thread.
   void writerLoop();
-  void republish();
+  /// Publishes the engine's current view (building it if a write made
+  /// it stale).
+  void publish();
   void handleClientJob(WriterJob &Job, Completion &Comp, bool &Mutated);
   Status runInternalJob(WriterJob &Job, bool &Mutated);
   Status submitInternal(WriterJob Job);
@@ -264,7 +266,6 @@ private:
   bool WriterBusy = false; ///< A writer batch is being processed.
   std::thread Writer;
   uint64_t WriterOps = 0;   ///< Writer-thread-local dump cadence count.
-  uint64_t ViewEpoch = 0;   ///< Writer-thread-local epoch counter.
   /// Writer-thread-local staging for the in-flight batch: verb replies
   /// and the replication events the core's sink emits between them, in
   /// one generation-ordered sequence (a replica registered mid-batch

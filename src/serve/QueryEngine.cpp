@@ -6,29 +6,13 @@
 
 #include "serve/QueryEngine.h"
 
-#include "support/Metrics.h"
 #include "support/Trace.h"
-
-#include <algorithm>
-#include <cstring>
 
 using namespace poce;
 using namespace poce::serve;
 
-namespace {
-
-/// Time spent materializing a query view (cache miss or stale rebuild).
-Histogram &viewBuildHistogram() {
-  static Histogram &H = MetricsRegistry::global().histogram(
-      "poce_query_view_build_us",
-      "Microseconds to build an ls/pts view (cache misses and rebuilds)");
-  return H;
-}
-
-} // namespace
-
-QueryEngine::QueryEngine(SolverBundle InBundle, size_t CacheCapacity)
-    : Bundle(std::move(InBundle)), Cache(CacheCapacity) {
+QueryEngine::QueryEngine(SolverBundle InBundle)
+    : Bundle(std::move(InBundle)) {
   if (!Bundle.Solver) {
     InitError = "empty solver bundle";
     return;
@@ -47,115 +31,17 @@ QueryEngine::QueryEngine(SolverBundle InBundle, size_t CacheCapacity)
     BaseBytes.clear();
 }
 
-uint32_t QueryEngine::varOf(const std::string &Name) const {
-  uint32_t Index = System.varIndex(Name);
-  if (Index == ConstraintSystemFile::NotFound ||
-      Index >= Bundle.Solver->numCreations())
-    return NotFound;
-  return Bundle.Solver->varOfCreation(Index);
-}
-
-std::string render::locationTag(const ConstraintSolver &Solver,
-                                ExprId Term) {
-  const TermTable &Terms = Solver.terms();
-  if (Terms.kind(Term) == ExprKind::Cons) {
-    const ConstructorTable &Cons = Terms.constructors();
-    ConsId C = Terms.consOf(Term);
-    if (Cons.signature(C).arity() == 0)
-      return Cons.signature(C).Name;
-    // ref(l, get, set)-shaped terms: the first argument is the location
-    // name constructor.
-    ExprId First = Terms.argsOf(Term)[0];
-    if (Terms.kind(First) == ExprKind::Cons &&
-        Cons.signature(Terms.consOf(First)).arity() == 0)
-      return Cons.signature(Terms.consOf(First)).Name;
-  }
-  return Solver.exprStr(Term);
-}
-
-std::vector<std::string>
-render::lsItems(const ConstraintSolver &Solver,
-                const std::vector<ExprId> &Terms) {
-  std::vector<std::string> Items;
-  Items.reserve(Terms.size());
-  for (ExprId Term : Terms)
-    Items.push_back(Solver.exprStr(Term));
-  return Items;
-}
-
-std::vector<std::string>
-render::ptsItems(const ConstraintSolver &Solver,
-                 const std::vector<ExprId> &Terms) {
-  // Projection to tags can fold several terms onto one location; keep
-  // the output sorted and deduplicated so responses are canonical.
-  std::vector<std::string> Items;
-  Items.reserve(Terms.size());
-  for (ExprId Term : Terms)
-    Items.push_back(locationTag(Solver, Term));
-  std::sort(Items.begin(), Items.end());
-  Items.erase(std::unique(Items.begin(), Items.end()), Items.end());
-  return Items;
-}
-
-std::string render::renderSet(const std::vector<std::string> &Items) {
-  std::string Out = "{";
-  for (size_t I = 0; I != Items.size(); ++I)
-    Out += (I ? ", " : " ") + Items[I];
-  Out += Items.empty() ? "}" : " }";
-  return Out;
-}
-
-const std::vector<std::string> &QueryEngine::view(ViewKind Kind, VarId Var) {
-  ConstraintSolver &Solver = *Bundle.Solver;
-  // Settle the graph before resolving the representative (a pending wave
-  // closure may collapse Var into a class), and force the lazy finalize
-  // before sampling the epoch — the inductive form's epoch bumps land at
-  // finalize time, when recomputed solutions are diffed against their
-  // previous values.
-  Solver.ensureClosed();
-  VarId Rep = Solver.rep(Var);
-  (void)Solver.leastSolutionBits(Rep);
-  uint64_t Epoch = Solver.mutationEpoch(Rep);
-  uint64_t Key =
-      (static_cast<uint64_t>(static_cast<uint8_t>(Kind)) << 32) | Rep;
-  if (View *Cached = Cache.get(Key)) {
-    if (Cached->Epoch == Epoch) {
-      ++Stats.CacheHits;
-      return Cached->Items;
-    }
-    ++Stats.StaleRebuilds;
-  } else {
-    ++Stats.CacheMisses;
-  }
-
-  const bool Timed = MetricsRegistry::timingEnabled() || trace::enabled();
-  const uint64_t StartUs = Timed ? trace::nowMicros() : 0;
-  View Fresh;
-  Fresh.Epoch = Epoch;
-  Fresh.Items = Kind == ViewKind::Ls
-                    ? render::lsItems(Solver, Solver.leastSolution(Rep))
-                    : render::ptsItems(Solver, Solver.leastSolution(Rep));
-  Cache.put(Key, std::move(Fresh));
-  if (Timed) {
-    viewBuildHistogram().record(trace::nowMicros() - StartUs);
-    trace::complete("query.view_build", StartUs);
-  }
-  return Cache.get(Key)->Items;
-}
-
-const std::vector<std::string> &QueryEngine::ls(VarId Var) {
-  return view(ViewKind::Ls, Var);
-}
-
-const std::vector<std::string> &QueryEngine::pts(VarId Var) {
-  return view(ViewKind::Pts, Var);
-}
-
-bool QueryEngine::alias(VarId X, VarId Y) {
-  ConstraintSolver &Solver = *Bundle.Solver;
-  if (Solver.rep(X) == Solver.rep(Y))
-    return true;
-  return Solver.leastSolutionBits(X).intersects(Solver.leastSolutionBits(Y));
+std::shared_ptr<const ReadView> QueryEngine::view() {
+  if (Current && !ViewStale)
+    return Current;
+  trace::Span Span("query.view_build");
+  Bundle.Solver->finalize();
+  Current = ReadView::build(*Bundle.Solver, System, Current.get(),
+                            ViewsBuilt++);
+  ViewStale = false;
+  Stats.RowsBuilt += Current->rowsBuilt();
+  Stats.RowsReused += Current->rowsReused();
+  return Current;
 }
 
 Status QueryEngine::check(WalRecord &Rec) const {
@@ -226,6 +112,7 @@ Status QueryEngine::apply(WalRecord Rec) {
   Status St = mutate(System, *Bundle.Solver, Rec);
   if (!St)
     return St;
+  ViewStale = true;
   if (Bundle.Solver->stats().Aborted) {
     ++Stats.BudgetAborts;
     SolverStats::AbortReason Why = Bundle.Solver->stats().Abort;
@@ -288,7 +175,7 @@ Status QueryEngine::rollback() {
 
   Bundle = std::move(Rebuilt);
   System = std::move(Replayed);
-  Cache.clear();
+  Current.reset();
   return Status();
 }
 
@@ -307,7 +194,7 @@ Status QueryEngine::resetFromSnapshot(const uint8_t *Data, size_t Size) {
     Rebuilt.Solver->setClosure(Bundle.Solver->options().Closure);
   Bundle = std::move(Rebuilt);
   System = std::move(Adopted);
-  Cache.clear();
+  Current.reset();
   AcceptedLines.clear();
   BaseBytes.assign(Data, Data + Size);
   RollbackArmed = true;

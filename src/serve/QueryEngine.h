@@ -26,22 +26,11 @@
 /// offending record. The caller sees a clean BudgetExceeded error and can
 /// keep querying.
 ///
-/// Rendered views are kept in a bounded LRU cache keyed by (query kind,
-/// representative). A cached view is valid iff the representative's
-/// solver-side mutation epoch still matches the one sampled when the
-/// view was built: the solver bumps a variable's epoch whenever its
-/// least solution may have changed — on growth from additions AND on
-/// shrinkage from retractions. (The scheme this replaced keyed validity
-/// on the solution bitmap's population count, which is sound only under
-/// monotone growth: a retraction followed by additions can return a
-/// solution to a previous size with different members, and the stale
-/// view would have been served. The epoch never repeats, so that trap
-/// is closed.) Views whose solutions were untouched keep serving from
-/// cache; stale ones are detected (and rebuilt) lazily on their next
-/// hit. Collapses are handled by keying on the current representative:
-/// a variable swallowed by a cycle simply resolves to its witness's
-/// view. Rollback replaces the solver wholesale, so it clears the
-/// cache.
+/// Reads go through one published ReadView (serve/ReadView.h). The engine
+/// owns its current view and rebuilds it on the first read after a
+/// mutation, reusing every row whose solution bitmap is unchanged; a
+/// rollback or a snapshot reset replaces the solver, so the view after one
+/// is built anew, with no row carried over.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,53 +38,27 @@
 #define POCE_SERVE_QUERYENGINE_H
 
 #include "serve/GraphSnapshot.h"
+#include "serve/ReadView.h"
 #include "serve/Wal.h"
 #include "setcon/ConstraintFile.h"
 #include "setcon/ConstraintSolver.h"
-#include "support/LruCache.h"
 #include "support/Status.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 namespace poce {
 namespace serve {
 
-/// Pure rendering helpers shared by every query surface — the cached
-/// QueryEngine views below, the network layer's immutable ReadViews
-/// (net/ReadView.h), and the drivers' reply formatting. All of them are
-/// const over the solver so they are safe on concurrently shared,
-/// settled solvers.
-namespace render {
-
-/// The location tag of one constructed term: a nullary constructor's
-/// name, the name of a nullary first argument (the ref(l, get, set)
-/// shape Andersen's analysis uses), or the full rendering otherwise.
-std::string locationTag(const ConstraintSolver &Solver, ExprId Term);
-
-/// ls items: each term of \p Terms rendered as its term string.
-std::vector<std::string> lsItems(const ConstraintSolver &Solver,
-                                 const std::vector<ExprId> &Terms);
-
-/// pts items: \p Terms projected to location tags, sorted and
-/// deduplicated so responses are canonical.
-std::vector<std::string> ptsItems(const ConstraintSolver &Solver,
-                                  const std::vector<ExprId> &Terms);
-
-/// "{ a, b }" set formatting shared by the stdin and socket reply paths.
-std::string renderSet(const std::vector<std::string> &Items);
-
-} // namespace render
-
 class QueryEngine {
 public:
   /// Query-layer counters (the solver's own stats stay separate and are
   /// exposed through solver().stats()).
   struct Counters {
-    uint64_t CacheHits = 0;     ///< Served from a still-valid cached view.
-    uint64_t CacheMisses = 0;   ///< View built fresh (first touch).
-    uint64_t StaleRebuilds = 0; ///< Cached view outgrown by additions.
+    uint64_t RowsBuilt = 0;     ///< View rows rendered.
+    uint64_t RowsReused = 0;    ///< View rows kept from the previous view.
     uint64_t Additions = 0;     ///< Add records accepted.
     uint64_t Retractions = 0;   ///< Retract records accepted.
     uint64_t BudgetAborts = 0;  ///< Mutations rejected by a budget breach.
@@ -109,7 +72,7 @@ public:
   /// without invalidating the engine (e.g. Oracle-eliminated solvers are
   /// not serializable); the engine then runs with rollback disarmed and
   /// budget breaches become unrecoverable for the batch.
-  explicit QueryEngine(SolverBundle Bundle, size_t CacheCapacity = 256);
+  explicit QueryEngine(SolverBundle Bundle);
 
   bool valid() const { return Valid; }
   const std::string &initError() const { return InitError; }
@@ -118,21 +81,33 @@ public:
   bool rollbackArmed() const { return RollbackArmed; }
 
   /// Resolves a variable name to its VarId, or NotFound.
-  uint32_t varOf(const std::string &Name) const;
-  static constexpr uint32_t NotFound = ~0U;
+  uint32_t varOf(const std::string &Name) { return view()->varOf(Name); }
+  static constexpr uint32_t NotFound = ReadView::NotFound;
 
-  /// The least solution of \p Var rendered as term strings (cached).
-  const std::vector<std::string> &ls(VarId Var);
+  /// The view of the current state, rebuilt here on the first call after
+  /// a mutation (settling the graph first). Owner-thread only; the view
+  /// itself may be handed to any number of reader threads.
+  std::shared_ptr<const ReadView> view();
 
-  /// The points-to projection of \p Var's least solution (cached): each
-  /// term contributes its location tag — a nullary constructor's name, or
-  /// the name of a nullary first argument (the ref(l, get, set) shape
+  /// The reply to one ls/pts/alias request (ReadView::answer).
+  std::string answer(const Request &Req) { return view()->answer(Req); }
+
+  /// The least solution of \p Var rendered as term strings.
+  std::vector<std::string> ls(VarId Var) {
+    return view()->items(ReadView::ItemKind::Ls, Var);
+  }
+
+  /// The points-to projection of \p Var's least solution: each term
+  /// contributes its location tag — a nullary constructor's name, or the
+  /// name of a nullary first argument (the ref(l, get, set) shape
   /// Andersen's analysis uses), or the full rendering otherwise.
-  const std::vector<std::string> &pts(VarId Var);
+  std::vector<std::string> pts(VarId Var) {
+    return view()->items(ReadView::ItemKind::Pts, Var);
+  }
 
   /// True if \p X and \p Y may alias: same representative after
   /// collapses, or intersecting least solutions.
-  bool alias(VarId X, VarId Y);
+  bool alias(VarId X, VarId Y) { return view()->mayAlias(X, Y); }
 
   /// Applies one mutation: an add feeds one line of the constraint-file
   /// format (declaration or constraint) through the online closure; a
@@ -140,8 +115,8 @@ public:
   /// matches \p Rec's line (whitespace and comments need not match) and
   /// incrementally recomputes the affected cone, splitting collapsed
   /// cycle classes whose witness cycle lost an edge (see
-  /// ConstraintSolver::retract). Cached views invalidate through the
-  /// mutation-epoch check on their next access. On a parse failure, or a
+  /// ConstraintSolver::retract). The next read rebuilds the view. On a
+  /// parse failure, or a
   /// retraction that matches no live constraint (NotFound; a
   /// non-constraint line is InvalidArgument), the graph is untouched; on
   /// a budget breach the engine rolls back to the pre-record state and
@@ -185,7 +160,7 @@ public:
   void checkpointBase(std::vector<uint8_t> Bytes);
 
   /// Replaces the engine's entire state with the graph deserialized from
-  /// \p Data — cache and journal cleared, rollback re-armed on the new
+  /// \p Data — view and journal cleared, rollback re-armed on the new
   /// base. The snapshot's recorded solver options are adopted wholesale
   /// (no live re-arm): a replication follower re-bootstrapping from its
   /// primary must end up bit-identical to it, down to the serialized
@@ -199,26 +174,12 @@ public:
   const std::vector<std::string> &journal() const { return AcceptedLines; }
 
   const Counters &counters() const { return Stats; }
-  uint64_t cacheEvictions() const { return Cache.evictions(); }
-  size_t cacheSize() const { return Cache.size(); }
 
   ConstraintSolver &solver() { return *Bundle.Solver; }
   const ConstraintSolver &solver() const { return *Bundle.Solver; }
   const ConstraintSystemFile &system() const { return System; }
 
 private:
-  enum class ViewKind : uint8_t { Ls, Pts };
-
-  struct View {
-    /// The representative's mutation epoch at build time; any change to
-    /// its least solution since (growth or shrinkage) bumps the live
-    /// epoch and invalidates the view.
-    uint64_t Epoch;
-    std::vector<std::string> Items;
-  };
-
-  const std::vector<std::string> &view(ViewKind Kind, VarId Var);
-
   /// The one mutation step under apply() and rollback(): applies \p Rec
   /// to \p Solver through \p System and closes the graph, so a budget
   /// breach surfaces at the record that caused it whatever the schedule.
@@ -236,7 +197,11 @@ private:
 
   SolverBundle Bundle;
   ConstraintSystemFile System;
-  LruCache<uint64_t, View> Cache;
+  /// The last view built; null until the first read and after the solver
+  /// is replaced.
+  std::shared_ptr<const ReadView> Current;
+  bool ViewStale = false; ///< A mutation landed since Current was built.
+  uint64_t ViewsBuilt = 0;
   Counters Stats;
   bool Valid = false;
   bool RollbackArmed = false;

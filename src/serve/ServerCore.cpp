@@ -13,28 +13,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 
 using namespace poce;
 using namespace poce::serve;
 
-Request poce::serve::parseRequest(const std::string &Line) {
-  Request Req;
-  std::istringstream In(Line);
-  In >> Req.Verb >> Req.Arg1 >> Req.Arg2;
-  size_t VerbEnd = Line.find(Req.Verb);
-  if (VerbEnd != std::string::npos) {
-    size_t RestAt = VerbEnd + Req.Verb.size();
-    while (RestAt < Line.size() && Line[RestAt] == ' ')
-      ++RestAt;
-    Req.Rest = Line.substr(RestAt);
-  }
-  return Req;
-}
-
-ServerCore::ServerCore(SolverBundle Bundle, size_t CacheCapacity,
-                       ServerCoreConfig InConfig)
-    : Engine(std::move(Bundle), CacheCapacity), Config(std::move(InConfig)) {}
+ServerCore::ServerCore(SolverBundle Bundle, size_t, ServerCoreConfig InConfig)
+    : Engine(std::move(Bundle)), Config(std::move(InConfig)) {}
 
 Status ServerCore::recover(uint64_t SnapBase) {
   if (walArmed()) {
@@ -111,15 +95,15 @@ Status ServerCore::serializeState(std::vector<uint8_t> &Bytes,
 }
 
 uint64_t ServerCore::canonicalChecksum() {
+  std::shared_ptr<const ReadView> View = Engine.view();
   const ConstraintSolver &Solver = Engine.solver();
-  uint32_t NumVars = Solver.numVars();
+  uint32_t NumVars = View->numVars();
   std::vector<std::string> Lines;
   Lines.reserve(NumVars);
   for (uint32_t V = 0; V != NumVars; ++V) {
-    // Copy before sorting: ls() hands back a reference into the view
-    // cache, and item order follows internal term ids, which legitimately
-    // differ across a serialize/load round trip.
-    std::vector<std::string> Items = Engine.ls(V);
+    // Item order follows internal term ids, which legitimately differ
+    // across a serialize/load round trip.
+    std::vector<std::string> Items = View->items(ReadView::ItemKind::Ls, V);
     std::sort(Items.begin(), Items.end());
     std::string Line = Solver.varName(V);
     Line += '=';

@@ -14,9 +14,9 @@
 ///
 /// Threading: a ServerCore is single-owner. The stdin driver calls it from
 /// its request loop; the socket server calls it from its single writer
-/// lane. Concurrent *reads* never touch it — they go through immutable
-/// published ReadViews (net/ReadView.h) built from snapshots this core
-/// serializes.
+/// lane. Concurrent *reads* never touch it — they go through the immutable
+/// ReadViews (serve/ReadView.h) its engine builds and the socket server
+/// publishes.
 ///
 /// Every reply string and error code is byte-compatible with the PR 4/5
 /// scserved loop (the serve_smoke.sh / crash_recovery.sh harnesses assert
@@ -54,17 +54,6 @@ inline std::string hexId(uint64_t Value) {
   return Buf;
 }
 
-/// One parsed request line: a verb, up to two whitespace-split arguments,
-/// and the raw remainder after the verb (which preserves the spacing of
-/// `add` constraint payloads).
-struct Request {
-  std::string Verb, Arg1, Arg2, Rest;
-};
-
-/// Splits \p Line into a Request (the wire format of both the stdin and
-/// the socket protocol).
-Request parseRequest(const std::string &Line);
-
 /// Durability configuration of a ServerCore.
 struct ServerCoreConfig {
   std::string SnapshotPath; ///< Startup snapshot path ("" = .scs base).
@@ -89,10 +78,10 @@ struct ReplicationSink {
 
 class ServerCore {
 public:
-  /// Wraps \p Bundle in a QueryEngine with \p CacheCapacity cached views.
-  /// Check valid() before use.
-  ServerCore(SolverBundle Bundle, size_t CacheCapacity,
-             ServerCoreConfig Config);
+  /// Wraps \p Bundle in a QueryEngine. The size_t is ignored: it sized the
+  /// query cache the engine's view replaced, and callers outside the
+  /// library still pass it. Check valid() before use.
+  ServerCore(SolverBundle Bundle, size_t, ServerCoreConfig Config);
 
   bool valid() const { return Engine.valid(); }
   const std::string &initError() const { return Engine.initError(); }
@@ -173,11 +162,10 @@ public:
   uint64_t walReplayed() const { return WalReplayed; }
   uint64_t walSkipped() const { return WalSkipped; }
 
-  /// Serializes the engine's current graph (the published-view source for
-  /// the socket server) and returns its payload checksum via
-  /// \p ChecksumOut (may be null). Non-const: serialization finalizes any
-  /// lazily deferred solver state first, which is why only the single
-  /// writer lane may call it.
+  /// Serializes the engine's current graph (what save and checkpoint
+  /// write) and returns its payload checksum via \p ChecksumOut (may be
+  /// null). Non-const: serialization finalizes any lazily deferred solver
+  /// state first, which is why only the single writer lane may call it.
   Status serializeState(std::vector<uint8_t> &Bytes,
                         uint64_t *ChecksumOut = nullptr);
 
@@ -187,7 +175,7 @@ public:
   /// load-and-replay follower may collapse cycles onto different (equally
   /// valid) representatives, so byte identity is the wrong convergence
   /// signal; answer identity is the claim replication actually makes.
-  /// Writer-lane only (renders through the engine's view cache).
+  /// Writer-lane only (reads through the engine's view).
   uint64_t canonicalChecksum();
 
   /// \name Replication (primary side)

@@ -64,11 +64,9 @@ std::string buildCountersReply(const QueryEngine &Engine,
   const QueryEngine::Counters &C = Engine.counters();
   HistogramSnapshot Snap = Latency.snapshot();
   return "ok queries=" + std::to_string(Queries.value()) +
-         " hits=" + std::to_string(C.CacheHits) +
-         " misses=" + std::to_string(C.CacheMisses) +
-         " stale=" + std::to_string(C.StaleRebuilds) +
+         " rows_built=" + std::to_string(C.RowsBuilt) +
+         " rows_reused=" + std::to_string(C.RowsReused) +
          " additions=" + std::to_string(C.Additions) +
-         " evictions=" + std::to_string(Engine.cacheEvictions()) +
          " p50_us=" + std::to_string(Snap.quantile(0.50)) +
          " p99_us=" + std::to_string(Snap.quantile(0.99));
 }
@@ -83,14 +81,11 @@ void exportServeMetrics(MetricsRegistry &Registry, const QueryEngine &Engine,
   // both series in the exposition before the first read.
   (void)queryCounter();
   (void)queryLatencyHistogram();
-  Set("poce_query_cache_hits_total", "Queries served from a valid view",
-      C.CacheHits);
-  Set("poce_query_cache_misses_total", "Views built on first touch",
-      C.CacheMisses);
-  Set("poce_query_cache_stale_total", "Cached views outgrown and rebuilt",
-      C.StaleRebuilds);
-  Set("poce_query_cache_evictions_total", "Views dropped by LRU pressure",
-      Engine.cacheEvictions());
+  Set("poce_query_view_rows_built_total", "Solution rows rendered into views",
+      C.RowsBuilt);
+  Set("poce_query_view_rows_reused_total",
+      "Solution rows a view kept unchanged from the previous view",
+      C.RowsReused);
   Set("poce_serve_additions_total", "Constraint lines accepted",
       C.Additions);
   Set("poce_serve_budget_aborts_total", "Additions rejected by a budget",
@@ -107,9 +102,6 @@ void exportServeMetrics(MetricsRegistry &Registry, const QueryEngine &Engine,
       .set(Server.WalRecords);
   Registry.gauge("poce_serve_wal_bytes", "Bytes in the open WAL")
       .set(Server.WalBytes);
-  Registry
-      .gauge("poce_query_cache_size", "Views currently held by the LRU")
-      .set(Engine.cacheSize());
 }
 
 std::string buildMetricsReply(MetricsRegistry &Registry, QueryEngine &Engine,

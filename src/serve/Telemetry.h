@@ -61,14 +61,15 @@ std::string buildStatsReply(const QueryEngine &Engine,
                             const ServerCounters &Server);
 
 /// The `counters` verb's reply line (starts with "ok "): the read count
-/// from \p Queries, p50/p99 from \p Latency, and the engine's view-cache
+/// from \p Queries, p50/p99 from \p Latency, and the engine's view-row
 /// and mutation counters.
 std::string buildCountersReply(const QueryEngine &Engine,
                                const Counter &Queries,
                                const Histogram &Latency);
 
-/// Mirrors the engine's cache and mutation counters and the server-loop
-/// counters into \p Registry (poce_query_cache_* / poce_serve_* series).
+/// Mirrors the engine's view-row and mutation counters and the
+/// server-loop counters into \p Registry (poce_query_view_* /
+/// poce_serve_* series).
 /// Observe-only, like SolverStats::exportTo.
 void exportServeMetrics(MetricsRegistry &Registry, const QueryEngine &Engine,
                         const ServerCounters &Server);

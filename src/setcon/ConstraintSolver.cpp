@@ -244,11 +244,6 @@ void ConstraintSolver::invalidateSolutions() {
   if (!Finalized)
     return;
   Finalized = false;
-  // Keep the settled solutions aside: the next finalize() diffs the fresh
-  // LSBits against them and bumps the mutation epochs of exactly the
-  // variables whose solutions changed (inductive form; standard form
-  // bumps eagerly at each source arrival and leaves these empty).
-  PrevLSBits = std::move(LSBits);
   LSBits.clear();
   LSView.clear();
   LSViewBuilt.clear();
@@ -628,8 +623,6 @@ bool ConstraintSolver::insertPred(VarId Owner, uint32_t Entry, bool Derived) {
   Node.Preds.push_back(Entry);
   if (!isTermRef(Entry))
     invalidateWaveOrder();
-  else
-    bumpEpoch(Owner); // A new source changes Owner's (standard-form) LS.
   if (!Derived)
     ++Stats.InitialEdges;
   // Closure rule at Owner: the new predecessor pairs with every successor.
@@ -727,7 +720,6 @@ void ConstraintSolver::insertSourceVar(ExprId Source, VarId Var,
     return;
   }
   Node.Preds.push_back(termRef(Source));
-  bumpEpoch(Var);
   if (!Derived)
     ++Stats.InitialEdges;
   if (SeenSources.testAndSet(Source))
@@ -783,7 +775,6 @@ void ConstraintSolver::deliverSources(VarId Target,
     ++Stats.PropagationsPruned;
     return;
   }
-  bumpEpoch(Target);
   if (WasIdle)
     scheduleFlush(Target);
 }
@@ -1272,9 +1263,8 @@ bool ConstraintSolver::retract(const std::string &Tag) {
     }
   }
 
-  // Reset every cone variable to a fresh node (the collapseCycle idiom)
-  // and mark its solution changed; the replay rebuilds it from surviving
-  // provenance.
+  // Reset every cone variable to a fresh node (the collapseCycle idiom);
+  // the replay rebuilds it from surviving provenance.
   for (VarId Var = 0; Var != numVars(); ++Var) {
     if (!ConeVar[Var])
       continue;
@@ -1286,7 +1276,6 @@ bool ConstraintSolver::retract(const std::string &Tag) {
     Node.PredTerms = SparseBitVector();
     Node.SuccTerms = SparseBitVector();
     Node.SrcDelta = SparseBitVector();
-    bumpEpoch(Var);
     ++Stats.ConeVarsRecomputed;
   }
   invalidateWaveOrder();
@@ -1332,22 +1321,6 @@ void ConstraintSolver::settleSolutions(ThreadPool &Pool) {
     computeLeastSolutionIF(Pool);
   else
     LSBits.clear(); // SF: the closed graph holds LS in PredTerms already.
-  // Inductive form settles solutions only here, so this is the one place
-  // the per-variable mutation epochs can see downstream effects: diff the
-  // fresh LSBits against the previous settled state and bump exactly the
-  // changed variables (a variable collapsed away since the last finalize
-  // diffs nonempty -> empty, which is harmless — its representative
-  // changed, so no cached view keys on it anymore).
-  if (Options.Form == GraphForm::Inductive) {
-    const SparseBitVector Empty;
-    for (VarId Var = 0; Var != numVars(); ++Var) {
-      const SparseBitVector &Prev =
-          Var < PrevLSBits.size() ? PrevLSBits[Var] : Empty;
-      if (!(LSBits[Var] == Prev))
-        bumpEpoch(Var);
-    }
-  }
-  PrevLSBits.clear();
   if (Timed) {
     leastSolutionHistogram().record(trace::nowMicros() - StartUs);
     trace::complete("solver.least_solution", StartUs);

@@ -143,17 +143,6 @@ public:
   /// The recorded base constraints in input order.
   const std::vector<BaseRoot> &baseRoots() const { return BaseRoots; }
 
-  /// Mutation epoch of \p Var's least solution: bumped whenever the
-  /// solution bitmap of the representative may have changed (grown by an
-  /// add, shrunk or regrown by a retraction). A cached view keyed on
-  /// (representative, epoch) is valid iff both still match — unlike a
-  /// popcount fingerprint, the epoch cannot collide when a retraction
-  /// shrinks and regrows a solution to the same size with different
-  /// members. Returns 0 for ids never bumped.
-  uint64_t mutationEpoch(VarId Var) const {
-    return Var < MutEpochs.size() ? MutEpochs[Var] : 0;
-  }
-
   /// Completes the closure of everything added so far. A no-op in
   /// worklist mode (addConstraint already closed eagerly); in wave mode
   /// (the default) this drains the deferred constraints and runs
@@ -192,11 +181,10 @@ public:
   // The accessors below are genuinely const: no lazy closure, no lazy
   // finalize, no union-find path compression — so a solver that has been
   // fully settled with materializeAllViews() can be shared read-only
-  // across threads with no synchronization at all. This is the contract
-  // the network layer's published ReadViews rely on (see net/ReadView.h):
-  // the writer settles a solver once, publishes it behind a shared_ptr,
-  // and any number of reader lanes query it concurrently. Calling them on
-  // an unsettled solver is a programming error (asserted).
+  // across threads with no synchronization at all. The serve layer's
+  // ReadView (serve/ReadView.h) reads a finalized solver through them
+  // when it builds its rows. Calling them on an unsettled solver is a
+  // programming error (asserted).
 
   /// True once finalize() has settled the solutions (materializeAllViews()
   /// additionally builds every sorted view, which leastSolutionViewConst
@@ -578,13 +566,6 @@ private:
   /// cycle survives the retraction and the collapse may stay.
   bool classCycleSurvives(const std::vector<VarId> &Members);
 
-  /// Marks the least-solution epoch of \p Var (raw id) as changed.
-  void bumpEpoch(VarId Var) {
-    if (MutEpochs.size() < Vars.size())
-      MutEpochs.resize(Vars.size(), 0);
-    ++MutEpochs[Var];
-  }
-
   //===--------------------------------------------------------------------===
   // Least solution
   //===--------------------------------------------------------------------===
@@ -619,21 +600,6 @@ private:
   /// Retraction provenance: every top-level input constraint in input
   /// order (see BaseRoot). Not touched by internal replays.
   std::vector<BaseRoot> BaseRoots;
-  /// Per raw VarId least-solution mutation epochs (see mutationEpoch),
-  /// lazily grown by bumpEpoch. Standard form bumps eagerly at every
-  /// source-bitmap growth (PredTerms is the solution); inductive form
-  /// bumps in finalize() by comparing fresh LSBits against PrevLSBits,
-  /// because an eager bump at an upstream variable cannot see which
-  /// downstream solutions its sources reach. Both retraction paths bump
-  /// every cone member explicitly (a shrink produces no growth events).
-  /// Never serialized: a snapshot reload conservatively restarts at 0 and
-  /// the query cache restarts empty with it.
-  std::vector<uint64_t> MutEpochs;
-  /// Inductive form: the LSBits of the last finalized state, moved aside
-  /// by invalidateSolutions so the next finalize() can diff solutions and
-  /// bump the epochs of exactly the variables that changed.
-  std::vector<SparseBitVector> PrevLSBits;
-
   std::vector<WorkItem> Worklist;
   bool Draining = false;
   /// Offline preprocessing: input constraints deferred by addConstraint

@@ -16,6 +16,8 @@
 #ifndef POCE_SETCON_SOLVEROPTIONS_H
 #define POCE_SETCON_SOLVEROPTIONS_H
 
+#include <algorithm>
+#include <cctype>
 #include <cstdint>
 #include <string>
 
@@ -215,6 +217,55 @@ struct SolverOptions {
     return Name;
   }
 };
+
+/// Parses a configuration name the way configName() prints it, in any
+/// letter case ("IF-Online", or "if-online" on a command line), setting
+/// \p Options' Form and Elim. Returns false, leaving \p Options
+/// untouched, for any other name.
+inline bool parseConfigName(const std::string &Name, SolverOptions &Options) {
+  auto SameIgnoringCase = [](const std::string &A, const std::string &B) {
+    return A.size() == B.size() &&
+           std::equal(A.begin(), A.end(), B.begin(), [](char X, char Y) {
+             return std::tolower(static_cast<unsigned char>(X)) ==
+                    std::tolower(static_cast<unsigned char>(Y));
+           });
+  };
+  for (GraphForm Form : {GraphForm::Standard, GraphForm::Inductive})
+    for (CycleElim Elim : {CycleElim::None, CycleElim::Online,
+                           CycleElim::Oracle, CycleElim::Periodic}) {
+      SolverOptions Candidate = Options;
+      Candidate.Form = Form;
+      Candidate.Elim = Elim;
+      if (SameIgnoringCase(Candidate.configName(), Name)) {
+        Options = Candidate;
+        return true;
+      }
+    }
+  return false;
+}
+
+/// Parses a closure schedule name: "wave" or "worklist".
+inline bool parseClosureName(const std::string &Name, ClosureMode &Mode) {
+  if (Name == "wave")
+    Mode = ClosureMode::Wave;
+  else if (Name == "worklist")
+    Mode = ClosureMode::Worklist;
+  else
+    return false;
+  return true;
+}
+
+/// Parses a preprocess mode name: "none" or "offline".
+inline bool parsePreprocessName(const std::string &Name,
+                                PreprocessMode &Mode) {
+  if (Name == "none")
+    Mode = PreprocessMode::None;
+  else if (Name == "offline")
+    Mode = PreprocessMode::Offline;
+  else
+    return false;
+  return true;
+}
 
 /// The six experiment configurations of the paper's Table 4, in its order.
 inline SolverOptions makeConfig(GraphForm Form, CycleElim Elim,

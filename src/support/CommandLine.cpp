@@ -26,6 +26,11 @@ void CommandLine::addInt(const std::string &Name, int64_t *Storage,
   Options.push_back({Name, OptionKind::Int, Storage, Help});
 }
 
+void CommandLine::addUInt(const std::string &Name, uint64_t *Storage,
+                          const std::string &Help) {
+  Options.push_back({Name, OptionKind::UInt, Storage, Help});
+}
+
 void CommandLine::addDouble(const std::string &Name, double *Storage,
                             const std::string &Help) {
   Options.push_back({Name, OptionKind::Double, Storage, Help});
@@ -57,6 +62,23 @@ bool CommandLine::applyValue(const Option &Opt, const std::string &Value) {
       return false;
     }
     *static_cast<int64_t *>(Opt.Storage) = Parsed;
+    return true;
+  }
+  case OptionKind::UInt: {
+    // strtoull would accept "-1" and wrap it to 2^64 - 1.
+    size_t First = Value.find_first_not_of(" \t\n\v\f\r");
+    if (First != std::string::npos && Value[First] == '-') {
+      std::fprintf(stderr, "%s: --%s must not be negative (got '%s')\n",
+                   ToolName.c_str(), Opt.Name.c_str(), Value.c_str());
+      return false;
+    }
+    unsigned long long Parsed = std::strtoull(Value.c_str(), &End, 0);
+    if (!End || *End != '\0') {
+      std::fprintf(stderr, "%s: invalid integer '%s' for --%s\n",
+                   ToolName.c_str(), Value.c_str(), Opt.Name.c_str());
+      return false;
+    }
+    *static_cast<uint64_t *>(Opt.Storage) = Parsed;
     return true;
   }
   case OptionKind::Double: {
@@ -127,6 +149,7 @@ void CommandLine::printHelp() const {
       Placeholder = "=<string>";
       break;
     case OptionKind::Int:
+    case OptionKind::UInt:
       Placeholder = "=<int>";
       break;
     case OptionKind::Double:

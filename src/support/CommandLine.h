@@ -34,9 +34,15 @@ public:
   void addString(const std::string &Name, std::string *Storage,
                  const std::string &Help);
 
-  /// Registers an integer option.
+  /// Registers a signed integer option.
   void addInt(const std::string &Name, int64_t *Storage,
               const std::string &Help);
+
+  /// Registers a non-negative integer option (counts, sizes, durations):
+  /// parse() refuses a negative value with a usage error instead of
+  /// letting it wrap to a huge unsigned one.
+  void addUInt(const std::string &Name, uint64_t *Storage,
+               const std::string &Help);
 
   /// Registers a double option.
   void addDouble(const std::string &Name, double *Storage,
@@ -52,7 +58,7 @@ public:
   void printHelp() const;
 
 private:
-  enum class OptionKind { Flag, String, Int, Double };
+  enum class OptionKind { Flag, String, Int, UInt, Double };
 
   struct Option {
     std::string Name;

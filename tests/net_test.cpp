@@ -25,6 +25,7 @@
 #include "net/Replication.h"
 #include "net/Server.h"
 #include "net/Socket.h"
+#include "serve/QueryEngine.h"
 #include "serve/ServerCore.h"
 #include "support/PRNG.h"
 
@@ -615,6 +616,70 @@ TEST(NetServerTest, ConcurrentReadersSeeOnlyPublishedViews) {
   EXPECT_EQ(parseSet(ask(C, "ls V")).size(),
             static_cast<size_t>(NumAdds) + 1);
   EXPECT_EQ(S.stop(), 0);
+}
+
+TEST(ReadViewTest, ReadersKeepAnOldViewWhileTheWriterPublishes) {
+  // Reader threads answer from a view pinned before any write and from
+  // whatever view is published, while the writer applies adds and
+  // retractions and publishes a new view after each batch. New views share
+  // rows, names and term text with old ones, so this is the race check on
+  // that sharing: the pinned view never changes its answer, and every
+  // published one is a state the writer reached.
+  serve::SolverBundle Bundle;
+  Bundle.Constructors = std::make_unique<ConstructorTable>();
+  Bundle.Terms = std::make_unique<TermTable>(*Bundle.Constructors);
+  Bundle.Solver = std::make_unique<ConstraintSolver>(
+      *Bundle.Terms, makeConfig(GraphForm::Inductive, CycleElim::Online));
+  ConstraintSystemFile System;
+  ASSERT_TRUE(System.parse("cons s0\nvar V W\ns0 <= V\nV <= W\n").ok());
+  System.emit(*Bundle.Solver);
+  serve::QueryEngine Engine(std::move(Bundle));
+  ASSERT_TRUE(Engine.valid()) << Engine.initError();
+
+  const serve::Request Read = serve::parseRequest("ls W");
+  std::shared_ptr<const serve::ReadView> Old = Engine.view();
+  const std::string OldAnswer = Old->answer(Read);
+  ASSERT_EQ(OldAnswer, "ok { s0 }");
+  ViewPublisher Publisher;
+  Publisher.publish(Old);
+
+  constexpr int NumAdds = 100;
+  std::atomic<bool> WriterDone{false};
+  std::atomic<int> Failures{0};
+  std::vector<std::thread> Readers;
+  for (int R = 0; R != 3; ++R) {
+    Readers.emplace_back([&] {
+      while (!WriterDone.load(std::memory_order_acquire)) {
+        if (Old->answer(Read) != OldAnswer)
+          ++Failures;
+        std::set<std::string> Set =
+            parseSet(Publisher.acquire()->answer(Read));
+        // Published states are the prefixes {s0..sK}.
+        for (int K = 0; K != static_cast<int>(Set.size()); ++K)
+          if (!Set.count("s" + std::to_string(K)))
+            ++Failures;
+      }
+    });
+  }
+  for (int K = 1; K <= NumAdds && Failures.load() == 0; ++K) {
+    std::string Name = "s" + std::to_string(K);
+    ASSERT_TRUE(Engine.addConstraint("cons " + Name).ok());
+    ASSERT_TRUE(Engine.addConstraint(Name + " <= V").ok());
+    if (K % 5 == 0) {
+      // A retraction and its re-add inside one batch: published views
+      // stay prefixes while the writer's solver shrinks and regrows.
+      ASSERT_TRUE(Engine.retractConstraint("s1 <= V").ok());
+      ASSERT_TRUE(Engine.addConstraint("s1 <= V").ok());
+    }
+    Publisher.publish(Engine.view());
+  }
+  WriterDone.store(true, std::memory_order_release);
+  for (std::thread &T : Readers)
+    T.join();
+  EXPECT_EQ(Failures.load(), 0);
+  EXPECT_EQ(parseSet(Publisher.acquire()->answer(Read)).size(),
+            static_cast<size_t>(NumAdds) + 1);
+  EXPECT_EQ(Old->answer(Read), OldAnswer);
 }
 
 //===----------------------------------------------------------------------===//

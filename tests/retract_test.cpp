@@ -272,37 +272,6 @@ TEST(RetractTest, OfflineMergedClassFallsBackToConeRecompute) {
 }
 
 //===----------------------------------------------------------------------===//
-// Mutation epochs (the cache-invariant the serve layer keys on)
-//===----------------------------------------------------------------------===//
-
-TEST(RetractTest, EpochAdvancesOnShrinkThenRegrowToSamePopcount) {
-  // The popcount trap: {sa} and {sb} have the same population count but
-  // different members. The mutation epoch must distinguish all three
-  // states so a cached view can never be served stale.
-  for (GraphForm Form : {GraphForm::Standard, GraphForm::Inductive}) {
-    FileHarness H(makeConfig(Form, CycleElim::Online));
-    H.add("var x");
-    H.add("cons sa");
-    H.add("cons sb");
-    H.add("sa <= x");
-    (void)H.solutions();
-    VarId Rep = H.Solver.rep(H.Solver.varOfCreation(0));
-    uint64_t E1 = H.Solver.mutationEpoch(Rep);
-
-    ASSERT_TRUE(H.retract("sa <= x"));
-    (void)H.solutions();
-    uint64_t E2 = H.Solver.mutationEpoch(Rep);
-    EXPECT_NE(E1, E2);
-
-    H.add("sb <= x");
-    (void)H.solutions();
-    uint64_t E3 = H.Solver.mutationEpoch(Rep);
-    EXPECT_NE(E2, E3);
-    EXPECT_NE(E1, E3);
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // Randomized oracle across the full configuration sweep
 //===----------------------------------------------------------------------===//
 

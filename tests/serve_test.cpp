@@ -5,8 +5,7 @@
 //===----------------------------------------------------------------------===//
 //
 // Behavioral tests for serve/QueryEngine: query semantics over a solved
-// system, LRU cache and fingerprint-invalidation counters, and the
-// incremental path — feeding additions through the warm online closure
+// system, the view's row reuse counters, and the incremental path — feeding additions through the warm online closure
 // (directly and through a snapshot round trip) must be provably
 // equivalent to solving the extended system from scratch.
 //
@@ -101,23 +100,23 @@ TEST(QueryEngineTest, CacheCountersAndInvalidation) {
   ASSERT_TRUE(Engine.valid()) << Engine.initError();
   VarId X = Engine.varOf("X"), Y = Engine.varOf("Y");
 
+  // The first read builds the view: one row per representative.
   EXPECT_EQ(Engine.pts(X), std::vector<std::string>{"a"});
   EXPECT_EQ(Engine.pts(Y), std::vector<std::string>{"b"});
-  EXPECT_EQ(Engine.counters().CacheMisses, 2u);
+  EXPECT_EQ(Engine.counters().RowsBuilt, 2u);
   EXPECT_EQ(Engine.pts(X), std::vector<std::string>{"a"});
-  EXPECT_EQ(Engine.counters().CacheHits, 1u);
-  EXPECT_EQ(Engine.counters().StaleRebuilds, 0u);
+  EXPECT_EQ(Engine.counters().RowsBuilt, 2u);
+  EXPECT_EQ(Engine.counters().RowsReused, 0u);
 
-  // Growing X must invalidate only X's view: Y keeps serving from cache.
+  // Growing X rebuilds only X's row: Y's row carries over unchanged.
   Status Added = Engine.addConstraint("b <= X");
   ASSERT_TRUE(Added.ok()) << Added;
   EXPECT_EQ(Engine.counters().Additions, 1u);
   EXPECT_EQ(Engine.journal().size(), 1u);
   EXPECT_EQ(Engine.pts(Y), std::vector<std::string>{"b"});
-  EXPECT_EQ(Engine.counters().CacheHits, 2u);
-  EXPECT_EQ(Engine.counters().StaleRebuilds, 0u);
+  EXPECT_EQ(Engine.counters().RowsReused, 1u);
+  EXPECT_EQ(Engine.counters().RowsBuilt, 3u);
   EXPECT_EQ(Engine.pts(X), (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(Engine.counters().StaleRebuilds, 1u);
 
   // Declarations work through the same incremental door.
   ASSERT_TRUE(Engine.addConstraint("var Z").ok());
@@ -136,32 +135,6 @@ TEST(QueryEngineTest, CacheCountersAndInvalidation) {
   EXPECT_FALSE(Dup.ok());
   EXPECT_EQ(Engine.pts(Z), std::vector<std::string>{"c"});
   EXPECT_EQ(Engine.journal().size(), 4u); // rejected lines not journaled
-}
-
-TEST(QueryEngineTest, LruEvictionIsBounded) {
-  const char *Text = "cons a\n"
-                     "cons b\n"
-                     "cons c\n"
-                     "var X Y Z\n"
-                     "a <= X\n"
-                     "b <= Y\n"
-                     "c <= Z\n";
-  TextSystem Sys(Text, makeConfig(GraphForm::Standard, CycleElim::None));
-  ASSERT_TRUE(Sys.Error.empty()) << Sys.Error;
-  QueryEngine Engine(Sys.take(), /*CacheCapacity=*/2);
-  ASSERT_TRUE(Engine.valid());
-
-  VarId X = Engine.varOf("X"), Y = Engine.varOf("Y"), Z = Engine.varOf("Z");
-  (void)Engine.pts(X);
-  (void)Engine.pts(Y);
-  EXPECT_EQ(Engine.cacheEvictions(), 0u);
-  (void)Engine.pts(Z); // evicts X, the least recently used
-  EXPECT_EQ(Engine.cacheEvictions(), 1u);
-  EXPECT_EQ(Engine.cacheSize(), 2u);
-  (void)Engine.pts(Y); // still resident
-  EXPECT_EQ(Engine.counters().CacheHits, 1u);
-  EXPECT_EQ(Engine.pts(X), std::vector<std::string>{"a"}); // rebuilt
-  EXPECT_EQ(Engine.counters().CacheMisses, 4u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -431,12 +404,13 @@ TEST(TelemetryTest, CountersReplyReadsTheHistogram) {
   std::string Reply = telemetry::buildCountersReply(Engine, Queries, Latency);
   ASSERT_EQ(Reply.rfind("ok ", 0), 0u) << Reply;
   auto Kv = parseKv(Reply);
-  for (const char *Key : {"queries", "hits", "misses", "stale",
-                          "additions", "evictions", "p50_us", "p99_us"})
+  for (const char *Key : {"queries", "rows_built", "rows_reused",
+                          "additions", "p50_us", "p99_us"})
     EXPECT_TRUE(Kv.count(Key)) << "missing " << Key << " in: " << Reply;
   EXPECT_EQ(Kv["queries"], "2");
-  EXPECT_EQ(Kv["hits"], "1");
-  EXPECT_EQ(Kv["misses"], "1");
+  // One view, built by the first read: a row each for X, Y and Z.
+  EXPECT_EQ(Kv["rows_built"], "3");
+  EXPECT_EQ(Kv["rows_reused"], "0");
 
   // Percentile parity with the exact ceil-rank percentile: the log-bucket
   // estimate q satisfies exact <= q < 2 * exact.
@@ -467,10 +441,10 @@ TEST(TelemetryTest, MetricsReplyIsFramedLintedPrometheus) {
   ASSERT_GE(Reply.size(), 5u);
   EXPECT_EQ(Reply.substr(Reply.size() - 5), "# EOF");
 
-  // Every layer's series is present: solver, cache, WAL, latency.
+  // Every layer's series is present: solver, view, WAL, latency.
   for (const char *Series :
        {"poce_solver_work", "poce_solver_cycles_collapsed",
-        "poce_query_requests_total", "poce_query_cache_misses_total",
+        "poce_query_requests_total", "poce_query_view_rows_built_total",
         "poce_serve_wal_records", "poce_query_latency_us_bucket",
         "poce_query_latency_us_count"})
     EXPECT_NE(Reply.find(Series), std::string::npos)
@@ -517,7 +491,8 @@ TEST(QueryEngineTest, RetractionInvalidatesCacheDespiteEqualPopcount) {
   // Regression for the popcount cache fingerprint: retract {a} then add
   // {b} and the solution bitmap returns to population count 1 with a
   // different member. The old fingerprint scheme would have served the
-  // stale "{ a }" view from cache; the mutation-epoch key must not.
+  // stale "{ a }" answer; the view compares whole bitmaps, so X's row is
+  // rebuilt.
   const char *Text = "cons a\n"
                      "cons b\n"
                      "var X\n"
@@ -529,11 +504,12 @@ TEST(QueryEngineTest, RetractionInvalidatesCacheDespiteEqualPopcount) {
     ASSERT_TRUE(Engine.valid()) << Engine.initError();
     VarId X = Engine.varOf("X");
 
-    EXPECT_EQ(Engine.pts(X), std::vector<std::string>{"a"}); // Cached.
+    EXPECT_EQ(Engine.pts(X), std::vector<std::string>{"a"}); // Row built.
     ASSERT_TRUE(Engine.retractConstraint("a <= X").ok());
     ASSERT_TRUE(Engine.addConstraint("b <= X").ok());
     EXPECT_EQ(Engine.pts(X), std::vector<std::string>{"b"});
-    EXPECT_EQ(Engine.counters().StaleRebuilds, 1u);
+    EXPECT_EQ(Engine.counters().RowsBuilt, 2u);
+    EXPECT_EQ(Engine.counters().RowsReused, 0u);
     EXPECT_EQ(Engine.counters().Retractions, 1u);
 
     // The journal carries the retraction as a WAL v3 record payload.

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+
 using namespace poce;
 
 namespace {
@@ -479,4 +481,48 @@ TEST(MaintenanceTest, DumpGraphShowsResolvedStructure) {
   EXPECT_NE(Dump.find("var beta"), std::string::npos);
   EXPECT_NE(Dump.find("pred: s"), std::string::npos);
   EXPECT_NE(Dump.find("succ: beta"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Option names
+//===----------------------------------------------------------------------===//
+
+TEST(SolverOptionsTest, ConfigNamesParseBack) {
+  // Every name configName() prints parses back to the same form and
+  // elimination, in its own spelling and in command-line lower case.
+  for (GraphForm Form : {GraphForm::Standard, GraphForm::Inductive})
+    for (CycleElim Elim : {CycleElim::None, CycleElim::Online,
+                           CycleElim::Oracle, CycleElim::Periodic}) {
+      std::string Name = makeConfig(Form, Elim).configName();
+      std::string Lower = Name;
+      for (char &C : Lower)
+        C = static_cast<char>(std::tolower(static_cast<unsigned char>(C)));
+      for (const std::string &Spelling : {Name, Lower}) {
+        SolverOptions Parsed;
+        Parsed.Seed = 42;
+        ASSERT_TRUE(parseConfigName(Spelling, Parsed)) << Spelling;
+        EXPECT_EQ(Parsed.Form, Form) << Spelling;
+        EXPECT_EQ(Parsed.Elim, Elim) << Spelling;
+        EXPECT_EQ(Parsed.configName(), Name);
+        EXPECT_EQ(Parsed.Seed, 42u) << "only form and elimination change";
+      }
+    }
+  SolverOptions Untouched = makeConfig(GraphForm::Standard, CycleElim::None);
+  for (const char *Bad : {"", "if", "if-", "-online", "xf-online",
+                          "if-online ", "if_online", "IF-Onlinex"})
+    EXPECT_FALSE(parseConfigName(Bad, Untouched)) << Bad;
+  EXPECT_EQ(Untouched.configName(), "SF-Plain");
+
+  ClosureMode Closure = ClosureMode::Wave;
+  EXPECT_TRUE(parseClosureName("worklist", Closure));
+  EXPECT_EQ(Closure, ClosureMode::Worklist);
+  EXPECT_TRUE(parseClosureName("wave", Closure));
+  EXPECT_EQ(Closure, ClosureMode::Wave);
+  EXPECT_FALSE(parseClosureName("eager", Closure));
+  PreprocessMode Preprocess = PreprocessMode::None;
+  EXPECT_TRUE(parsePreprocessName("offline", Preprocess));
+  EXPECT_EQ(Preprocess, PreprocessMode::Offline);
+  EXPECT_TRUE(parsePreprocessName("none", Preprocess));
+  EXPECT_EQ(Preprocess, PreprocessMode::None);
+  EXPECT_FALSE(parsePreprocessName("hvn", Preprocess));
 }

@@ -11,7 +11,6 @@
 #include "support/DenseU64Set.h"
 #include "support/FailPoint.h"
 #include "support/Format.h"
-#include "support/LruCache.h"
 #include "support/PRNG.h"
 #include "support/SmallVector.h"
 #include "support/Status.h"
@@ -449,78 +448,30 @@ TEST(CommandLineTest, RejectsUnknownOptionAndBadValues) {
   EXPECT_FALSE(Cmd2.parse(2, Bad));
 }
 
-//===----------------------------------------------------------------------===//
-// LruCache
-//===----------------------------------------------------------------------===//
-
-TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
-  LruCache<int, std::string> Cache(2);
-  Cache.put(1, "one");
-  Cache.put(2, "two");
-  ASSERT_NE(Cache.get(1), nullptr); // 1 becomes most recent
-  Cache.put(3, "three");            // evicts 2
-  EXPECT_EQ(Cache.get(2), nullptr);
-  ASSERT_NE(Cache.get(1), nullptr);
-  EXPECT_EQ(*Cache.get(1), "one");
-  ASSERT_NE(Cache.get(3), nullptr);
-  EXPECT_EQ(Cache.size(), 2u);
-  EXPECT_EQ(Cache.evictions(), 1u);
-}
-
-TEST(LruCacheTest, PutOverwritesInPlace) {
-  LruCache<int, int> Cache(2);
-  Cache.put(1, 10);
-  Cache.put(2, 20);
-  Cache.put(1, 11); // overwrite, no eviction
-  EXPECT_EQ(Cache.evictions(), 0u);
-  EXPECT_EQ(*Cache.get(1), 11);
-  Cache.put(3, 30); // now 2 is the victim (1 was refreshed by put)
-  EXPECT_EQ(Cache.get(2), nullptr);
-  EXPECT_EQ(*Cache.get(1), 11);
-}
-
-TEST(LruCacheTest, EraseAndClear) {
-  LruCache<int, int> Cache(4);
-  for (int I = 0; I != 4; ++I)
-    Cache.put(I, I * I);
-  Cache.erase(2);
-  EXPECT_EQ(Cache.get(2), nullptr);
-  EXPECT_EQ(Cache.size(), 3u);
-  Cache.clear();
-  EXPECT_EQ(Cache.size(), 0u);
-  EXPECT_EQ(Cache.get(0), nullptr);
-  Cache.put(9, 81); // usable after clear
-  EXPECT_EQ(*Cache.get(9), 81);
-}
-
-TEST(LruCacheTest, MinimumCapacityIsOne) {
-  LruCache<int, int> Cache(0); // clamped to 1
-  EXPECT_EQ(Cache.capacity(), 1u);
-  Cache.put(1, 10);
-  Cache.put(2, 20);
-  EXPECT_EQ(Cache.get(1), nullptr);
-  EXPECT_EQ(*Cache.get(2), 20);
-  EXPECT_EQ(Cache.evictions(), 1u);
-}
-
-TEST(LruCacheTest, CapacityOneFullLifecycle) {
-  LruCache<int, int> Cache(1);
-  EXPECT_EQ(Cache.capacity(), 1u);
-  EXPECT_EQ(Cache.get(1), nullptr); // miss on empty
-  Cache.put(1, 10);
-  EXPECT_EQ(*Cache.get(1), 10);
-  Cache.put(1, 11); // overwrite in place, no eviction
-  EXPECT_EQ(*Cache.get(1), 11);
-  EXPECT_EQ(Cache.evictions(), 0u);
-  Cache.put(2, 20); // evicts the sole entry
-  EXPECT_EQ(Cache.get(1), nullptr);
-  EXPECT_EQ(*Cache.get(2), 20);
-  EXPECT_EQ(Cache.evictions(), 1u);
-  EXPECT_EQ(Cache.size(), 1u);
-  Cache.erase(2);
-  EXPECT_EQ(Cache.size(), 0u);
-  Cache.put(3, 30); // usable after erase
-  EXPECT_EQ(*Cache.get(3), 30);
+TEST(CommandLineTest, UnsignedOptionsRefuseNegativeValues) {
+  // Counts, sizes and durations must not wrap: "-1" read as unsigned is
+  // 2^64 - 1 lanes or milliseconds. Signed options keep negatives.
+  for (const char *Value : {"--lanes=-1", "--lanes= -7", "--lanes=-0"}) {
+    CommandLine Cmd("tool", "overview");
+    uint64_t Lanes = 3;
+    Cmd.addUInt("lanes", &Lanes, "a count");
+    const char *Argv[] = {"tool", Value};
+    EXPECT_FALSE(Cmd.parse(2, Argv)) << Value;
+    EXPECT_EQ(Lanes, 3u) << Value;
+  }
+  CommandLine Cmd("tool", "overview");
+  uint64_t Lanes = 0;
+  int64_t Seed = 0;
+  Cmd.addUInt("lanes", &Lanes, "a count");
+  Cmd.addInt("seed", &Seed, "a signed value");
+  const char *Argv[] = {"tool", "--lanes", "0x10", "--seed=-5"};
+  EXPECT_TRUE(Cmd.parse(4, Argv));
+  EXPECT_EQ(Lanes, 16u);
+  EXPECT_EQ(Seed, -5);
+  CommandLine Bad("tool", "overview");
+  Bad.addUInt("lanes", &Lanes, "a count");
+  const char *Junk[] = {"tool", "--lanes=4x"};
+  EXPECT_FALSE(Bad.parse(2, Junk));
 }
 
 //===----------------------------------------------------------------------===//
