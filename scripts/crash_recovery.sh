@@ -9,7 +9,7 @@
 #      saves a snapshot bit-identical to an oracle server that loads the
 #      same snapshot and is fed the WAL's lines by hand.
 #
-# Also checks the resource budgets: a breached add answers
+# Also checks the resource budgets: a breached add or retraction answers
 # `err budget_exceeded`, leaves no partial state behind, and the server
 # keeps serving; an injected snapshot-save fault fails the request, not
 # the process.
@@ -155,6 +155,28 @@ grep -q "budget_aborts=1 rollbacks=1" "$WORK/budget.out" ||
   fail "budget: stats did not count the abort and rollback"
 grep -q "ok bye" "$WORK/budget.out" ||
   fail "budget: server died after the abort"
+
+# A retraction is one budget batch: retracting `s <= C0` replays all 63
+# chain links, each well inside an edge budget of 20 but not together.
+# The server must reject the whole retraction, roll back (s still
+# reaches C63), count the abort, and keep serving.
+CHAIN_S="$WORK/chain_s.scs"
+{ cat "$CHAIN"; echo "s <= C0"; } > "$CHAIN_S"
+"$SCSERVED" --config=if-online --edge-budget=20 "$CHAIN_S" \
+  > "$WORK/budget_retract.out" << EOF
+retract s <= C0
+pts C63
+stats
+quit
+EOF
+grep -q "err budget_exceeded" "$WORK/budget_retract.out" ||
+  fail "budget retract: expected err budget_exceeded"
+grep -q "ok { s }" "$WORK/budget_retract.out" ||
+  fail "budget retract: aborted retraction leaked state into C63"
+grep -q "budget_aborts=1 rollbacks=1" "$WORK/budget_retract.out" ||
+  fail "budget retract: stats did not count the abort and rollback"
+grep -q "ok bye" "$WORK/budget_retract.out" ||
+  fail "budget retract: server died after the abort"
 
 # Deadline budget liveness: with a deadline armed the add must answer
 # promptly either way (this machine may finish the flood inside 100ms)

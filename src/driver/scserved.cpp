@@ -201,11 +201,13 @@ int main(int Argc, char **Argv) {
               "lanes for the least-solution pass (0 = hardware); results "
               "identical for any value");
   Cmd.addUInt("deadline-ms", &DeadlineMs,
-              "per-add closure deadline in ms (0 = unlimited)");
+              "closure deadline per add or retract in ms (0 = unlimited)");
   Cmd.addUInt("edge-budget", &EdgeBudget,
-              "per-add closure work budget in edges (0 = unlimited)");
+              "closure work budget per add or retract in edges "
+              "(0 = unlimited)");
   Cmd.addUInt("max-mem-mb", &MaxMemMb,
-              "abort an add when process RSS exceeds this (0 = unlimited)");
+              "abort an add or retract when process RSS exceeds this "
+              "(0 = unlimited)");
   Cmd.addUInt("max-request", &MaxRequest,
               "longest accepted request line in bytes");
   Cmd.addUInt("checkpoint-every", &CheckpointEvery,

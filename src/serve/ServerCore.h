@@ -59,9 +59,9 @@ struct ServerCoreConfig {
   std::string SnapshotPath; ///< Startup snapshot path ("" = .scs base).
   std::string WalPath;      ///< Write-ahead log path ("" = WAL disarmed).
   uint64_t CheckpointEvery = 0; ///< Auto-checkpoint cadence (0 = never).
-  uint64_t DeadlineMs = 0;      ///< Per-add closure deadline (0 = none).
-  uint64_t EdgeBudget = 0;      ///< Per-add closure edge budget (0 = none).
-  uint64_t MaxMemBytes = 0;     ///< Per-add RSS bound (0 = none).
+  uint64_t DeadlineMs = 0;      ///< Per-write closure deadline (0 = none).
+  uint64_t EdgeBudget = 0;      ///< Per-write closure edge budget (0 = none).
+  uint64_t MaxMemBytes = 0;     ///< Per-write RSS bound (0 = none).
 };
 
 /// Primary-side replication hooks, installed by the socket server's

@@ -39,7 +39,7 @@ inline bool phaseTimingOn() {
 
 Histogram &closureHistogram() {
   static Histogram &H = MetricsRegistry::global().histogram(
-      "poce_solver_closure_us", "Closure-loop (worklist drain) wall time");
+      "poce_solver_closure_us", "Closure drain (one budget batch) wall time");
   return H;
 }
 
@@ -150,56 +150,37 @@ uint32_t ConstraintSolver::numLiveVars() const {
 
 void ConstraintSolver::addConstraint(ExprId Lhs, ExprId Rhs,
                                      std::string Tag) {
-  // Record provenance before processing: BaseRoots must list every
-  // accepted top-level input (aborted batches are rolled back by the
-  // caller, so nothing is recorded once the solve is aborted).
-  if (!Stats.Aborted)
-    BaseRoots.push_back({Lhs, Rhs, std::move(Tag)});
-  processRoot(Lhs, Rhs);
-}
-
-void ConstraintSolver::processRoot(ExprId Lhs, ExprId Rhs) {
   invalidateSolutions();
-  if (offlinePending()) {
-    // Defer the initial bulk load: the offline pass analyzes the whole
-    // pending set at the first ensureClosed(), then replays it in input
-    // order through the schedule this add would have used.
-    if (!Stats.Aborted)
-      PreRoots.push_back({Lhs, Rhs});
+  // Aborted batches are rolled back by the caller, so an aborted solve
+  // neither records nor queues anything.
+  if (Stats.Aborted)
     return;
-  }
-  if (waveMode()) {
-    // Defer: the wave drain replays roots in input order, so the deferred
-    // schedule of structural work matches the eager one item for item.
-    if (!Stats.Aborted)
-      RootQueue.push_back({Lhs, Rhs, /*Derived=*/false, /*FlushDelta=*/false});
-    return;
-  }
-  enqueue(Lhs, Rhs, /*Derived=*/false);
-  drainWorklist();
+  // BaseRoots lists every accepted top-level input, in input order.
+  BaseRoots.push_back({Lhs, Rhs, std::move(Tag)});
+  RootQueue.push_back({Lhs, Rhs});
+  // Worklist closes each add eagerly, the paper's online discipline; wave
+  // waits for ensureClosed(). An armed offline pass holds the whole bulk
+  // load for its analysis either way.
+  if (!waveMode() && !offlinePending())
+    drain();
 }
 
 void ConstraintSolver::ensureClosed() {
   if (offlinePending())
     runOfflinePass();
-  if (waveMode())
-    drainWave();
-  else
-    drainWorklist();
+  drain();
 }
 
 void ConstraintSolver::runOfflinePass() {
   assert(!Draining && "offline pass requested mid-drain");
-  // Mark done first: the replay below re-enters closure machinery whose
-  // observers (varVarDigraph during periodic passes) call ensureClosed().
   PreprocessDone = true;
-  if (PreRoots.empty())
+  if (RootQueue.empty())
     return;
   const bool Timed = phaseTimingOn();
   const uint64_t StartUs = Timed ? trace::nowMicros() : 0;
 
   OfflineEquivalence Equiv = offlinePreprocess(
-      Terms, PreRoots, numVars(),
+      Terms, RootQueue, numVars(),
       [this](VarId Var) { return Vars[Var].Order; });
   Stats.OfflineCollapsedVars = Equiv.SCCCollapsedVars;
   Stats.OfflineSCCs = Equiv.NontrivialSCCs;
@@ -216,28 +197,10 @@ void ConstraintSolver::runOfflinePass() {
     preprocessHistogram().record(trace::nowMicros() - StartUs);
     trace::complete("solver.preprocess", StartUs);
   }
-
-  // Replay the deferred bulk load through the untouched online path. The
-  // merged classes make every replayed constraint resolve against its
-  // class witness, exactly as if the online search had collapsed the
-  // cycle (or the copy chain had one name) from the start.
-  std::vector<std::pair<ExprId, ExprId>> Roots;
-  Roots.swap(PreRoots);
-  if (waveMode()) {
-    // Wave mode would have parked these on the root queue; drainWave
-    // (our caller, via ensureClosed) consumes them FIFO as usual.
-    for (auto [Lhs, Rhs] : Roots)
-      RootQueue.push_back({Lhs, Rhs, /*Derived=*/false, /*FlushDelta=*/false});
-    return;
-  }
-  // Worklist mode closed eagerly per add: replay one root at a time so
-  // per-batch budgets (deadline, edge budget) keep their per-add scope.
-  for (auto [Lhs, Rhs] : Roots) {
-    if (Stats.Aborted)
-      break;
-    enqueue(Lhs, Rhs, /*Derived=*/false);
-    drainWorklist();
-  }
+  // The bulk load stays queued for the drain that follows, through the
+  // untouched online path. The merged classes make every root resolve
+  // against its class witness, exactly as if the online search had
+  // collapsed the cycle (or the copy chain had one name) from the start.
 }
 
 void ConstraintSolver::invalidateSolutions() {
@@ -249,9 +212,9 @@ void ConstraintSolver::invalidateSolutions() {
   LSViewBuilt.clear();
 }
 
-void ConstraintSolver::enqueue(ExprId Lhs, ExprId Rhs, bool Derived) {
+void ConstraintSolver::enqueue(ExprId Lhs, ExprId Rhs) {
   if (!Stats.Aborted)
-    Worklist.push_back({Lhs, Rhs, Derived, /*FlushDelta=*/false});
+    Worklist.push_back({Lhs, Rhs, /*FlushDelta=*/false});
 }
 
 void ConstraintSolver::scheduleFlush(VarId Var) {
@@ -267,44 +230,10 @@ void ConstraintSolver::scheduleFlush(VarId Var) {
       ++Stats.WaveFallbacks;
     return;
   }
-  Worklist.push_back({Var, 0, /*Derived=*/true, /*FlushDelta=*/true});
+  Worklist.push_back({Var, 0, /*FlushDelta=*/true});
 }
 
-void ConstraintSolver::drainWorklist() {
-  if (Draining)
-    return;
-  const bool Timed = phaseTimingOn();
-  const uint64_t StartUs = Timed ? trace::nowMicros() : 0;
-  Draining = true;
-  beginBatchBudgets();
-  while (!Worklist.empty() && !Stats.Aborted) {
-    WorkItem Item = Worklist.back();
-    Worklist.pop_back();
-    if (Item.FlushDelta) {
-      flushDelta(Item.Lhs);
-    } else {
-      ++Stats.ConstraintsProcessed;
-      resolve(Item.Lhs, Item.Rhs, Item.Derived);
-    }
-    // Offline passes run at a safe point, between worklist items.
-    if (Options.Elim == CycleElim::Periodic && Stats.Work >= NextPeriodicWork) {
-      runPeriodicPass();
-      NextPeriodicWork = Stats.Work + Options.PeriodicInterval;
-    }
-    checkBatchBudgets();
-  }
-  Draining = false;
-  if (Timed) {
-    closureHistogram().record(trace::nowMicros() - StartUs);
-    trace::complete("solver.closure", StartUs);
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Wave closure
-//===----------------------------------------------------------------------===//
-
-void ConstraintSolver::drainWave() {
+void ConstraintSolver::drain() {
   if (Draining)
     return;
   if (RootQueue.empty() && Worklist.empty() && PendingWave.empty())
@@ -315,36 +244,38 @@ void ConstraintSolver::drainWave() {
   beginBatchBudgets();
   size_t RootHead = 0;
   while (!Stats.Aborted) {
-    // Structural phase: derived items LIFO, the next deferred root only
-    // when the worklist is empty — exactly the schedule the eager path
-    // produces, so forms without source deltas (inductive form, DiffProp
-    // off) close bit-identically to worklist mode.
-    if (!Worklist.empty() || RootHead != RootQueue.size()) {
-      WorkItem Item;
-      if (!Worklist.empty()) {
-        Item = Worklist.back();
-        Worklist.pop_back();
+    // Structural phase: derived items LIFO, the next queued root only
+    // when the worklist is empty. Both schedules resolve the same items
+    // in the same order; they differ only in where source deltas wait.
+    if (!Worklist.empty()) {
+      WorkItem Item = Worklist.back();
+      Worklist.pop_back();
+      if (Item.FlushDelta) {
+        flushDelta(Item.Lhs);
       } else {
-        Item = RootQueue[RootHead++];
+        ++Stats.ConstraintsProcessed;
+        resolve(Item.Lhs, Item.Rhs, /*Derived=*/true);
       }
-      assert(!Item.FlushDelta && "wave mode keeps flushes off the worklist");
+    } else if (RootHead != RootQueue.size()) {
+      auto [Lhs, Rhs] = RootQueue[RootHead++];
       ++Stats.ConstraintsProcessed;
-      resolve(Item.Lhs, Item.Rhs, Item.Derived);
-      // Offline passes run at a safe point, between worklist items.
-      if (Options.Elim == CycleElim::Periodic &&
-          Stats.Work >= NextPeriodicWork) {
-        runPeriodicPass();
-        NextPeriodicWork = Stats.Work + Options.PeriodicInterval;
-      }
-      checkBatchBudgets();
+      resolve(Lhs, Rhs, /*Derived=*/false);
+    } else if (!PendingWave.empty()) {
+      // Propagation phase (wave only). Sweeps can enqueue sink
+      // resolutions (constructor decomposition happens element-wise),
+      // which return to the structural phase; the drain alternates until
+      // both phases run dry.
+      runWavePass();
       continue;
-    }
-    // Propagation phase. Sweeps can enqueue sink resolutions (constructor
-    // decomposition happens element-wise), which return to the structural
-    // phase; the drain alternates until both phases run dry.
-    if (PendingWave.empty())
+    } else {
       break;
-    runWavePass();
+    }
+    // Offline passes run at a safe point, between worklist items.
+    if (Options.Elim == CycleElim::Periodic && Stats.Work >= NextPeriodicWork) {
+      runPeriodicPass();
+      NextPeriodicWork = Stats.Work + Options.PeriodicInterval;
+    }
+    checkBatchBudgets();
   }
   RootQueue.clear();
   Draining = false;
@@ -353,6 +284,10 @@ void ConstraintSolver::drainWave() {
     trace::complete("solver.closure", StartUs);
   }
 }
+
+//===----------------------------------------------------------------------===//
+// Wave closure
+//===----------------------------------------------------------------------===//
 
 void ConstraintSolver::runWavePass() {
   const bool Timed = phaseTimingOn();
@@ -478,7 +413,6 @@ void ConstraintSolver::abortSolve(SolverStats::AbortReason Reason) {
   Worklist.clear();
   RootQueue.clear();
   PendingWave.clear();
-  PreRoots.clear();
 }
 
 void ConstraintSolver::beginBatchBudgets() {
@@ -628,7 +562,7 @@ bool ConstraintSolver::insertPred(VarId Owner, uint32_t Entry, bool Derived) {
   // Closure rule at Owner: the new predecessor pairs with every successor.
   ExprId Lhs = exprOfRef(Entry);
   for (uint32_t Succ : Node.Succs)
-    enqueue(Lhs, exprOfRef(Succ), /*Derived=*/true);
+    enqueue(Lhs, exprOfRef(Succ));
   return true;
 }
 
@@ -661,8 +595,7 @@ bool ConstraintSolver::insertSucc(VarId Owner, uint32_t Entry, bool Derived) {
     }
     if (isTermRef(Entry)) {
       ExprId Sink = payloadOf(Entry);
-      OldSrc->forEach(
-          [&](uint32_t Src) { enqueue(Src, Sink, /*Derived=*/true); });
+      OldSrc->forEach([&](uint32_t Src) { enqueue(Src, Sink); });
     } else {
       deliverSources(Forwarding.find(payloadOf(Entry)), *OldSrc);
     }
@@ -672,7 +605,7 @@ bool ConstraintSolver::insertSucc(VarId Owner, uint32_t Entry, bool Derived) {
   // Closure rule at Owner: every predecessor pairs with the new successor.
   ExprId Rhs = exprOfRef(Entry);
   for (uint32_t Pred : Node.Preds)
-    enqueue(exprOfRef(Pred), Rhs, /*Derived=*/true);
+    enqueue(exprOfRef(Pred), Rhs);
   return true;
 }
 
@@ -801,8 +734,7 @@ void ConstraintSolver::flushDelta(VarId Var) {
       uint32_t Entry = WaveEdges[I];
       if (isTermRef(Entry)) {
         ExprId Sink = payloadOf(Entry);
-        DeltaScratch.forEach(
-            [&](uint32_t Src) { enqueue(Src, Sink, /*Derived=*/true); });
+        DeltaScratch.forEach([&](uint32_t Src) { enqueue(Src, Sink); });
       } else {
         deliverSources(payloadOf(Entry), DeltaScratch);
       }
@@ -816,8 +748,7 @@ void ConstraintSolver::flushDelta(VarId Var) {
       // Sink successors resolve element-wise (constructor decomposition
       // may derive further constraints per source).
       ExprId Sink = payloadOf(Entry);
-      DeltaScratch.forEach(
-          [&](uint32_t Src) { enqueue(Src, Sink, /*Derived=*/true); });
+      DeltaScratch.forEach([&](uint32_t Src) { enqueue(Src, Sink); });
     } else {
       deliverSources(Forwarding.find(payloadOf(Entry)), DeltaScratch);
     }
@@ -989,17 +920,11 @@ void ConstraintSolver::collapseCycle(const std::vector<VarId> &Cycle) {
     VarNode &Node = Vars[Var];
     std::vector<uint32_t> Preds = std::move(Node.Preds);
     std::vector<uint32_t> Succs = std::move(Node.Succs);
-    Node.Preds.clear();
-    Node.Succs.clear();
-    Node.PredVarSet = DenseU64Set();
-    Node.SuccVarSet = DenseU64Set();
-    Node.PredTerms = SparseBitVector();
-    Node.SuccTerms = SparseBitVector();
-    Node.SrcDelta = SparseBitVector();
+    Node.clearEdges();
     for (uint32_t Pred : Preds)
-      enqueue(exprOfRef(Pred), WitnessExpr, /*Derived=*/true);
+      enqueue(exprOfRef(Pred), WitnessExpr);
     for (uint32_t Succ : Succs)
-      enqueue(WitnessExpr, exprOfRef(Succ), /*Derived=*/true);
+      enqueue(WitnessExpr, exprOfRef(Succ));
   }
 }
 
@@ -1263,33 +1188,22 @@ bool ConstraintSolver::retract(const std::string &Tag) {
     }
   }
 
-  // Reset every cone variable to a fresh node (the collapseCycle idiom);
-  // the replay rebuilds it from surviving provenance.
+  // Reset every cone variable to a fresh node; the replay rebuilds it from
+  // surviving provenance.
   for (VarId Var = 0; Var != numVars(); ++Var) {
     if (!ConeVar[Var])
       continue;
-    VarNode &Node = Vars[Var];
-    Node.Preds.clear();
-    Node.Succs.clear();
-    Node.PredVarSet = DenseU64Set();
-    Node.SuccVarSet = DenseU64Set();
-    Node.PredTerms = SparseBitVector();
-    Node.SuccTerms = SparseBitVector();
-    Node.SrcDelta = SparseBitVector();
+    Vars[Var].clearEdges();
     ++Stats.ConeVarsRecomputed;
   }
   invalidateWaveOrder();
 
-  // Replay the surviving roots that mention the cone, through the same
-  // schedule addConstraint uses: per-root worklist drains keep the
-  // per-add budget scope, wave mode defers to the root queue and the
-  // closing drain below.
-  for (const BaseRoot &Root : BaseRoots) {
-    if (Stats.Aborted)
-      break;
+  // Queue the surviving roots that mention the cone, in input order, and
+  // close them in one drain: the whole replay is one budget batch on
+  // either schedule, as one add is.
+  for (const BaseRoot &Root : BaseRoots)
     if (MentionsCone[Root.L] || MentionsCone[Root.R])
-      processRoot(Root.L, Root.R);
-  }
+      RootQueue.push_back({Root.L, Root.R});
   ensureClosed();
   return true;
 }
@@ -1658,13 +1572,7 @@ uint64_t ConstraintSolver::compact() {
       // Dead variables were already drained during their collapse; make
       // sure nothing lingers.
       Removed += Node.Preds.size() + Node.Succs.size();
-      Node.Preds.clear();
-      Node.Succs.clear();
-      Node.PredVarSet = DenseU64Set();
-      Node.SuccVarSet = DenseU64Set();
-      Node.PredTerms = SparseBitVector();
-      Node.SuccTerms = SparseBitVector();
-      Node.SrcDelta = SparseBitVector();
+      Node.clearEdges();
       continue;
     }
     // Term entries are already unique and resolve to themselves, so only

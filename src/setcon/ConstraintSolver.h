@@ -107,15 +107,15 @@ public:
     std::string Tag;
   };
 
-  /// Adds the constraint L <= R. Under ClosureMode::Worklist every
-  /// consequence is processed eagerly before returning (the solver is
-  /// fully online); under ClosureMode::Wave the constraint is deferred
-  /// until a solution or graph observer forces ensureClosed().
+  /// Adds the constraint L <= R to the root queue. Under
+  /// ClosureMode::Worklist the queue drains before returning (the solver
+  /// is fully online); under ClosureMode::Wave it waits until a solution
+  /// or graph observer forces ensureClosed().
   ///
   /// \p Tag names the input line this constraint came from (canonical
   /// rendered text); retract(Tag) removes it later. Internal replays
-  /// (collapse re-adds, offline replays, retraction rebuilds) never pass
-  /// through here, so each accepted input is recorded exactly once.
+  /// (collapse re-adds, retraction rebuilds) never pass through here, so
+  /// each accepted input is recorded exactly once.
   void addConstraint(ExprId L, ExprId R, std::string Tag = "");
 
   /// Removes the first base constraint recorded with \p Tag and repairs
@@ -131,9 +131,9 @@ public:
   ///
   /// Afterwards, solutions are bit-identical to a fresh solve of the
   /// surviving constraints (the correctness oracle the retraction tests
-  /// enforce). Per-batch budgets apply to the replay exactly as they do
-  /// to addConstraint; on abort the graph is structurally valid but not
-  /// a closure — callers roll back, as for an aborted add.
+  /// enforce). The whole replay is one budget batch, as one addConstraint
+  /// is; on abort the graph is structurally valid but not a closure —
+  /// callers roll back, as for an aborted add.
   bool retract(const std::string &Tag);
 
   /// True if some recorded base constraint carries \p Tag (the dry-run
@@ -143,12 +143,11 @@ public:
   /// The recorded base constraints in input order.
   const std::vector<BaseRoot> &baseRoots() const { return BaseRoots; }
 
-  /// Completes the closure of everything added so far. A no-op in
-  /// worklist mode (addConstraint already closed eagerly); in wave mode
-  /// (the default) this drains the deferred constraints and runs
-  /// topologically ordered difference-propagation sweeps to the fixpoint.
-  /// Every solution query and graph observer calls this, so callers only
-  /// need it to bound *when* the wave work happens (e.g. for timing).
+  /// Completes the closure of everything added so far: runs a pending
+  /// offline pass, then drains the root queue as one budget batch (in
+  /// wave mode, the default, with topologically ordered sweeps). Every
+  /// solution query and graph observer calls this, so callers only need
+  /// it to bound *when* the wave work happens (e.g. for timing).
   void ensureClosed();
 
   TermTable &terms() { return Terms; }
@@ -386,11 +385,22 @@ private:
     /// Always a subset of PredTerms; empty outside SF diff-prop.
     SparseBitVector SrcDelta;
     uint32_t VisitEpoch = 0;
+
+    /// Drops every edge and term bit; the lists keep their capacity.
+    void clearEdges() {
+      Preds.clear();
+      Succs.clear();
+      PredVarSet = DenseU64Set();
+      SuccVarSet = DenseU64Set();
+      PredTerms = SparseBitVector();
+      SuccTerms = SparseBitVector();
+      SrcDelta = SparseBitVector();
+    }
   };
 
+  /// A derived closure item; roots wait on RootQueue instead.
   struct WorkItem {
     ExprId Lhs, Rhs;
-    bool Derived;
     /// SF difference propagation: flush Vars[Lhs].SrcDelta along the
     /// successor edges instead of resolving Lhs <= Rhs.
     bool FlushDelta;
@@ -400,13 +410,13 @@ private:
   // Resolution and closure
   //===--------------------------------------------------------------------===
 
-  /// The closure entry point addConstraint delegates to after recording
-  /// provenance: defers to PreRoots/RootQueue or drains eagerly. Internal
-  /// replays (offline pass, retraction rebuild) call this directly so the
-  /// provenance log records each accepted input exactly once.
-  void processRoot(ExprId Lhs, ExprId Rhs);
-
-  void drainWorklist();
+  /// The one closure loop, and one budget batch: a structural phase
+  /// (derived items LIFO, the next queued root only when the worklist is
+  /// empty — the eager schedule, on either ClosureMode) alternating, in
+  /// wave mode, with sweeps that flush the parked source deltas in
+  /// topological order. The schedule decides only when a drain runs and
+  /// where a pending delta waits (a FlushDelta item, or PendingWave).
+  void drain();
   void resolve(ExprId Lhs, ExprId Rhs, bool Derived);
   void handleMismatch(ExprId Lhs, ExprId Rhs);
 
@@ -415,18 +425,15 @@ private:
   //===--------------------------------------------------------------------===
 
   /// True while the initial bulk load is still being deferred for the
-  /// offline pass: addConstraint parks constraints in PreRoots instead of
-  /// processing them.
+  /// offline pass: addConstraint leaves its roots queued, undrained.
   bool offlinePending() const {
     return Options.Preprocess == PreprocessMode::Offline && !PreprocessDone;
   }
 
-  /// Runs the offline HVN + Tarjan SCC analysis over the deferred
-  /// constraints, applies the resulting merges through the union-find,
-  /// and replays the deferred constraints through the normal online path
-  /// (per-root worklist drains, or the wave root queue — matching the
-  /// schedule addConstraint would have produced). Runs at most once, at
-  /// the first ensureClosed().
+  /// Runs the offline HVN + Tarjan SCC analysis over the queued roots and
+  /// applies the resulting merges through the union-find; the roots stay
+  /// queued for the drain that follows. Runs at most once, at the first
+  /// ensureClosed().
   void runOfflinePass();
 
   //===--------------------------------------------------------------------===
@@ -434,13 +441,6 @@ private:
   //===--------------------------------------------------------------------===
 
   bool waveMode() const { return Options.Closure == ClosureMode::Wave; }
-
-  /// Wave-mode drain: alternates a structural phase (deferred roots and
-  /// derived items through the eager worklist discipline — derived items
-  /// LIFO, the next root only when the worklist is empty, so the item
-  /// schedule matches worklist mode exactly) with propagation sweeps that
-  /// flush the accumulated source deltas in topological order.
-  void drainWave();
 
   /// One topologically ordered sweep over the pending source deltas: a
   /// deterministic min-heap on the cached topological position pops each
@@ -492,18 +492,18 @@ private:
   void deliverSources(VarId Target, const SparseBitVector &Batch);
 
   ExprId exprOfRef(uint32_t Ref);
-  void enqueue(ExprId Lhs, ExprId Rhs, bool Derived);
+  void enqueue(ExprId Lhs, ExprId Rhs);
   void countWork();
   /// Batched equivalent of \p N countWork() calls.
   void countWorkBatch(uint64_t N);
 
-  /// Marks the solve aborted for \p Reason and clears the worklist; the
+  /// Marks the solve aborted for \p Reason and clears every queue; the
   /// partially closed graph stays structurally valid but is not a closure
   /// of the input — callers (QueryEngine) roll back to the pre-batch
   /// state.
   void abortSolve(SolverStats::AbortReason Reason);
   /// Captures the batch baselines (start time, start Work) at the top of
-  /// a top-level drain.
+  /// a drain.
   void beginBatchBudgets();
   /// Closure-loop budget check: deadline every ~64 items, memory every
   /// ~4096, edge budget every item. Also hosts the `solver.step` (crash)
@@ -601,10 +601,10 @@ private:
   /// order (see BaseRoot). Not touched by internal replays.
   std::vector<BaseRoot> BaseRoots;
   std::vector<WorkItem> Worklist;
+  /// Roots awaiting closure — input constraints and retraction replays —
+  /// consumed FIFO (input order) by drain().
+  std::vector<std::pair<ExprId, ExprId>> RootQueue;
   bool Draining = false;
-  /// Offline preprocessing: input constraints deferred by addConstraint
-  /// until the first ensureClosed() runs the pass and replays them.
-  std::vector<std::pair<ExprId, ExprId>> PreRoots;
   /// False only while an armed offline pass still awaits its first
   /// closure; set (and kept) true once the pass ran, so every later
   /// constraint takes the online path.
@@ -612,9 +612,6 @@ private:
   uint64_t NextPeriodicWork = 0;
   uint32_t CurrentEpoch = 0;
 
-  /// Wave mode: input constraints deferred by addConstraint, consumed
-  /// FIFO (input order) by drainWave.
-  std::vector<WorkItem> RootQueue;
   /// Wave mode: variables whose SrcDelta went empty -> nonempty and await
   /// a flush (the wave-mode stand-in for FlushDelta worklist items).
   std::vector<VarId> PendingWave;

@@ -148,15 +148,16 @@ struct SolverOptions {
   uint64_t MaxWork = 0;
   /// Abort the in-flight batch when the closure loop has run longer than
   /// this many wall-clock milliseconds (0 = unlimited). The clock starts
-  /// when the top-level worklist drain begins, so incremental serving can
-  /// bound the latency of a single `add`. Checked every few worklist
-  /// items, so the overshoot past the deadline is tiny compared to 2x.
+  /// when the drain begins, and one drain closes one addConstraint,
+  /// retract or ensureClosed() call, so incremental serving can bound the
+  /// latency of a single write. Checked every few worklist items, so the
+  /// overshoot past the deadline is tiny compared to 2x.
   uint64_t DeadlineMs = 0;
   /// Abort the in-flight batch when it alone performs more than this many
   /// edge additions (0 = unlimited). Unlike MaxWork — a cumulative
-  /// lifetime bound — this resets at every top-level drain, so a warm
-  /// server can cap each request without counting the work that built the
-  /// existing graph.
+  /// lifetime bound — this resets at every drain, so a warm server can
+  /// cap each request without counting the work that built the existing
+  /// graph.
   uint64_t MaxEdgeBudget = 0;
   /// Abort the in-flight batch when the process resident set exceeds this
   /// many bytes (0 = unlimited; also inert on platforms without

@@ -588,6 +588,47 @@ TEST(BudgetTest, EdgeBudgetAbortRollsBackBitIdentical) {
   EXPECT_EQ(Engine.journal(), (std::vector<std::string>{"s <= C0"}));
 }
 
+TEST(BudgetTest, RetractionReplayIsOneBatch) {
+  // Retracting `t <= C0` replays every chain link. Each link fits an edge
+  // budget of 20 on its own but the whole replay does not: on either
+  // schedule the replay is one batch, bounded as a whole.
+  const SolverOptions Config =
+      makeConfig(GraphForm::Inductive, CycleElim::Online);
+  const std::string Base = chainText(64) + "s <= C0\ncons t\n";
+  for (ClosureMode Mode : {ClosureMode::Worklist, ClosureMode::Wave}) {
+    SCOPED_TRACE(Mode == ClosureMode::Wave ? "wave" : "worklist");
+    QueryEngine Engine(makeBundle(Base + "t <= C0\n", Config));
+    ASSERT_TRUE(Engine.valid()) << Engine.initError();
+    Engine.solver().setClosure(Mode);
+    Engine.solver().setBudgets(/*DeadlineMs=*/0, /*MaxEdgeBudget=*/20,
+                               /*MaxMemBytes=*/0);
+    std::vector<uint8_t> PreBytes = serialized(Engine.solver());
+
+    Status St = Engine.retractConstraint("t <= C0");
+    ASSERT_FALSE(St.ok());
+    EXPECT_EQ(St.code(), ErrorCode::BudgetExceeded);
+    EXPECT_NE(St.message().find("edge_budget"), std::string::npos);
+    EXPECT_EQ(Engine.counters().BudgetAborts, 1u);
+    EXPECT_EQ(Engine.counters().Rollbacks, 1u);
+    EXPECT_EQ(Engine.counters().Retractions, 0u);
+    EXPECT_EQ(serialized(Engine.solver()), PreBytes);
+
+    // A roomy budget lets the same retraction through, and the result is
+    // a fresh solve of the surviving lines.
+    Engine.solver().setBudgets(0, 100000, 0);
+    ASSERT_TRUE(Engine.retractConstraint("t <= C0").ok());
+    QueryEngine Fresh(makeBundle(Base, Config));
+    ASSERT_TRUE(Fresh.valid()) << Fresh.initError();
+    for (unsigned I = 0; I != 64; ++I) {
+      std::string Name = "C" + std::to_string(I);
+      EXPECT_EQ(Engine.ls(Engine.varOf(Name)), Fresh.ls(Fresh.varOf(Name)))
+          << Name;
+    }
+    EXPECT_EQ(Engine.pts(Engine.varOf("C63")),
+              (std::vector<std::string>{"s"}));
+  }
+}
+
 TEST(BudgetTest, GenerousBudgetsDoNotFireOnSmallAdds) {
   QueryEngine Engine(makeBundle(
       chainText(8), makeConfig(GraphForm::Inductive, CycleElim::Online)));

@@ -6,11 +6,13 @@
 //
 // The observability substrate: counter/gauge/histogram semantics, the
 // log-bucket math and its quantile error bound against the exact
-// ceil-rank percentile, the Prometheus and JSON renderings, and the
-// Chrome trace-event collector.
+// ceil-rank percentile, the Prometheus and JSON renderings, the Chrome
+// trace-event collector, and the solver's one closure sample per drain.
 //
 //===----------------------------------------------------------------------===//
 
+#include "setcon/ConstraintFile.h"
+#include "setcon/ConstraintSolver.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
@@ -333,6 +335,50 @@ TEST(TraceTest, ArmedSpansLandInChromeJson) {
   EXPECT_NE(Json.find("\"name\": \"test.instant\""), std::string::npos);
   EXPECT_NE(Json.find("\"ph\": \"i\""), std::string::npos);
   std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// Solver closure samples
+//===----------------------------------------------------------------------===//
+
+TEST(ClosureMetricsTest, OneSamplePerCall) {
+  // Every drain is one budget batch and records one closure sample: a
+  // worklist add, a whole retraction (not one per replayed root), and
+  // nothing for a close with nothing queued.
+  std::string Text = "cons s\ncons t\nvar";
+  for (unsigned I = 0; I != 200; ++I)
+    Text += " C" + std::to_string(I);
+  Text += "\ns <= C0\n";
+  for (unsigned I = 0; I + 1 != 200; ++I)
+    Text += "C" + std::to_string(I) + " <= C" + std::to_string(I + 1) + "\n";
+  ConstraintSystemFile System;
+  ASSERT_TRUE(System.parse(Text).ok());
+  SolverOptions Options = makeConfig(GraphForm::Inductive, CycleElim::Online);
+  Options.Closure = ClosureMode::Worklist;
+  ConstructorTable Constructors;
+  TermTable Terms(Constructors);
+  ConstraintSolver Solver(Terms, Options);
+  System.emit(Solver);
+  std::string Canon;
+  ASSERT_TRUE(System.canonicalizeConstraint("t <= C0", Solver, Canon).ok());
+
+  bool Was = MetricsRegistry::timingEnabled();
+  MetricsRegistry::setTimingEnabled(true);
+  Histogram &Closure =
+      MetricsRegistry::global().histogram("poce_solver_closure_us");
+  uint64_t Before = Closure.count();
+  ASSERT_TRUE(System.addLine("t <= C0", Solver).ok());
+  EXPECT_EQ(Closure.count() - Before, 1u);
+
+  Before = Closure.count();
+  ASSERT_TRUE(Solver.retract(Canon));
+  EXPECT_EQ(Closure.count() - Before, 1u);
+
+  Before = Closure.count();
+  Solver.ensureClosed();
+  EXPECT_EQ(Closure.count() - Before, 0u);
+  MetricsRegistry::setTimingEnabled(Was);
+  EXPECT_FALSE(Solver.stats().Aborted);
 }
 
 } // namespace
