@@ -1162,7 +1162,6 @@ RetractResult measureRetract(double Scale, unsigned Repeats) {
       if (!Sys.canonicalizeConstraint(Target, Solver, Canon) ||
           !Solver.retract(Canon))
         return Out;
-      Sys.removeConstraint(Canon);
     }
     Solver.finalize();
     ConeBest = std::min(ConeBest, T.seconds());

@@ -25,10 +25,9 @@
 ///                                    --emit_trajectory=PATH)
 ///
 /// Environment: POCE_BENCH_SCALE scales the workload. Trajectory entries
-/// carry the CPU count, compiler and build type: the primary's lanes, the
-/// follower's lanes and the replication tail share this host's CPUs, so
-/// the catch-up time includes scheduler queueing that a two-host
-/// deployment would not see.
+/// carry the CPU count, compiler and build type: both servers' threads
+/// and the replication tail share this host's CPUs, so the catch-up time
+/// includes scheduler queueing that a two-host deployment would not see.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -196,7 +195,6 @@ int main(int Argc, char **Argv) {
 
   net::NetServerOptions PrimOpts;
   PrimOpts.UnixPath = PrimSock;
-  PrimOpts.Lanes = 1;
   net::NetServer PrimServer(Prim, PrimOpts);
   Status Ready = PrimServer.init();
   if (!Ready.ok()) {
@@ -303,7 +301,6 @@ int main(int Argc, char **Argv) {
 
   net::NetServerOptions FolOpts;
   FolOpts.UnixPath = FolSock;
-  FolOpts.Lanes = 1;
   FolOpts.ReadOnly = true;
   net::NetServer FolServer(Fol, FolOpts);
   net::ReplicationClient::Options ReplOpts;

@@ -24,12 +24,12 @@
 ///                                    BENCH_micro_solver.json (or
 ///                                    --emit_trajectory=PATH)
 ///
-/// Environment: POCE_BENCH_SCALE scales the workload, POCE_BENCH_THREADS
-/// sets the server's read lanes (0 = hardware), POCE_SERVE_CLIENTS the
-/// reader count. Trajectory entries record the lane/client counts next to
-/// the CPU count, compiler and build type every run carries: when lanes
-/// and clients outnumber the CPUs, tail latencies include scheduler
-/// queueing, not just server work.
+/// Environment: POCE_BENCH_SCALE scales the workload, POCE_SERVE_CLIENTS
+/// the reader count. Trajectory entries record the client count next to
+/// the CPU count, compiler and build type every run carries: the server
+/// answers reads on its event-loop thread, and when the clients, that
+/// thread and the writer outnumber the CPUs, tail latencies include
+/// scheduler queueing, not just server work.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +41,6 @@
 #include "setcon/ConstraintFile.h"
 #include "support/Metrics.h"
 #include "support/PRNG.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <atomic>
@@ -161,10 +160,6 @@ int main(int Argc, char **Argv) {
     Scale = std::atof(Env);
   if (Scale <= 0)
     Scale = 1.0;
-  unsigned Lanes = 2;
-  if (const char *Env = std::getenv("POCE_BENCH_THREADS"))
-    Lanes = ThreadPool::resolveThreads(
-        static_cast<unsigned>(std::atoi(Env)));
   unsigned Readers = 3;
   if (const char *Env = std::getenv("POCE_SERVE_CLIENTS"))
     Readers = std::max(1, std::atoi(Env));
@@ -201,7 +196,6 @@ int main(int Argc, char **Argv) {
                          std::to_string(::getpid()) + ".sock";
   net::NetServerOptions Opts;
   Opts.UnixPath = SockPath;
-  Opts.Lanes = Lanes;
   net::NetServer Server(Core, Opts);
   Status Ready = Server.init();
   if (!Ready.ok()) {
@@ -212,8 +206,8 @@ int main(int Argc, char **Argv) {
   std::thread Loop([&] { ExitCode = Server.run(); });
 
   std::printf("# serve_bench: vars=%u base_cons=%u adds=%u readers=%u "
-              "lanes=%u scale=%.2f\n",
-              Vars, Cons, Adds, Readers, Lanes, Scale);
+              "scale=%.2f\n",
+              Vars, Cons, Adds, Readers, Scale);
 
   // Load phase: Readers closed-loop query clients + one writer client.
   // The writer's add lines are recorded verbatim for the cross-check.
@@ -362,7 +356,7 @@ int main(int Argc, char **Argv) {
     std::string Run;
     bench::appendf(
         Run,
-        "\"threads\": %u, \"clients\": %u, \"scale\": %.2f,\n"
+        "\"clients\": %u, \"scale\": %.2f,\n"
         "   \"entries\": [\n"
         "    {\"name\": \"serve_mixed\", \"vars\": %u, \"base_cons\": %u,\n"
         "     \"queries\": %llu, \"adds\": %u, \"wall_s\": %.6f,\n"
@@ -371,7 +365,7 @@ int main(int Argc, char **Argv) {
         "     \"reads_during_add\": %llu, \"publishes\": %llu,\n"
         "     \"answers_checksum_match\": %s}\n"
         "   ]",
-        Lanes, Readers, Scale, Vars, Cons,
+        Readers, Scale, Vars, Cons,
         (unsigned long long)TotalQueries, Adds * 2, WallSeconds, Qps,
         (unsigned long long)percentile(All, 0.50),
         (unsigned long long)percentile(All, 0.99),

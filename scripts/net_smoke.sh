@@ -52,6 +52,8 @@ grep -q "ok saved $BASE" "$WORK/base.out" || fail "could not create base snapsho
 SOCK="$WORK/poce.sock"
 SNAP="$WORK/mixed.snap" WAL="$WORK/mixed.wal"
 cp "$BASE" "$SNAP"
+# --net-lanes=2 is the benchmark's command line: the flag is ignored
+# (reads run on the event-loop thread) but must keep starting the server.
 "$SCSERVED" --snapshot="$SNAP" --wal="$WAL" --unix="$SOCK" --net-lanes=2 \
   > "$WORK/mixed.srv.out" 2> "$WORK/mixed.srv.err" &
 SRV=$!
@@ -84,9 +86,8 @@ grep -q '^ok { nx, ny }$' "$WORK/mixed.w.out" ||
   fail "mixed: read-your-writes failed (pts Z after P <= Z)"
 
 # Socket reads land in the same read meter as stdin reads: `counters`
-# and `metrics` count the 151 queries above, and the metrics verb serves
-# the per-lane counters too. The rows those reads came from were built
-# into the views the writer published.
+# and `metrics` count the 151 queries above. The rows those reads came
+# from were built into the views the writer published.
 printf 'counters\nmetrics\nquit\n' | NC --unix "$SOCK" > "$WORK/mixed.m.out"
 QUERIES=$(grep -o '^ok queries=[0-9]*' "$WORK/mixed.m.out" | cut -d= -f2)
 [ "${QUERIES:-0}" -ge 151 ] ||
@@ -96,8 +97,6 @@ ROWS=$(grep -o ' rows_built=[0-9]*' "$WORK/mixed.m.out" | cut -d= -f2)
   fail "mixed: counters reports rows_built=${ROWS:-none}, want > 0"
 grep -q '^poce_query_requests_total' "$WORK/mixed.m.out" ||
   fail "mixed: metrics reply lacks the read counter"
-grep -q 'poce_net_lane0_queries' "$WORK/mixed.m.out" ||
-  fail "mixed: metrics reply lacks the per-lane counters"
 
 # Graceful drain via the shutdown verb: exit 0, socket unlinked, and the
 # acknowledged adds durable in the WAL.

@@ -89,8 +89,18 @@ check "$WORK/s2.out" \
   exit 1
 }
 
-# A negative count is a usage error, refused at parse time (it once
-# wrapped to 4294967295 read lanes and died in std::bad_alloc).
+# A last request without its newline is still answered at EOF.
+printf 'pts P' | "$SCSERVED" --config=if-online examples/data/swap.scs \
+  > "$WORK/eof.out"
+[ "$(tail -n 1 "$WORK/eof.out")" = "ok { nx, ny }" ] || {
+  echo "FAIL: the unterminated last line got no reply:" >&2
+  cat "$WORK/eof.out" >&2
+  exit 1
+}
+
+# --net-lanes is ignored (socket reads run on the event-loop thread) but
+# still parsed, so a negative count stays a usage error, refused at parse
+# time.
 code=0
 "$SCSERVED" --net-lanes=-1 examples/data/swap.scs < /dev/null \
   > "$WORK/neg.out" 2>&1 || code=$?

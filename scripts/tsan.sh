@@ -4,9 +4,9 @@
 #
 # The parallel least-solution pass and the batch-solve API are designed to
 # be TSan-clean (all cross-thread visibility goes through the pool's wave
-# mutex), and so is the whole socket serving stack — event loop, writer
-# lane, read-wave pool, and RCU view publishing, exercised end to end over
-# loopback by net_tests; this script is the check. Published views share
+# mutex), and so is the whole socket serving stack — the event loop that
+# answers reads, the writer lane, and RCU view publishing, exercised end
+# to end over loopback by net_tests; this script is the check. Published views share
 # rows, names and term text with the views the writer builds after them;
 # ReadViewTest.ReadersKeepAnOldViewWhileTheWriterPublishes (in net_tests)
 # queries an old view from reader threads while the writer publishes. Uses a dedicated build

@@ -13,17 +13,18 @@
 ///
 ///   scserved --snapshot=graph.snap --wal=graph.wal
 ///   scserved --config=if-online system.scs
-///   scserved --snapshot=graph.snap --unix=/tmp/poce.sock --net-lanes=4
+///   scserved --snapshot=graph.snap --unix=/tmp/poce.sock
 ///   scserved --snapshot=graph.snap --listen=127.0.0.1:7075
 ///
 /// The writer pipeline (WAL recovery, append-before-apply, budget
 /// rollback, atomic checkpoints, degraded mode) lives in
 /// serve/ServerCore and is shared verbatim between the stdin loop and
 /// the socket front end (net/Server.h). Both answer reads from the
-/// engine's ReadView (serve/ReadView.h). In socket mode, reads execute
-/// concurrently on a thread-pool wave against the published view while a
-/// single writer lane owns the core — queries never block on adds; see
-/// net/Server.h for the full concurrency story.
+/// engine's ReadView (serve/ReadView.h) through one metered read call
+/// (serve/Telemetry.h). In socket mode, the event-loop thread answers
+/// reads against the published view while a single writer lane owns the
+/// core — queries never block on adds; see net/Server.h for the full
+/// concurrency story.
 ///
 /// Fault tolerance (see INTERNALS.md for the recovery invariant):
 ///   - With --wal, every accepted `add` line is validated (dry-run parse)
@@ -94,7 +95,6 @@
 #include "support/FailPoint.h"
 #include "support/Metrics.h"
 #include "support/Status.h"
-#include "support/Trace.h"
 
 #include <cerrno>
 #include <csignal>
@@ -225,8 +225,8 @@ int main(int Argc, char **Argv) {
                 "serve the protocol on this Unix-domain socket path "
                 "instead of stdin (combinable with --listen)");
   Cmd.addUInt("net-lanes", &NetLanes,
-              "reader lanes for socket mode (0 = one per hardware "
-              "thread); answers are identical for any value");
+              "ignored: socket reads run on the event-loop thread; still "
+              "accepted so existing command lines start");
   Cmd.addUInt("idle-timeout-ms", &IdleTimeoutMs,
               "close socket connections idle this long (0 = never)");
   Cmd.addString("follow", &Follow,
@@ -411,7 +411,6 @@ int main(int Argc, char **Argv) {
     net::NetServerOptions NetOpts;
     NetOpts.TcpSpec = Listen;
     NetOpts.UnixPath = UnixPath;
-    NetOpts.Lanes = static_cast<unsigned>(NetLanes);
     NetOpts.MaxRequest = static_cast<size_t>(MaxRequest);
     NetOpts.IdleTimeoutMs = IdleTimeoutMs;
     NetOpts.MetricsOut = MetricsOut;
@@ -499,13 +498,7 @@ int main(int Argc, char **Argv) {
       return true;
     }
     if (isReadVerb(Req.Verb)) {
-      const uint64_t StartUs = trace::nowMicros();
-      std::string Response = Engine.answer(Req);
-      telemetry::queryCounter().inc();
-      telemetry::queryLatencyHistogram().record(trace::nowMicros() -
-                                                StartUs);
-      trace::complete("serve.query", StartUs);
-      Reply(Response);
+      Reply(telemetry::answerRead(*Engine.view(), Req));
       return true;
     }
 
@@ -532,8 +525,9 @@ int main(int Argc, char **Argv) {
       break; // SIGTERM (or a hard stdin error): drain and exit 0.
     }
     if (N == 0)
-      break; // EOF.
-    In.append(Buf, static_cast<size_t>(N));
+      In.finish(); // EOF: a last line without its newline still counts.
+    else
+      In.append(Buf, static_cast<size_t>(N));
     std::string Item;
     for (;;) {
       net::LineBuffer::Item Kind = In.next(Item);
@@ -550,7 +544,7 @@ int main(int Argc, char **Argv) {
         break;
       }
     }
-    if (TermRequested)
+    if (N == 0 || TermRequested)
       break;
   }
   // Common drain: every acknowledged add is already fsynced, so closing

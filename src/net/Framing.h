@@ -13,7 +13,8 @@
 /// is reported once (in stream order) and then discarded byte-by-byte up
 /// to its newline, so one abusive request costs O(limit) memory, not
 /// O(request), and the connection resynchronizes at the next line
-/// instead of dying.
+/// instead of dying. At the end of the stream, finish() closes the last
+/// line even when the peer sent no newline after it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,6 +75,14 @@ public:
       DiscardedLen = Cur.size() + 1;
       Cur.clear();
     }
+  }
+
+  /// Ends the stream (stdin EOF, a peer's half-close): a pending line
+  /// without its newline, or the oversize report of a line being
+  /// discarded, becomes an item as if the newline had arrived. Idempotent.
+  void finish() {
+    if (Discarding || !Cur.empty())
+      append("\n", 1);
   }
 
   /// Extracts the next item; call until it returns None.

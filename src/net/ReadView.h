@@ -1,4 +1,4 @@
-//===- net/ReadView.h - Publishing views to the read lanes ------*- C++ -*-===//
+//===- net/ReadView.h - Publishing views to the event loop ------*- C++ -*-===//
 //
 // Part of the poce project.
 //
@@ -6,13 +6,14 @@
 ///
 /// \file
 /// How the socket server hands the writer's views (serve/ReadView.h) to
-/// its read lanes. Publication is epoch/RCU-style: after each accepted
-/// write batch the single writer lane publishes the engine's current view;
-/// readers acquire() a shared_ptr at the start of a wave and keep querying
-/// that view even while the next one is being built. Readers therefore
-/// never block on writers (the only shared state is one pointer swap), and
-/// the writer never waits for readers (old views are reclaimed by the last
-/// shared_ptr release).
+/// the event-loop thread that answers reads. Publication is
+/// epoch/RCU-style: after each accepted write batch the single writer
+/// lane publishes the engine's current view; the loop thread acquire()s a
+/// shared_ptr once per dispatch and keeps querying that view even while
+/// the next one is being built. Reads therefore never block on writers
+/// (the only shared state is one pointer swap), and the writer never
+/// waits for readers (old views are reclaimed by the last shared_ptr
+/// release).
 ///
 //===----------------------------------------------------------------------===//
 

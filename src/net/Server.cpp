@@ -48,9 +48,7 @@ const char *helpReply() {
 } // namespace
 
 NetServer::NetServer(serve::ServerCore &Core, NetServerOptions InOpts)
-    : Core(Core), Opts(std::move(InOpts)),
-      Pool(ThreadPool::resolveThreads(Opts.Lanes)) {
-  LaneSlots.resize(Pool.numLanes());
+    : Core(Core), Opts(std::move(InOpts)) {
   ReadOnlyNow.store(Opts.ReadOnly, std::memory_order_release);
 }
 
@@ -132,13 +130,6 @@ Status NetServer::init() {
   SnapshotsShipped = &R.counter("poce_repl_snapshots_shipped_total",
                                 "Bootstrap snapshots shipped to replicas");
   EpochGauge = &R.gauge("poce_net_epoch", "Epoch of the published view");
-  R.gauge("poce_net_lanes", "Read lanes serving queries")
-      .set(Pool.numLanes());
-  LaneQueryCounters.clear();
-  for (unsigned Lane = 0; Lane != Pool.numLanes(); ++Lane)
-    LaneQueryCounters.push_back(
-        &R.counter("poce_net_lane" + std::to_string(Lane) + "_queries",
-                   "Queries executed by read lane " + std::to_string(Lane)));
 
   EpollFd = ::epoll_create1(EPOLL_CLOEXEC);
   if (EpollFd < 0)
@@ -179,7 +170,7 @@ Status NetServer::init() {
   }
 
   // The startup view: published before any connection can be accepted,
-  // so the first read wave always has one.
+  // so the first read always has one.
   publish();
 
   // Replication sink: fires on the writer thread (the core's owner once
@@ -253,6 +244,9 @@ void NetServer::readConn(Conn &C) {
       continue;
     }
     if (N == 0) {
+      // A clean half-close: a last line sent without its newline is
+      // still a request.
+      C.In.finish();
       C.PeerClosed = true;
       break;
     }
@@ -328,46 +322,52 @@ void NetServer::closeConn(int Fd) {
 }
 
 void NetServer::dispatch() {
-  std::vector<ReadTask> Batch;
+  // One pin per call, taken at the first read: every read answered below
+  // sees the same published view, concurrent with whatever the writer
+  // lane is doing to its own solver.
+  std::shared_ptr<const serve::ReadView> View;
+  uint64_t Reads = 0;
   std::vector<WriterJob> NewJobs;
   for (auto &Entry : Conns) {
     Conn &C = Entry.second;
+    auto Reply = [&C](const std::string &Text) {
+      C.Out += Text;
+      C.Out += '\n';
+    };
     while (!C.AwaitingWriter && !C.Lines.empty()) {
       bool Oversized = C.Lines.front().first;
       std::string Line = std::move(C.Lines.front().second);
       C.Lines.pop_front();
-
-      ReadTask Task;
-      Task.Fd = C.Fd;
-      Task.Gen = C.Gen;
       if (Oversized) {
         OversizedTotal->inc();
-        Task.Reply =
-            "err " + Status::error(ErrorCode::TooLarge,
-                                   "request is " + Line +
-                                       " bytes; limit is " +
-                                       std::to_string(Opts.MaxRequest))
-                         .wire();
-        Batch.push_back(std::move(Task));
+        Reply("err " + Status::error(ErrorCode::TooLarge,
+                                     "request is " + Line +
+                                         " bytes; limit is " +
+                                         std::to_string(Opts.MaxRequest))
+                           .wire());
         continue;
       }
       serve::Request Req = serve::parseRequest(Line);
       if (Req.Verb.empty() || Req.Verb[0] == '#')
         continue; // Blank/comment lines get no reply, as on stdin.
       if (serve::isReadVerb(Req.Verb)) {
-        Task.IsQuery = true;
-        Task.Line = std::move(Line);
-        Batch.push_back(std::move(Task));
+        if (!View)
+          View = Publisher.acquire();
+        std::string Answer = serve::telemetry::answerRead(*View, Req);
+        if (Answer.compare(0, 4, "err ") == 0)
+          ErrorsTotal->inc();
+        ++Reads;
+        Reply(Answer);
         continue;
       }
       if (isLocalVerb(Req.Verb)) {
-        bool IsQuit = Req.Verb != "help";
-        Task.Reply = IsQuit ? "ok bye" : helpReply();
-        Task.CloseConn = IsQuit;
-        Batch.push_back(std::move(Task));
-        if (IsQuit)
-          break;
-        continue;
+        if (Req.Verb == "help") {
+          Reply(helpReply());
+          continue;
+        }
+        Reply("ok bye");
+        C.CloseAfterFlush = true;
+        break;
       }
       // Everything else (add/save/checkpoint/stats/counters/metrics/
       // shutdown, and unknown verbs) belongs to the writer lane.
@@ -376,35 +376,27 @@ void NetServer::dispatch() {
       WriterJob Job;
       Job.Fd = C.Fd;
       Job.Gen = C.Gen;
-      Job.Line = std::move(Line);
+      Job.Req = std::move(Req);
       NewJobs.push_back(std::move(Job));
       C.AwaitingWriter = true;
       break;
     }
   }
 
-  if (!NewJobs.empty()) {
+  if (!NewJobs.empty() || Reads != 0) {
+    bool WriterActive;
     {
       std::lock_guard<std::mutex> Lock(WriterMutex);
       for (WriterJob &Job : NewJobs)
         Jobs.push_back(std::move(Job));
+      WriterActive = WriterBusy || !Jobs.empty();
     }
-    WriterCv.notify_one();
+    if (!NewJobs.empty())
+      WriterCv.notify_one();
+    if (WriterActive)
+      ReadsDuringWrite->inc(Reads);
   }
-  if (!Batch.empty())
-    runReadWave(Batch);
 
-  // Deliver the wave's replies in batch order (per-connection FIFO).
-  for (ReadTask &Task : Batch) {
-    auto It = Conns.find(Task.Fd);
-    if (It == Conns.end() || It->second.Gen != Task.Gen)
-      continue;
-    Conn &C = It->second;
-    C.Out += Task.Reply;
-    C.Out += '\n';
-    if (Task.CloseConn)
-      C.CloseAfterFlush = true;
-  }
   // Flush everything with output (by fd: flushConn may close and erase,
   // which would invalidate a live map iterator), then reap connections
   // that are done.
@@ -427,61 +419,6 @@ void NetServer::dispatch() {
   }
   for (int Fd : Finished)
     closeConn(Fd);
-}
-
-void NetServer::runReadWave(std::vector<ReadTask> &Batch) {
-  size_t NumQueries = 0;
-  for (const ReadTask &Task : Batch)
-    NumQueries += Task.IsQuery;
-  if (NumQueries == 0)
-    return;
-  bool WriterActive;
-  {
-    std::lock_guard<std::mutex> Lock(WriterMutex);
-    WriterActive = WriterBusy || !Jobs.empty();
-  }
-  // One epoch pin for the whole wave: every query in the batch answers
-  // against the same published state, concurrent with whatever the
-  // writer lane is doing to its own solver.
-  std::shared_ptr<const serve::ReadView> View = Publisher.acquire();
-  Pool.parallelFor(
-      Batch.size(),
-      [&](size_t I, unsigned Lane) {
-        ReadTask &Task = Batch[I];
-        if (!Task.IsQuery)
-          return;
-        LaneAccum &Accum = LaneSlots[Lane].Value;
-        const uint64_t StartUs = trace::nowMicros();
-        Task.Reply = View->answer(serve::parseRequest(Task.Line));
-        Task.Errored = Task.Reply.compare(0, 4, "err ") == 0;
-        ++Accum.Queries;
-        Accum.Errors += Task.Errored;
-        Accum.LatenciesUs.push_back(trace::nowMicros() - StartUs);
-      },
-      /*Grain=*/1);
-  mergeLaneStats();
-  if (WriterActive)
-    ReadsDuringWrite->inc(NumQueries);
-}
-
-void NetServer::mergeLaneStats() {
-  // The wave barrier in parallelFor() is the happens-before edge that
-  // makes the plain per-lane stores visible here. Reads land in the same
-  // meter the stdin loop records into, so `counters` and `metrics`
-  // report them in either mode.
-  Counter &Queries = serve::telemetry::queryCounter();
-  Histogram &Latency = serve::telemetry::queryLatencyHistogram();
-  for (unsigned Lane = 0; Lane != Pool.numLanes(); ++Lane) {
-    LaneAccum &Accum = LaneSlots[Lane].Value;
-    if (Accum.Queries == 0 && Accum.LatenciesUs.empty())
-      continue;
-    Queries.inc(Accum.Queries);
-    ErrorsTotal->inc(Accum.Errors);
-    LaneQueryCounters[Lane]->inc(Accum.Queries);
-    for (uint64_t Us : Accum.LatenciesUs)
-      Latency.record(Us);
-    Accum.clear();
-  }
 }
 
 void NetServer::applyCompletions() {
@@ -674,7 +611,7 @@ void NetServer::publish() {
 
 void NetServer::handleClientJob(WriterJob &Job, Completion &Comp,
                                 bool &Mutated) {
-  serve::Request Req = serve::parseRequest(Job.Line);
+  const serve::Request &Req = Job.Req;
   auto Err = [&Comp](const Status &St) { Comp.Reply = "err " + St.wire(); };
   if (Req.Verb == "replicate") {
     if (ReadOnlyNow.load(std::memory_order_acquire)) {

@@ -7,17 +7,16 @@
 /// \file
 /// The multi-client network front end: an edge-triggered epoll event
 /// loop accepting TCP and/or Unix-domain connections that speak the same
-/// newline verb protocol as scserved's stdin mode, with reads and writes
-/// split across threads so queries never block on adds:
+/// newline verb protocol as scserved's stdin mode. Two kinds of thread
+/// split the work so queries never block on adds:
 ///
 ///   - The *event-loop thread* owns every socket: accept, non-blocking
 ///     framed reads (net/Framing.h), reply flushing with EPOLLOUT
-///     re-arm backpressure, idle timeouts, and graceful drain.
-///   - *Read lanes* (a support/ThreadPool wave per loop iteration)
-///     execute ls/pts/alias batches against the immutable published
-///     ReadView (serve/ReadView.h, net/ReadView.h), recording latencies into
-///     cache-line-padded per-lane accumulators (net/LaneStats.h) that
-///     the loop thread merges after the wave barrier.
+///     re-arm backpressure, idle timeouts, and graceful drain. It also
+///     answers every ls/pts/alias line as it pops it, against the
+///     immutable published ReadView (serve/ReadView.h, net/ReadView.h)
+///     it pins once per dispatch, through the same metered read call as
+///     the stdin loop (serve/Telemetry.h).
 ///   - A single *writer thread* owns the ServerCore — WAL append + apply,
 ///     save/checkpoint, stats/counters/metrics — and publishes its
 ///     engine's view after every batch that mutated the graph, *before*
@@ -36,11 +35,10 @@
 #define POCE_NET_SERVER_H
 
 #include "net/Framing.h"
-#include "net/LaneStats.h"
 #include "net/ReadView.h"
 #include "serve/ServerCore.h"
+#include "support/Metrics.h"
 #include "support/Status.h"
-#include "support/ThreadPool.h"
 
 #include <atomic>
 #include <condition_variable>
@@ -61,7 +59,6 @@ namespace net {
 struct NetServerOptions {
   std::string TcpSpec;  ///< "host:port" listener ("" = no TCP).
   std::string UnixPath; ///< Unix-socket listener path ("" = none).
-  unsigned Lanes = 1;   ///< Read lanes (0 = one per hardware thread).
   size_t MaxRequest = 64 * 1024; ///< Longest accepted request line.
   uint64_t IdleTimeoutMs = 0;    ///< Close idle connections (0 = never).
   std::string MetricsOut;        ///< JSON registry dump path ("" = off).
@@ -155,19 +152,6 @@ private:
     explicit Conn(size_t MaxLine) : In(MaxLine) {}
   };
 
-  /// One entry of a read wave: either a query to execute against the
-  /// published view, or a reply precomputed by the loop thread (help,
-  /// quit, errors) riding in the batch to keep per-connection order.
-  struct ReadTask {
-    int Fd = 0;
-    uint64_t Gen = 0;
-    bool IsQuery = false;
-    bool CloseConn = false;
-    std::string Line;  ///< Request text (queries).
-    std::string Reply; ///< Filled by the wave (or precomputed).
-    bool Errored = false;
-  };
-
   /// Completion latch for the synchronous follower-side entry points.
   struct InternalWait {
     std::mutex M;
@@ -178,7 +162,7 @@ private:
 
   struct WriterJob {
     enum class Kind : uint8_t {
-      Client,        ///< A verb line from a connection.
+      Client,        ///< Req: a verb line from a connection.
       ReplApply,     ///< Records: apply shipped (seq, line) records.
       ReplRebase,    ///< Base: mirror a primary checkpoint.
       ReplBootstrap, ///< Bytes+Base: replace state with a snapshot.
@@ -186,7 +170,7 @@ private:
     Kind Kind = Kind::Client;
     int Fd = 0;
     uint64_t Gen = 0;
-    std::string Line;
+    serve::Request Req; ///< Parsed once, by dispatch().
     std::vector<std::pair<uint64_t, std::string>> Records;
     std::vector<uint8_t> Bytes;
     uint64_t Base = 0;
@@ -220,8 +204,6 @@ private:
   void flushConn(Conn &C);
   void closeConn(int Fd);
   void dispatch();
-  void runReadWave(std::vector<ReadTask> &Batch);
-  void mergeLaneStats();
   void applyCompletions();
   void sweepIdle();
   void heartbeatReplicas();
@@ -253,8 +235,6 @@ private:
   std::atomic<bool> ReadOnlyNow{false};
 
   ViewPublisher Publisher;
-  ThreadPool Pool;
-  LaneAccumSlots LaneSlots;
 
   // Writer queue (mutex-guarded handoff; WakeFd signals completions
   // back). Mutable so quiescent() can stay const.
@@ -285,7 +265,6 @@ private:
   Gauge *FollowersGauge = nullptr;
   Counter *RecordsShipped = nullptr;
   Counter *SnapshotsShipped = nullptr;
-  std::vector<Counter *> LaneQueryCounters;
 };
 
 } // namespace net

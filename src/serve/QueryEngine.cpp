@@ -86,11 +86,6 @@ Status QueryEngine::mutate(ConstraintSystemFile &System,
     if (!Solver.retract(Canon))
       return Status::error(ErrorCode::NotFound,
                            "no live constraint '" + Canon + "' to retract");
-    // The system records only constraints added through an engine —
-    // adoptDeclarations() cleared the pre-existing ones, for which the
-    // solver's base-root provenance is authoritative — so removal here is
-    // best-effort.
-    (void)System.removeConstraint(Canon);
     Rec.Line = std::move(Canon);
   } else {
     Status St = System.addLine(Rec.Line, Solver);

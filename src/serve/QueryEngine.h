@@ -89,9 +89,6 @@ public:
   /// itself may be handed to any number of reader threads.
   std::shared_ptr<const ReadView> view();
 
-  /// The reply to one ls/pts/alias request (ReadView::answer).
-  std::string answer(const Request &Req) { return view()->answer(Req); }
-
   /// The least solution of \p Var rendered as term strings.
   std::vector<std::string> ls(VarId Var) {
     return view()->items(ReadView::ItemKind::Ls, Var);
@@ -177,7 +174,6 @@ public:
 
   ConstraintSolver &solver() { return *Bundle.Solver; }
   const ConstraintSolver &solver() const { return *Bundle.Solver; }
-  const ConstraintSystemFile &system() const { return System; }
 
 private:
   /// The one mutation step under apply() and rollback(): applies \p Rec
@@ -196,6 +192,9 @@ private:
   Status rollback();
 
   SolverBundle Bundle;
+  /// The declarations that names in add and retract lines resolve
+  /// against. Served constraints are not kept here: the solver's base
+  /// roots are their provenance.
   ConstraintSystemFile System;
   /// The last view built; null until the first read and after the solver
   /// is replaced.

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The one read path of the serve layer. Every `ls`, `pts` and `alias`
-/// reply — on stdin, on the socket read lanes, under `verify`, and through
+/// reply — on stdin, on the socket event loop, under `verify`, and through
 /// QueryEngine's ls/pts/alias — is answered by a ReadView: an immutable
 /// picture of the solver's least solutions, built by the writer after the
 /// graph settles and never touched again. A view holds
@@ -28,7 +28,7 @@
 ///
 /// A view owns no solver and shares nothing the writer mutates, so any
 /// number of reader threads may query one while the writer builds the
-/// next; the socket server hands views to its read lanes through
+/// next; the socket server hands views to its event-loop thread through
 /// net::ViewPublisher (net/ReadView.h).
 ///
 //===----------------------------------------------------------------------===//

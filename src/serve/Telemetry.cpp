@@ -7,6 +7,8 @@
 #include "serve/Telemetry.h"
 
 #include "serve/QueryEngine.h"
+#include "serve/ReadView.h"
+#include "support/Trace.h"
 
 using namespace poce;
 using namespace poce::serve;
@@ -26,6 +28,15 @@ Histogram &queryLatencyHistogram() {
       "poce_query_latency_us",
       "End-to-end microseconds per ls/pts/alias request");
   return H;
+}
+
+std::string answerRead(const ReadView &View, const Request &Req) {
+  const uint64_t StartUs = trace::nowMicros();
+  std::string Reply = View.answer(Req);
+  queryCounter().inc();
+  queryLatencyHistogram().record(trace::nowMicros() - StartUs);
+  trace::complete("serve.query", StartUs);
+  return Reply;
 }
 
 Histogram &checkpointHistogram() {

@@ -7,10 +7,11 @@
 /// \file
 /// The serve layer's telemetry surface, factored out of scserved's request
 /// loop so the reply builders are unit-testable without a process: the
-/// query-latency and checkpoint histograms, the registry export of solver
-/// and engine counters, and the `stats` / `counters` / `metrics` reply
-/// strings. scserved formats every telemetry reply through these
-/// functions; tests call them directly against a local registry.
+/// read meter and the one metered read call, the checkpoint histogram, the
+/// registry export of solver and engine counters, and the `stats` /
+/// `counters` / `metrics` reply strings. scserved formats every telemetry
+/// reply through these functions; tests call them directly against a
+/// local registry.
 ///
 /// Reply-format compatibility: `stats` and `counters` keep the key=value
 /// single-line shape the smoke tests grep (`cycles_collapsed=`,
@@ -32,6 +33,8 @@ namespace poce {
 namespace serve {
 
 class QueryEngine;
+class ReadView;
+struct Request;
 
 namespace telemetry {
 
@@ -45,12 +48,19 @@ struct ServerCounters {
   uint64_t WalBytes = 0;
 };
 
-/// The read meter. Both front ends — the stdin loop and the socket read
-/// lanes — record every ls/pts/alias request they answer (ok or err)
-/// here: one count (poce_query_requests_total) and its end-to-end
-/// latency (poce_query_latency_us), both in the global registry.
+/// The read meter: one count (poce_query_requests_total) and one latency
+/// (poce_query_latency_us) per ls/pts/alias request answered, ok or err,
+/// both in the global registry. answerRead() is the only recorder.
 Counter &queryCounter();
 Histogram &queryLatencyHistogram();
+
+/// The one read call of both front ends, the stdin loop and the socket
+/// event loop: answers \p Req (a read verb, see isReadVerb) from \p View,
+/// counts it in the read meter, records its latency and emits a
+/// `serve.query` trace span. The latency covers the view lookup only; a
+/// view rebuild after a write is the caller's and traces as
+/// `query.view_build`.
+std::string answerRead(const ReadView &View, const Request &Req);
 
 /// Wall time of one checkpoint: snapshot write + WAL reset + base
 /// recapture (poce_checkpoint_us in the global registry).

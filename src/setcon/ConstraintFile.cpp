@@ -365,7 +365,6 @@ Status ConstraintSystemFile::addLine(const std::string &Line,
     // comments are normalized away, so `retract` matches any spelling of
     // the same constraint.
     std::string Tag = exprToText(Parsed.Lhs) + " <= " + exprToText(Parsed.Rhs);
-    Constraints.push_back({std::move(Parsed.Lhs), std::move(Parsed.Rhs)});
     Solver.addConstraint(L, R, std::move(Tag));
     return Status();
   }
@@ -475,17 +474,6 @@ Status ConstraintSystemFile::canonicalizeConstraint(const std::string &Line,
                          "retracted)");
   Canon = exprToText(Parsed.Lhs) + " <= " + exprToText(Parsed.Rhs);
   return Status();
-}
-
-bool ConstraintSystemFile::removeConstraint(const std::string &Canon) {
-  for (size_t I = 0; I != Constraints.size(); ++I)
-    if (exprToText(Constraints[I].first) + " <= " +
-            exprToText(Constraints[I].second) ==
-        Canon) {
-      Constraints.erase(Constraints.begin() + I);
-      return true;
-    }
-  return false;
 }
 
 GeneratorFn ConstraintSystemFile::generator() const {

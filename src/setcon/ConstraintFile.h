@@ -52,13 +52,16 @@ public:
   /// Parses and applies one line of the file format against a live
   /// solver: `var`/`cons` lines extend this system's declarations (fresh
   /// variables are created in \p Solver immediately, keeping declaration
-  /// order aligned with creation order), and a constraint line is
-  /// recorded and fed through Solver.addConstraint — the solver is fully
-  /// online, so consequences (including cycle elimination) propagate
-  /// right away. Blank and comment lines are accepted no-ops. On failure
-  /// returns ParseError (or FailedPrecondition when system and solver
-  /// have diverged) and leaves system and solver unchanged. This is the
-  /// serve layer's incremental entry point.
+  /// order aligned with creation order), and a constraint line is fed
+  /// through Solver.addConstraint with its canonical text as the tag —
+  /// the solver is fully online, so consequences (including cycle
+  /// elimination) propagate right away. The constraint is not recorded
+  /// here (emit() and str() cover parse()d constraints only): the
+  /// solver's tagged base roots are its provenance. Blank and comment
+  /// lines are accepted no-ops. On failure returns ParseError (or
+  /// FailedPrecondition when system and solver have diverged) and leaves
+  /// system and solver unchanged. This is the serve layer's incremental
+  /// entry point.
   Status addLine(const std::string &Line, ConstraintSolver &Solver);
 
   /// Dry-run of addLine(): parses \p Line and performs every validation
@@ -88,12 +91,6 @@ public:
   Status canonicalizeConstraint(const std::string &Line,
                                 const ConstraintSolver &Solver,
                                 std::string &Canon) const;
-
-  /// Removes the first recorded constraint whose canonical text equals
-  /// \p Canon, keeping system and solver provenance aligned after a
-  /// successful ConstraintSolver::retract. Returns false if none
-  /// matches.
-  bool removeConstraint(const std::string &Canon);
 
   /// Adapter for buildOracle().
   GeneratorFn generator() const;

@@ -23,8 +23,8 @@
 /// to compile instead of silently re-introducing the ping-pong.
 ///
 /// Used by the parallel least-solution pass (per-lane SolverStats deltas
-/// and epoch scratch) and the network serving layer (per-lane request
-/// counters and latency buckets).
+/// and epoch scratch); tests/support_test.cpp checks the slot layout at
+/// run time.
 ///
 //===----------------------------------------------------------------------===//
 

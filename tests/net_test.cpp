@@ -5,37 +5,40 @@
 //===----------------------------------------------------------------------===//
 //
 // The network serving layer, tested end to end over real sockets: framing
-// units (chunk reassembly, streaming size limit), address parsing, the
-// padded lane-accumulator layout, protocol byte-compatibility with the
-// stdin loop, and the concurrency contract — readers querying while a
-// writer streams adds always observe a fully-published view (prefix-closed
-// answer sets, monotone epochs per connection) and a connection that saw
-// `ok added` observes its constraint in every later query
-// (read-your-writes via ack-after-publish).
+// units (chunk reassembly, streaming size limit, end of stream), address
+// parsing, protocol byte-compatibility with the stdin loop, socket reads
+// metered and traced like stdin reads, and the concurrency contract —
+// readers querying while a writer streams adds always observe a
+// fully-published view (prefix-closed answer sets, monotone epochs per
+// connection) and a connection that saw `ok added` observes its
+// constraint in every later query (read-your-writes via
+// ack-after-publish).
 //
-// Everything here runs under scripts/tsan.sh: the loop thread, the writer
-// lane, the read-wave pool, and the client threads must be data-race
-// free.
+// Everything here runs under scripts/tsan.sh: the loop thread (which
+// answers reads), the writer lane, and the client threads must be
+// data-race free.
 //
 //===----------------------------------------------------------------------===//
 
 #include "net/Client.h"
 #include "net/Framing.h"
-#include "net/LaneStats.h"
 #include "net/Replication.h"
 #include "net/Server.h"
 #include "net/Socket.h"
 #include "serve/QueryEngine.h"
 #include "serve/ServerCore.h"
 #include "support/PRNG.h"
+#include "support/Trace.h"
 
 #include "gtest/gtest.h"
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -127,6 +130,28 @@ TEST(NetFramingTest, OversizedAccumulatesAcrossChunks) {
   EXPECT_EQ(Items[1].second, "ok");
 }
 
+TEST(NetFramingTest, FinishEmitsTheUnterminatedLastLine) {
+  LineBuffer B(/*MaxLine=*/8);
+  B.append("ls P\npts Q\r", 11);
+  B.finish(); // the stream ended without a final newline
+  auto Items = drain(B);
+  ASSERT_EQ(Items.size(), 2u);
+  EXPECT_EQ(Items[1].first, LineBuffer::Item::Line);
+  EXPECT_EQ(Items[1].second, "pts Q");
+  EXPECT_EQ(B.pendingBytes(), 0u);
+  B.finish(); // idempotent: nothing is left to close
+  EXPECT_TRUE(drain(B).empty());
+
+  // A line cut off mid-discard still reports its oversize, once.
+  std::string Big(20, 'z');
+  B.append(Big.data(), Big.size());
+  B.finish();
+  Items = drain(B);
+  ASSERT_EQ(Items.size(), 1u);
+  EXPECT_EQ(Items[0].first, LineBuffer::Item::Oversized);
+  EXPECT_EQ(Items[0].second, "20");
+}
+
 //===----------------------------------------------------------------------===//
 // Address parsing
 //===----------------------------------------------------------------------===//
@@ -146,28 +171,6 @@ TEST(NetSocketTest, ParseHostPort) {
   EXPECT_FALSE(parseHostPort("h:", Host, Port).ok());
   EXPECT_FALSE(parseHostPort("h:abc", Host, Port).ok());
   EXPECT_FALSE(parseHostPort("h:99999", Host, Port).ok());
-}
-
-//===----------------------------------------------------------------------===//
-// Lane accumulator layout
-//===----------------------------------------------------------------------===//
-
-// The contract the read lanes rely on: adjacent slots never share a cache
-// line, so plain (non-atomic) per-lane writes are both correct (the wave
-// barrier orders them) and fast (no false sharing).
-static_assert(cacheAlignedLayoutOk<LaneAccum>,
-              "LaneAccum slots must be cache-line aligned and padded");
-static_assert(sizeof(CacheAligned<LaneAccum>) % CacheLineBytes == 0,
-              "padding must round the slot to whole cache lines");
-
-TEST(NetLaneStatsTest, SlotsDoNotShareCacheLines) {
-  LaneAccumSlots Slots(4);
-  for (size_t I = 0; I + 1 < Slots.size(); ++I) {
-    auto *A = reinterpret_cast<const char *>(&Slots[I].Value);
-    auto *B = reinterpret_cast<const char *>(&Slots[I + 1].Value);
-    EXPECT_GE(static_cast<size_t>(B - A), CacheLineBytes);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(A) % CacheLineBytes, 0u);
-  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -227,8 +230,6 @@ struct LoopbackServer {
 
     if (NetOpts.TcpSpec.empty() && NetOpts.UnixPath.empty())
       NetOpts.TcpSpec = "127.0.0.1:0";
-    if (NetOpts.Lanes == 0)
-      NetOpts.Lanes = 2;
     Server = std::make_unique<NetServer>(*Core, NetOpts);
     Status Ready = Server->init();
     if (!Ready) {
@@ -312,7 +313,6 @@ TEST(NetServerTest, ProtocolMatchesStdinMode) {
   std::string Metrics = ask(C, "metrics");
   EXPECT_EQ(Metrics.rfind("ok metrics", 0), 0u);
   EXPECT_NE(Metrics.find("poce_query_requests_total"), std::string::npos);
-  EXPECT_NE(Metrics.find("poce_net_lane0_queries"), std::string::npos);
   std::string Trailer = "# EOF";
   ASSERT_GE(Metrics.size(), Trailer.size());
   EXPECT_EQ(Metrics.substr(Metrics.size() - Trailer.size()), Trailer);
@@ -477,6 +477,46 @@ TEST(NetServerTest, SocketReadsReachCountersAndMetrics) {
   EXPECT_EQ(S.stop(), 0);
 }
 
+TEST(NetServerTest, SocketReadsAreTracedLikeStdinReads) {
+  // Both front ends answer a read through one metered call, which emits a
+  // serve.query span per read: N socket reads give exactly N spans, and
+  // the read counter grows by N.
+  LoopbackServer S(SwapText);
+  ASSERT_TRUE(S.Error.empty()) << S.Error;
+  LineClient C = S.client();
+  const uint64_t Before = seriesValue(ask(C, "metrics"),
+                                      "poce_query_requests_total");
+
+  std::string Path = ::testing::TempDir() + "poce_net_trace.json";
+  trace::arm(Path);
+  const char *Reads[] = {"ls X", "pts P", "alias P Q", "ls nosuch"};
+  constexpr uint64_t Rounds = 5;
+  for (uint64_t I = 0; I != Rounds; ++I)
+    for (const char *Line : Reads)
+      ask(C, Line);
+  trace::disarm();
+  const uint64_t N = Rounds * (sizeof(Reads) / sizeof(Reads[0]));
+
+  std::ifstream In(Path);
+  ASSERT_TRUE(In.good());
+  std::stringstream Buffer;
+  Buffer << In.rdbuf();
+  const std::string Json = Buffer.str();
+  const std::string Span = "\"name\": \"serve.query\"";
+  uint64_t Spans = 0;
+  for (size_t At = Json.find(Span); At != std::string::npos;
+       At = Json.find(Span, At + Span.size()))
+    ++Spans;
+  EXPECT_EQ(Spans, N);
+
+  std::string Metrics = ask(C, "metrics");
+  EXPECT_EQ(seriesValue(Metrics, "poce_query_requests_total"), Before + N);
+  // One read thread: no per-lane series.
+  EXPECT_EQ(Metrics.find("poce_net_lane"), std::string::npos);
+  EXPECT_EQ(S.stop(), 0);
+  std::remove(Path.c_str());
+}
+
 TEST(NetServerTest, RetractPrefixIsNotAVerbPayload) {
   // `!retract ` belongs to the WAL record encoding, not to the protocol:
   // over a socket too, an add or retract spelling it is refused like any
@@ -519,6 +559,40 @@ TEST(NetServerTest, PeerThatStopsReadingDoesNotKillTheServer) {
   ASSERT_TRUE(C.connectUnix(Path).ok());
   for (int I = 0; I != 20; ++I)
     EXPECT_EQ(ask(C, "alias X Y"), "ok false");
+  EXPECT_EQ(S.stop(), 0);
+}
+
+TEST(NetServerTest, HalfCloseAnswersTheUnterminatedLastLine) {
+  // A peer that sends its last request without a newline and then shuts
+  // down its write side still gets that request answered, reads and
+  // writes alike, before the server closes the connection.
+  std::string Path = ::testing::TempDir() + "poce_net_halfclose.sock";
+  NetServerOptions Opts;
+  Opts.UnixPath = Path;
+  LoopbackServer S(SwapText, Opts);
+  ASSERT_TRUE(S.Error.empty()) << S.Error;
+  auto SendAndHalfClose = [](LineClient &C, const std::string &Bytes) {
+    ASSERT_EQ(::send(C.fd(), Bytes.data(), Bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(Bytes.size()));
+    ASSERT_EQ(::shutdown(C.fd(), SHUT_WR), 0);
+  };
+
+  LineClient Reader;
+  ASSERT_TRUE(Reader.connectUnix(Path).ok());
+  SendAndHalfClose(Reader, "pts P\nalias P Q");
+  std::string R;
+  ASSERT_TRUE(Reader.recvLine(R).ok());
+  EXPECT_EQ(R, "ok { nx, ny }");
+  ASSERT_TRUE(Reader.recvLine(R).ok());
+  EXPECT_EQ(R, "ok true");
+  EXPECT_EQ(Reader.recvLine(R).code(), ErrorCode::NotFound); // clean close
+
+  LineClient Writer;
+  ASSERT_TRUE(Writer.connectUnix(Path).ok());
+  SendAndHalfClose(Writer, "add cons late");
+  ASSERT_TRUE(Writer.recvLine(R).ok());
+  EXPECT_EQ(R, "ok added");
+  EXPECT_EQ(Writer.recvLine(R).code(), ErrorCode::NotFound);
   EXPECT_EQ(S.stop(), 0);
 }
 
@@ -996,7 +1070,6 @@ TEST(NetReplicationTest, VerifyConvergesAcrossRepresentationDivergence) {
   ASSERT_TRUE(Recovered.ok()) << Recovered.toString();
   NetServerOptions FolOpts;
   FolOpts.TcpSpec = "127.0.0.1:0";
-  FolOpts.Lanes = 2;
   FolOpts.ReadOnly = true;
   NetServer FolServer(FolCore, FolOpts);
   ReplicationClient::Options ReplOpts;

@@ -48,11 +48,7 @@ struct FileHarness {
     std::string Canon;
     Status St = System.canonicalizeConstraint(Line, Solver, Canon);
     EXPECT_TRUE(St.ok()) << St.toString();
-    bool Removed = Solver.retract(Canon);
-    if (Removed) {
-      EXPECT_TRUE(System.removeConstraint(Canon));
-    }
-    return Removed;
+    return Solver.retract(Canon);
   }
 
   /// Rendered least solution of every declared variable, each sorted by

@@ -259,11 +259,7 @@ struct LineHarness {
     std::string Canon;
     Status St = System.canonicalizeConstraint(Line, Solver, Canon);
     EXPECT_TRUE(St.ok()) << St.toString();
-    bool Removed = Solver.retract(Canon);
-    if (Removed) {
-      EXPECT_TRUE(System.removeConstraint(Canon));
-    }
-    return Removed;
+    return Solver.retract(Canon);
   }
 
   /// Rendered least solutions per creation order, sorted by text so that

@@ -6,6 +6,7 @@
 
 #include "support/Arena.h"
 #include "support/ByteStream.h"
+#include "support/CacheAligned.h"
 #include "support/CommandLine.h"
 #include "support/DenseU64Map.h"
 #include "support/DenseU64Set.h"
@@ -27,6 +28,7 @@
 #include <fstream>
 #include <set>
 #include <unordered_set>
+#include <vector>
 
 using namespace poce;
 
@@ -859,4 +861,31 @@ TEST(ArenaTest, UndersizedRetainedSlabsAreSkippedButKept) {
   A.reset();
   A.allocate(8); // fits slab 0 again
   EXPECT_EQ(A.numSlabs(), Slabs);
+}
+
+//===----------------------------------------------------------------------===//
+// CacheAligned
+//===----------------------------------------------------------------------===//
+
+// The contract per-lane slot arrays rely on (the solver's least-solution
+// scratch): adjacent slots of a std::vector<CacheAligned<T>> never share a
+// cache line, so plain per-lane writes never false-share. The payload
+// mixes a counter with a heap-owning member, as the solver's does.
+struct LaneSlot {
+  uint64_t Count = 0;
+  std::vector<uint32_t> Scratch;
+};
+static_assert(cacheAlignedLayoutOk<LaneSlot>,
+              "slots must be cache-line aligned and padded");
+static_assert(sizeof(CacheAligned<LaneSlot>) % CacheLineBytes == 0,
+              "padding must round the slot to whole cache lines");
+
+TEST(CacheAlignedTest, SlotsDoNotShareCacheLines) {
+  std::vector<CacheAligned<LaneSlot>> Slots(4);
+  for (size_t I = 0; I + 1 < Slots.size(); ++I) {
+    auto *A = reinterpret_cast<const char *>(&Slots[I].Value);
+    auto *B = reinterpret_cast<const char *>(&Slots[I + 1].Value);
+    EXPECT_GE(static_cast<size_t>(B - A), CacheLineBytes);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(A) % CacheLineBytes, 0u);
+  }
 }
