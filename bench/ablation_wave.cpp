@@ -9,7 +9,8 @@
 /// (SF/IF) and elimination strategy (None/Online/Periodic) the same random
 /// constraint system is closed two ways — the eager worklist and the wave
 /// schedule (topologically ordered sweeps over the CSR successor layout)
-/// — and the hot-path counters are printed next to the timings. Two
+/// — and the hot-path counters are printed next to the timings, with the
+/// variables SF-Online's wave-order builds collapse (Collapsed). Two
 /// emission orders bound the design space: edges_first is the cascade
 /// worst case for eager singleton deltas (every source arrival re-walks
 /// the finished graph one delta at a time), facts_first is the bulk-load
@@ -137,7 +138,7 @@ int main() {
 
   TextTable Table({"Shape", "Config", "Variant", "Time(s)", "Work",
                    "DeltaProps", "Pruned", "LSwords", "Passes", "Levels",
-                   "Fallbacks"});
+                   "Fallbacks", "Collapsed"});
   bool Diverged = false;
   for (const ShapeSpec &Spec : Shapes) {
     PRNG Rng(Spec.Seed);
@@ -174,7 +175,8 @@ int main() {
                       formatGrouped(Hot[2].Value),
                       formatGrouped(R.Stats.WavePasses),
                       formatGrouped(R.Stats.LevelsPropagated),
-                      formatGrouped(R.Stats.WaveFallbacks)});
+                      formatGrouped(R.Stats.WaveFallbacks),
+                      formatGrouped(R.Stats.WaveCollapsedVars)});
       }
     }
   }

@@ -592,11 +592,7 @@ SuiteClosureResult measureSuiteClosure(double Scale, unsigned Repeats) {
       const andersen::AnalysisResult &R = Entry.Result;
       ++Out.Programs;
       Seconds += R.AnalysisSeconds;
-      Stats->Work += R.Stats.Work;
-      Stats->DeltaPropagations += R.Stats.DeltaPropagations;
-      Stats->VarsEliminated += R.Stats.VarsEliminated;
-      Stats->WavePasses += R.Stats.WavePasses;
-      Stats->WaveFallbacks += R.Stats.WaveFallbacks;
+      *Stats += R.Stats;
       for (const auto &[Location, Targets] : R.PointsTo) {
         fold(Location);
         for (const std::string &Target : Targets)
@@ -1365,7 +1361,8 @@ int emitTrajectory(const std::string &Path) {
         "     \"work\": %llu, \"work_baseline\": %llu, "
         "\"delta_props\": %llu, \"delta_props_baseline\": %llu,\n"
         "     \"vars_eliminated\": %llu, \"vars_eliminated_baseline\": %llu, "
-        "\"wave_passes\": %llu, \"wave_fallbacks\": %llu,\n"
+        "\"wave_passes\": %llu, \"wave_fallbacks\": %llu, "
+        "\"wave_collapsed_vars\": %llu,\n"
         "     \"pts_checksum\": %llu, \"checksum_match\": %s}",
         R.Programs, R.WallSeconds, R.BaselineSeconds, Speedup,
         (unsigned long long)R.Stats.Work,
@@ -1376,6 +1373,7 @@ int emitTrajectory(const std::string &Path) {
         (unsigned long long)R.BaselineStats.VarsEliminated,
         (unsigned long long)R.Stats.WavePasses,
         (unsigned long long)R.Stats.WaveFallbacks,
+        (unsigned long long)R.Stats.WaveCollapsedVars,
         (unsigned long long)R.Checksum, ChecksumMatch ? "true" : "false");
     std::printf("%-14s %-10s programs=%-3u wall=%.3fs baseline=%.3fs "
                 "speedup=%.2fx work=%llu/%llu delta_props=%llu/%llu "

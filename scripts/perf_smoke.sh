@@ -10,6 +10,12 @@
 #   (3) the wave schedule performs no more delta propagations than the
 #       worklist schedule (on this shape it should do far fewer: one
 #       level-ordered sweep instead of one chain walk per source).
+# Then it closes the chain into a ring (C199 <= C0) and solves it under
+# SF-Online, asserting that
+#   (4) the wave solutions are byte-identical to --closure=worklist, and
+#   (5) the wave-order build collapsed the ring the online chain search
+#       missed (`wave collapsed:` >= 1), so its sweeps never delivered
+#       against the order (`wave fallbacks: 0`).
 #
 # Usage: scripts/perf_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -91,6 +97,33 @@ if [ "$WAVE_PROPS" -gt "$WL_PROPS" ]; then
   exit 1
 fi
 
+RING="$WORK/ring.scs"
+{ cat "$SCS"; echo "C$((CHAIN - 1)) <= C0"; } > "$RING"
+"$SCSOLVE" --config=sf-online --closure=worklist "$RING" > "$WORK/ring-worklist.out"
+"$SCSOLVE" --config=sf-online "$RING" > "$WORK/ring-wave.out"
+"$SCSOLVE" --config=sf-online --stats "$RING" > "$WORK/ring-wave.stats"
+if ! cmp -s "$WORK/ring-worklist.out" "$WORK/ring-wave.out"; then
+  echo "FAIL: SF-Online ring: wave least solutions differ from worklist" >&2
+  diff "$WORK/ring-worklist.out" "$WORK/ring-wave.out" >&2 | head -20
+  exit 1
+fi
+RING_FALLBACKS=$(stat 'wave fallbacks' "$WORK/ring-wave.stats")
+RING_COLLAPSED=$(stat 'wave collapsed' "$WORK/ring-wave.stats")
+if [ -z "$RING_FALLBACKS" ] || [ -z "$RING_COLLAPSED" ]; then
+  echo "FAIL: could not read wave fallbacks/collapsed from --stats" >&2
+  exit 1
+fi
+if [ "$RING_FALLBACKS" -ne 0 ]; then
+  echo "FAIL: SF-Online ring: $RING_FALLBACKS wave fallbacks" \
+       "(the order build should collapse the ring first)" >&2
+  exit 1
+fi
+if [ "$RING_COLLAPSED" -lt 1 ]; then
+  echo "FAIL: SF-Online ring: the wave-order build collapsed nothing" >&2
+  exit 1
+fi
+
 echo "perf smoke OK: solutions identical;" \
      "delta props worklist=$WL_PROPS wave=$WAVE_PROPS" \
-     "(passes=$WAVE_PASSES)"
+     "(passes=$WAVE_PASSES); SF-Online ring collapsed=$RING_COLLAPSED" \
+     "fallbacks=$RING_FALLBACKS"

@@ -162,6 +162,10 @@ int main(int Argc, char **Argv) {
                 formatGrouped(Stats.DeltaPropagations).c_str());
     std::printf("wave passes:      %s\n",
                 formatGrouped(Stats.WavePasses).c_str());
+    std::printf("wave fallbacks:   %s\n",
+                formatGrouped(Stats.WaveFallbacks).c_str());
+    std::printf("wave collapsed:   %s\n",
+                formatGrouped(Stats.WaveCollapsedVars).c_str());
   }
   return 0;
 }

@@ -222,9 +222,9 @@ void ConstraintSolver::scheduleFlush(VarId Var) {
     return;
   if (waveMode()) {
     // Deltas accumulate until the next sweep instead of racing down the
-    // worklist. A delivery at or before the sweep cursor means a cycle
-    // formed after the order was cached pushed sources backwards; the
-    // variable simply re-enters the heap (and is counted).
+    // worklist. A delivery at or before the sweep cursor went around a
+    // cycle the order leveled as one component (SF-Online collapses those
+    // at build); the variable simply re-enters the heap (and is counted).
     PendingWave.push_back(Var);
     if (InWavePass && WaveIndex[Var] <= WaveCursor)
       ++Stats.WaveFallbacks;
@@ -292,8 +292,17 @@ void ConstraintSolver::drain() {
 void ConstraintSolver::runWavePass() {
   const bool Timed = phaseTimingOn();
   const uint64_t StartUs = Timed ? trace::nowMicros() : 0;
-  if (!WaveOrderValid)
+  if (!WaveOrderValid) {
     buildWaveOrder();
+    if (Timed) {
+      waveOrderHistogram().record(trace::nowMicros() - StartUs);
+      trace::complete("solver.wave_order", StartUs);
+    }
+    // The build collapsed cycles: their re-adds wait on the worklist, and
+    // the next pass levels the graph they leave.
+    if (!WaveOrderValid)
+      return;
+  }
   ++Stats.WavePasses;
 
   // Min-heap on topological position: a variable is flushed only once
@@ -340,10 +349,15 @@ void ConstraintSolver::runWavePass() {
 }
 
 void ConstraintSolver::buildWaveOrder() {
-  const bool Timed = phaseTimingOn();
-  const uint64_t StartUs = Timed ? trace::nowMicros() : 0;
   Digraph G = varVarDigraph();
   SCCResult SCCs = computeSCCs(G);
+  // The paper's periodic strategy, run only where its Tarjan pass is
+  // already paid for: SF-Online collapses every cycle found here, so the
+  // order the next build completes is acyclic and its sweeps never fall
+  // back. The online search's own counters are left alone.
+  if (Options.Elim == CycleElim::Online &&
+      collapseComponents(SCCs, Stats.WaveCollapsedVars) != 0)
+    return;
   Digraph Cond = condense(G, SCCs);
 
   // Level the condensation Kahn-style. Tarjan numbers components in
@@ -399,10 +413,6 @@ void ConstraintSolver::buildWaveOrder() {
                              ? Entry
                              : varRef(Forwarding.find(payloadOf(Entry)));
   WaveOrderValid = true;
-  if (Timed) {
-    waveOrderHistogram().record(trace::nowMicros() - StartUs);
-    trace::complete("solver.wave_order", StartUs);
-  }
 }
 
 void ConstraintSolver::abortSolve(SolverStats::AbortReason Reason) {
@@ -809,6 +819,8 @@ bool ConstraintSolver::detectAndCollapse(VarId Lhs, VarId Rhs) {
     return false;
   }
   collapseCycle(Path);
+  ++Stats.CyclesCollapsed;
+  Stats.VarsEliminated += Path.size() - 1;
   if (Timed) {
     cycleSearchHistogram().record(trace::nowMicros() - StartUs);
     // Successful searches are rare enough to trace individually; the
@@ -897,7 +909,6 @@ void ConstraintSolver::collapseCycle(const std::vector<VarId> &Cycle) {
     std::fprintf(stderr, "[setcon] %s\n", Msg.c_str());
   });
 
-  ++Stats.CyclesCollapsed;
   invalidateWaveOrder();
   // Unite first so representative lookups during re-adding see the final
   // classes.
@@ -907,7 +918,6 @@ void ConstraintSolver::collapseCycle(const std::vector<VarId> &Cycle) {
     bool United = Forwarding.unite(Var, Witness);
     assert(United && "cycle contained duplicate representatives!");
     (void)United;
-    ++Stats.VarsEliminated;
   }
   // Move the collapsed variables' constraints onto the witness. Clearing
   // SrcDelta turns any flush still queued for the dead variable into a
@@ -928,13 +938,22 @@ void ConstraintSolver::collapseCycle(const std::vector<VarId> &Cycle) {
   }
 }
 
+uint64_t ConstraintSolver::collapseComponents(const SCCResult &SCCs,
+                                              uint64_t &Eliminated) {
+  uint64_t Collapsed = 0;
+  for (const auto &Component : SCCs.Components)
+    if (Component.size() >= 2) {
+      collapseCycle(Component);
+      Eliminated += Component.size() - 1;
+      ++Collapsed;
+    }
+  return Collapsed;
+}
+
 void ConstraintSolver::runPeriodicPass() {
   ++Stats.PeriodicPasses;
-  Digraph G = varVarDigraph();
-  SCCResult SCCs = computeSCCs(G);
-  for (const auto &Component : SCCs.Components)
-    if (Component.size() >= 2)
-      collapseCycle(Component);
+  Stats.CyclesCollapsed +=
+      collapseComponents(computeSCCs(varVarDigraph()), Stats.VarsEliminated);
 }
 
 //===----------------------------------------------------------------------===//

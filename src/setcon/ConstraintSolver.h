@@ -71,6 +71,7 @@ namespace poce {
 
 class Oracle;
 class ThreadPool;
+struct SCCResult;
 
 namespace serve {
 class GraphSnapshot;
@@ -446,16 +447,22 @@ private:
   /// deterministic min-heap on the cached topological position pops each
   /// variable only after every delta reachable from earlier positions has
   /// landed, so acyclic regions flush exactly once per sweep. Deliveries
-  /// that land at or before the cursor (a cycle formed after the order was
-  /// cached) count as WaveFallbacks and simply re-enter the heap — the
-  /// worklist-granularity fallback the paper's online discipline needs.
+  /// that land at or before the cursor (inside an SCC the order levels as
+  /// one component, which only SF-Plain and SF-Periodic leave in the
+  /// graph) count as WaveFallbacks and simply re-enter the heap. If the
+  /// order build collapsed cycles instead, no sweep runs: control returns
+  /// to drain(), whose structural phase replays the collapse re-adds
+  /// before the next pass rebuilds the order.
   void runWavePass();
 
   /// (Re)builds the cached topological order: Tarjan-condense the live
   /// variable graph, level the condensation Kahn-style, assign each live
   /// representative a unique position sorted by (level, order index), and
   /// lay the successor rows out as CSR arrays in position order with
-  /// targets pre-resolved through forwarding.
+  /// targets pre-resolved through forwarding. Under CycleElim::Online it
+  /// first collapses every non-trivial SCC the Tarjan pass found (counted
+  /// in WaveCollapsedVars); when anything collapsed it returns with the
+  /// order still invalid, so each order it does complete is acyclic.
   void buildWaveOrder();
 
   /// Drops the cached order/CSR. Called on any structural change the
@@ -532,8 +539,15 @@ private:
                    std::vector<VarId> &Path);
 
   /// Collapses the distinct live variables in \p Cycle onto the
-  /// lowest-ordered witness and re-enqueues their constraints.
+  /// lowest-ordered witness and re-enqueues their constraints. Callers
+  /// count the collapse.
   void collapseCycle(const std::vector<VarId> &Cycle);
+
+  /// Collapses every non-trivial (size >= 2) component of \p SCCs, a
+  /// Tarjan pass over the current variable graph. Adds the variables it
+  /// eliminated to \p Eliminated and returns the number of components
+  /// collapsed.
+  uint64_t collapseComponents(const SCCResult &SCCs, uint64_t &Eliminated);
 
   /// Offline pass for CycleElim::Periodic: Tarjan over the current
   /// variable graph, collapsing every non-trivial SCC.

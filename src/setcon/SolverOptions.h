@@ -96,11 +96,12 @@ enum class ClosureMode : uint8_t {
   /// consequences still drain through the same worklist discipline, but
   /// standard-form source deltas accumulate and flush in topological
   /// order over the condensed variable graph — one batched delivery per
-  /// edge per wave instead of one per arrival. Solutions are identical to
-  /// Worklist; so are the paper's counters on cycle-free closures (the
-  /// multiset of (source, edge) delivery attempts is schedule-independent),
-  /// while collapse interleaving can shift order-sensitive counters the
-  /// same way DiffProp already does under SF-Online. See
+  /// edge per wave instead of one per arrival. Under CycleElim::Online
+  /// the order build also collapses every cycle it finds. Solutions are
+  /// identical to Worklist; so are the paper's counters on cycle-free
+  /// closures (the multiset of (source, edge) delivery attempts is
+  /// schedule-independent), while SF-Online's extra collapses shrink its
+  /// graph and shift its order-sensitive counters. See
   /// docs/INTERNALS.md, "Wave propagation and data layout".
   Wave,
 };

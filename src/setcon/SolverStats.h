@@ -98,10 +98,20 @@ struct SolverStats {
   /// after a fallback counts again) — the wavefront depth measure.
   uint64_t LevelsPropagated = 0;
   /// Deliveries that landed at or before the sweep cursor — sources pushed
-  /// against the cached topological order by a cycle that formed after the
-  /// order was computed (or inside a never-collapsed SCC). Each one forces
-  /// an extra flush of an already-visited variable within the sweep.
+  /// against the cached topological order inside an SCC the order levels
+  /// as one component. Each one forces an extra flush of an
+  /// already-visited variable within the sweep. SF-Plain and SF-Periodic
+  /// keep their cycles in the graph and pay these; under SF-Online the
+  /// order build collapses every SCC first (WaveCollapsedVars), so every
+  /// sweep runs on an acyclic order and this stays 0.
   uint64_t WaveFallbacks = 0;
+  /// Variables collapsed by the wave-order build under CycleElim::Online:
+  /// members of the non-trivial SCCs its Tarjan pass found, merged onto
+  /// their lowest-ordered member. Kept apart from VarsEliminated and
+  /// CyclesCollapsed, which stay the online chain search's figures (as
+  /// OfflineCollapsedVars does for the offline pass). 0 on the worklist
+  /// schedule and under every other elimination strategy.
+  uint64_t WaveCollapsedVars = 0;
 
   /// Constraint retractions performed (ConstraintSolver::retract calls
   /// that found and removed a base root).
@@ -181,6 +191,7 @@ struct SolverStats {
     WavePasses += RHS.WavePasses;
     LevelsPropagated += RHS.LevelsPropagated;
     WaveFallbacks += RHS.WaveFallbacks;
+    WaveCollapsedVars += RHS.WaveCollapsedVars;
     Retractions += RHS.Retractions;
     ConeVarsRecomputed += RHS.ConeVarsRecomputed;
     CollapsesSplit += RHS.CollapsesSplit;
@@ -208,7 +219,7 @@ struct SolverStats {
 
   /// Every counter with its snake_case key — the single naming source for
   /// the metrics-registry export and any full JSON emitter.
-  std::array<NamedCounter, 27> allCounters() const {
+  std::array<NamedCounter, 28> allCounters() const {
     return {{{"VarsCreated", "vars_created", VarsCreated},
              {"OracleSubs", "oracle_substitutions", OracleSubstitutions},
              {"InitialEdges", "initial_edges", InitialEdges},
@@ -233,6 +244,7 @@ struct SolverStats {
              {"WavePasses", "wave_passes", WavePasses},
              {"Levels", "levels_propagated", LevelsPropagated},
              {"Fallbacks", "wave_fallbacks", WaveFallbacks},
+             {"WaveCollapsed", "wave_collapsed_vars", WaveCollapsedVars},
              {"Retractions", "retractions", Retractions},
              {"ConeVars", "cone_vars_recomputed", ConeVarsRecomputed},
              {"Splits", "collapses_split", CollapsesSplit}}};
