@@ -49,8 +49,10 @@
 #include <cstring>
 #include <ctime>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 using namespace poce;
 
@@ -617,6 +619,87 @@ SuiteClosureResult measureSuiteClosure(double Scale, unsigned Repeats) {
       Out.BaselineSeconds = Baseline;
   }
   return Out;
+}
+
+/// The paper's analysis time split into its layers, on the 27 Table 1
+/// programs under one configuration and the default schedule: generate
+/// is ConstraintGenerator::run (no closure runs during it under wave),
+/// close is ensureClosed(), settle is finalize() (the least solution).
+/// Programs are generated and parsed once, outside the clock. Reports the
+/// suite pass with the lowest total of N; term and constructor counts,
+/// Work, LSUnionWords and the points-to checksum must be equal in every
+/// pass.
+struct SuiteAnalysisResult {
+  double GenerateSeconds = 0, CloseSeconds = 0, SettleSeconds = 0;
+  unsigned Programs = 0;
+  uint64_t Terms = 0, Constructors = 0;
+  SolverStats Stats;
+  uint64_t Checksum = 0;
+  bool Stable = true; ///< Every pass agreed on counts and checksum.
+
+  double totalSeconds() const {
+    return GenerateSeconds + CloseSeconds + SettleSeconds;
+  }
+};
+
+SuiteAnalysisResult measureSuiteAnalysis(
+    const std::vector<std::unique_ptr<workload::PreparedProgram>> &Programs,
+    const SolverOptions &Options, unsigned Repeats) {
+  SuiteAnalysisResult Best;
+  bool Stable = true;
+  for (unsigned Rep = 0; Rep != Repeats; ++Rep) {
+    SuiteAnalysisResult Pass;
+    uint64_t Hash = 14695981039346656037ULL;
+    auto fold = [&Hash](uint32_t Word) {
+      Hash = (Hash ^ Word) * 1099511628211ULL;
+    };
+    std::vector<uint32_t> Targets;
+    for (const auto &Program : Programs) {
+      if (!Program->Ok)
+        continue;
+      ConstructorTable Constructors;
+      TermTable Terms(Constructors);
+      ConstraintSolver Solver(Terms, Options);
+      andersen::ConstraintGenerator Generator(Solver);
+      Timer Clock;
+      Generator.run(Program->Unit);
+      Pass.GenerateSeconds += Clock.seconds();
+      Clock.reset();
+      Solver.ensureClosed();
+      Pass.CloseSeconds += Clock.seconds();
+      Clock.reset();
+      Solver.finalize();
+      Pass.SettleSeconds += Clock.seconds();
+
+      ++Pass.Programs;
+      Pass.Terms += Terms.size();
+      Pass.Constructors += Constructors.size();
+      Pass.Stats += Solver.stats();
+      for (const andersen::Location &Loc : Generator.locations()) {
+        Targets.clear();
+        for (ExprId Term : Solver.leastSolution(Loc.Content)) {
+          andersen::LocationId Target = Generator.locationOfRefTerm(Term);
+          if (Target != andersen::ConstraintGenerator::NotFound)
+            Targets.push_back(Target);
+        }
+        std::sort(Targets.begin(), Targets.end());
+        fold(static_cast<uint32_t>(Targets.size()));
+        for (uint32_t Target : Targets)
+          fold(Target);
+      }
+    }
+    Pass.Checksum = Hash;
+    if (Rep != 0)
+      Stable = Stable && Pass.Checksum == Best.Checksum &&
+               Pass.Terms == Best.Terms &&
+               Pass.Constructors == Best.Constructors &&
+               Pass.Stats.Work == Best.Stats.Work &&
+               Pass.Stats.LSUnionWords == Best.Stats.LSUnionWords;
+    if (Rep == 0 || Pass.totalSeconds() < Best.totalSeconds())
+      Best = Pass;
+  }
+  Best.Stable = Stable;
+  return Best;
 }
 
 /// Offline-preprocessing A/B on one shape: PreprocessMode::Offline (HVN
@@ -1388,6 +1471,48 @@ int emitTrajectory(const std::string &Path) {
       std::fprintf(stderr, "error: suite_sf_closure: default-schedule "
                            "points-to sets diverged from the worklist's\n");
       return 1;
+    }
+  }
+
+  // The analysis front half: generation against closure and least
+  // solution, per configuration, on the same prepared programs.
+  {
+    std::vector<std::unique_ptr<workload::PreparedProgram>> Programs;
+    for (const workload::ProgramSpec &Spec : workload::paperSuite(Scale))
+      Programs.push_back(workload::prepareProgram(Spec));
+    const SolverOptions AnalysisConfigs[] = {
+        makeConfig(GraphForm::Inductive, CycleElim::Online),
+        makeConfig(GraphForm::Standard, CycleElim::Online),
+    };
+    for (const SolverOptions &Options : AnalysisConfigs) {
+      SuiteAnalysisResult R = measureSuiteAnalysis(Programs, Options, Repeats);
+      bench::appendf(
+          Run,
+          ",\n    {\"name\": \"suite_analysis\", \"config\": \"%s\", "
+          "\"programs\": %u,\n"
+          "     \"wall_s\": %.6f, \"generate_s\": %.6f, \"close_s\": %.6f, "
+          "\"settle_s\": %.6f,\n"
+          "     \"terms\": %llu, \"constructors\": %llu, \"work\": %llu, "
+          "\"ls_union_words\": %llu,\n"
+          "     \"pts_checksum\": %llu, \"stable\": %s}",
+          Options.configName().c_str(), R.Programs, R.totalSeconds(),
+          R.GenerateSeconds, R.CloseSeconds, R.SettleSeconds,
+          (unsigned long long)R.Terms, (unsigned long long)R.Constructors,
+          (unsigned long long)R.Stats.Work,
+          (unsigned long long)R.Stats.LSUnionWords,
+          (unsigned long long)R.Checksum, R.Stable ? "true" : "false");
+      std::printf("%-14s %-10s programs=%-3u wall=%.3fs generate=%.3fs "
+                  "close=%.3fs settle=%.3fs terms=%llu work=%llu "
+                  "stable=%s\n",
+                  "suite_analysis", Options.configName().c_str(), R.Programs,
+                  R.totalSeconds(), R.GenerateSeconds, R.CloseSeconds,
+                  R.SettleSeconds, (unsigned long long)R.Terms,
+                  (unsigned long long)R.Stats.Work, R.Stable ? "yes" : "NO");
+      if (!R.Stable) {
+        std::fprintf(stderr, "error: suite_analysis: counters or points-to "
+                             "sets changed between suite passes\n");
+        return 1;
+      }
     }
   }
 

@@ -103,6 +103,15 @@ grep -q '^err read_only ' "$WORK/ro.out" ||
     ncf > "$WORK/reader.out" 2> /dev/null || true
 } &
 READER=$!
+# The writer starts only once the reader holds its first reply (scnetcat
+# flushes each one), so at least one read predates every live write and
+# must see the base state.
+for _ in $(seq 200); do
+  [ -s "$WORK/reader.out" ] && break
+  sleep 0.05
+done
+[ -s "$WORK/reader.out" ] ||
+  fail "catch-up: the follower reader got no first reply within 10 s"
 {
   for k in $(seq 0 24); do
     printf 'add cons w%s\nadd w%s <= P\n' "$k" "$k"

@@ -29,30 +29,39 @@ ConstraintGenerator::ConstraintGenerator(ConstraintSolver &Solver)
 // Locations and scopes
 //===----------------------------------------------------------------------===//
 
-LocationId ConstraintGenerator::createLocation(const std::string &Name,
+LocationId ConstraintGenerator::createLocation(std::string Name,
                                                LocationKind Kind,
                                                bool IsArray) {
   // Qualified names are unique; shadowing in nested blocks appends a
   // uniquifier.
-  std::string Unique = Name;
-  while (NameIndex.count(Unique))
-    Unique = Name + "#" + std::to_string(++NextLocalUniquifier);
+  const LocationId Id = static_cast<LocationId>(Locations.size());
+  auto claim = [&](const std::string &Candidate) {
+    return LocationIndex.findOrInsert(
+               stringTag(Candidate), Id, [&](LocationId Known) {
+                 return Locations[Known].Name == Candidate;
+               }) == Id;
+  };
+  if (!claim(Name)) {
+    const std::string Base = std::move(Name);
+    do
+      Name = Base + "#" + std::to_string(++NextLocalUniquifier);
+    while (!claim(Name));
+  }
 
-  Location Loc;
-  Loc.Name = Unique;
+  Location &Loc = Locations.emplace_back();
   Loc.Kind = Kind;
   Loc.IsArray = IsArray;
-  Loc.Content = Solver.freshVar(Unique);
+  Loc.Content = Solver.freshVar(Name);
 
-  ConsId NameCons = Terms.mutableConstructors().getOrCreate("@" + Unique, {});
+  NameConsScratch.assign(1, '@');
+  NameConsScratch += Name;
+  ConsId NameCons =
+      Terms.mutableConstructors().getOrCreate(NameConsScratch, {});
   ExprId NameTerm = Terms.cons(NameCons, {});
   ExprId ContentVar = Terms.var(Loc.Content);
   Loc.RefTerm = Terms.cons(RefCons, {NameTerm, ContentVar, ContentVar});
-
-  LocationId Id = static_cast<LocationId>(Locations.size());
-  Locations.push_back(Loc);
+  Loc.Name = std::move(Name);
   RefTermToLocation.insert(Loc.RefTerm, Id);
-  NameIndex[Unique] = Id;
 
   // Arrays (and functions, handled by the lam constraint) contain
   // themselves: reading an array r-value yields the array location, which
@@ -69,37 +78,51 @@ LocationId ConstraintGenerator::locationOfRefTerm(ExprId Term) const {
 
 LocationId
 ConstraintGenerator::locationByName(const std::string &Name) const {
-  auto It = NameIndex.find(Name);
-  return It == NameIndex.end() ? NotFound : It->second;
+  LocationId Id = LocationIndex.find(stringTag(Name), [&](LocationId Known) {
+    return Locations[Known].Name == Name;
+  });
+  return Id == IdIndex::NotFound ? NotFound : Id;
+}
+
+uint32_t ConstraintGenerator::bindingOf(const std::string &Name) {
+  const uint32_t NewIndex = static_cast<uint32_t>(Bindings.size());
+  const uint32_t Index = IdentIndex.findOrInsert(
+      stringTag(Name), NewIndex,
+      [&](uint32_t Known) { return Bindings[Known].Name == Name; });
+  if (Index == NewIndex)
+    Bindings.push_back({Name});
+  return Index;
 }
 
 LocationId ConstraintGenerator::lookupOrCreateIdent(const std::string &Name) {
-  for (auto It = LocalScopes.rbegin(); It != LocalScopes.rend(); ++It) {
-    auto Found = It->find(Name);
-    if (Found != It->end())
-      return Found->second;
-  }
-  auto Found = GlobalScope.find(Name);
-  if (Found != GlobalScope.end())
-    return Found->second;
+  Binding &Entry = Bindings[bindingOf(Name)];
+  if (Entry.Local != NotFound)
+    return Entry.Local;
   // Implicitly declared identifier (e.g. an external function used
   // without a prototype): create a global location on first use.
-  LocationId Id = createLocation(Name, LocationKind::Global,
-                                 /*IsArray=*/false);
-  GlobalScope[Name] = Id;
-  return Id;
+  if (Entry.Global == NotFound)
+    Entry.Global =
+        createLocation(Name, LocationKind::Global, /*IsArray=*/false);
+  return Entry.Global;
 }
 
 void ConstraintGenerator::bindLocal(const std::string &Name, LocationId Loc) {
-  assert(!LocalScopes.empty() && "local binding outside any scope!");
-  LocalScopes.back()[Name] = Loc;
+  assert(inLocalScope() && "local binding outside any scope!");
+  const uint32_t Index = bindingOf(Name);
+  ScopeLog.push_back({Index, Bindings[Index].Local});
+  Bindings[Index].Local = Loc;
 }
 
-void ConstraintGenerator::pushScope() { LocalScopes.emplace_back(); }
+void ConstraintGenerator::pushScope() { ScopeMarks.push_back(ScopeLog.size()); }
 
 void ConstraintGenerator::popScope() {
-  assert(!LocalScopes.empty() && "scope underflow!");
-  LocalScopes.pop_back();
+  assert(inLocalScope() && "scope underflow!");
+  // Undo this scope's bindings newest first, so a name bound twice in it
+  // gets back the binding from before the scope.
+  for (size_t I = ScopeLog.size(); I != ScopeMarks.back(); --I)
+    Bindings[ScopeLog[I - 1].Binding].Local = ScopeLog[I - 1].Previous;
+  ScopeLog.resize(ScopeMarks.back());
+  ScopeMarks.pop_back();
 }
 
 //===----------------------------------------------------------------------===//
@@ -151,32 +174,43 @@ ExprId ConstraintGenerator::wrapRValue(ExprId Value) {
   return Terms.cons(RefCons, {Terms.zero(), Value, Terms.one()});
 }
 
+ConsId ConstraintGenerator::lamConstructor(size_t Arity) {
+  if (Arity >= LamCons.size())
+    LamCons.resize(Arity + 1, ConstructorTable::NotFound);
+  if (LamCons[Arity] == ConstructorTable::NotFound) {
+    SmallVector<Variance, 8> Variances;
+    for (size_t I = 0; I != Arity; ++I)
+      Variances.push_back(Variance::Contravariant);
+    Variances.push_back(Variance::Covariant);
+    LamCons[Arity] = Terms.mutableConstructors().getOrCreate(
+        "lam$" + std::to_string(Arity), Variances);
+  }
+  return LamCons[Arity];
+}
+
 //===----------------------------------------------------------------------===//
 // Functions
 //===----------------------------------------------------------------------===//
 
-ConstraintGenerator::FunctionInfo &
-ConstraintGenerator::declareFunction(const FunctionDecl *FD) {
-  auto It = Functions.find(FD->Name);
-  if (It != Functions.end())
-    return It->second;
+uint32_t ConstraintGenerator::declareFunction(const FunctionDecl *FD) {
+  const uint32_t Index = bindingOf(FD->Name);
+  if (Bindings[Index].Function != NotFound)
+    return Bindings[Index].Function;
 
   FunctionInfo Info;
   // Reuse a location created by an earlier implicit use of the name.
-  auto Global = GlobalScope.find(FD->Name);
-  if (Global != GlobalScope.end()) {
-    Info.Loc = Global->second;
+  if (Bindings[Index].Global != NotFound) {
+    Info.Loc = Bindings[Index].Global;
     Locations[Info.Loc].Kind = LocationKind::Function;
   } else {
     Info.Loc =
         createLocation(FD->Name, LocationKind::Function, /*IsArray=*/false);
-    GlobalScope[FD->Name] = Info.Loc;
+    Bindings[Index].Global = Info.Loc;
   }
   Info.Return = freshVar("ret");
   Info.Variadic = FD->Variadic;
 
   SmallVector<ExprId, 8> LamArgs;
-  SmallVector<Variance, 8> LamVariance;
   for (size_t I = 0; I != FD->Params.size(); ++I) {
     const VarDecl *Param = FD->Params[I];
     std::string ParamName =
@@ -184,17 +218,13 @@ ConstraintGenerator::declareFunction(const FunctionDecl *FD) {
         (Param->Name.empty() ? "p" + std::to_string(I) : Param->Name);
     bool IsArray = Param->TypeText.find("[]") != std::string::npos;
     LocationId ParamLoc =
-        createLocation(ParamName, LocationKind::Param, IsArray);
+        createLocation(std::move(ParamName), LocationKind::Param, IsArray);
     Info.Params.push_back(ParamLoc);
     LamArgs.push_back(Terms.var(Locations[ParamLoc].Content));
-    LamVariance.push_back(Variance::Contravariant);
   }
   LamArgs.push_back(Terms.var(Info.Return));
-  LamVariance.push_back(Variance::Covariant);
 
-  ConsId LamCons = Terms.mutableConstructors().getOrCreate(
-      "lam$" + std::to_string(FD->Params.size()), LamVariance);
-  ExprId LamTerm = Terms.cons(LamCons, LamArgs);
+  ExprId LamTerm = Terms.cons(lamConstructor(FD->Params.size()), LamArgs);
   // The function's location contains its lam value, so reading the
   // function name (or a function pointer holding it) yields the lam. It
   // also contains itself (function designators decay to pointers), which
@@ -204,23 +234,26 @@ ConstraintGenerator::declareFunction(const FunctionDecl *FD) {
   Solver.addConstraint(Locations[Info.Loc].RefTerm,
                        Terms.var(Locations[Info.Loc].Content));
 
-  return Functions.emplace(FD->Name, std::move(Info)).first->second;
+  Bindings[Index].Function = static_cast<uint32_t>(Functions.size());
+  Functions.push_back(std::move(Info));
+  return Bindings[Index].Function;
 }
 
 void ConstraintGenerator::generateFunctionBody(const FunctionDecl *FD) {
-  FunctionInfo &Info = declareFunction(FD);
-  Info.HasBody = true;
-  const FunctionInfo *PreviousFunction = CurrentFunction;
+  const uint32_t Function = declareFunction(FD);
+  Functions[Function].HasBody = true;
+  const uint32_t PreviousFunction = CurrentFunction;
   std::string PreviousName = CurrentFunctionName;
-  CurrentFunction = &Info;
+  CurrentFunction = Function;
   CurrentFunctionName = FD->Name;
 
   pushScope();
   // Bind the definition's parameter names (which may differ from a
   // prototype's) to the canonical parameter locations.
-  for (size_t I = 0; I != FD->Params.size() && I != Info.Params.size(); ++I)
+  const std::vector<LocationId> &Params = Functions[Function].Params;
+  for (size_t I = 0; I != FD->Params.size() && I != Params.size(); ++I)
     if (!FD->Params[I]->Name.empty())
-      bindLocal(FD->Params[I]->Name, Info.Params[I]);
+      bindLocal(FD->Params[I]->Name, Params[I]);
   generateStmt(FD->Body);
   popScope();
 
@@ -244,13 +277,10 @@ void ConstraintGenerator::generateVarDecl(const VarDecl *VD, bool IsLocal) {
   } else {
     // Globals: tentative definitions and extern declarations of the same
     // name share one location.
-    auto It = GlobalScope.find(VD->Name);
-    if (It != GlobalScope.end()) {
-      Loc = It->second;
-    } else {
-      Loc = createLocation(VD->Name, LocationKind::Global, IsArray);
-      GlobalScope[VD->Name] = Loc;
-    }
+    Binding &Entry = Bindings[bindingOf(VD->Name)];
+    if (Entry.Global == NotFound)
+      Entry.Global = createLocation(VD->Name, LocationKind::Global, IsArray);
+    Loc = Entry.Global;
   }
   if (VD->Init)
     generateInitInto(Loc, VD->Init);
@@ -284,7 +314,7 @@ void ConstraintGenerator::generateStmt(const Stmt *S) {
   }
   case Node::Kind::DeclStmt:
     for (const VarDecl *VD : cast<DeclStmt>(S)->Decls)
-      generateVarDecl(VD, /*IsLocal=*/!LocalScopes.empty());
+      generateVarDecl(VD, /*IsLocal=*/inLocalScope());
     return;
   case Node::Kind::ExprStmt:
     generateExpr(cast<ExprStmt>(S)->E);
@@ -324,8 +354,9 @@ void ConstraintGenerator::generateStmt(const Stmt *S) {
     const auto *Return = cast<ReturnStmt>(S);
     if (Return->Value) {
       ExprId Value = rvalueOf(generateExpr(Return->Value));
-      if (CurrentFunction && Value != Terms.zero())
-        Solver.addConstraint(Value, Terms.var(CurrentFunction->Return));
+      if (CurrentFunction != NotFound && Value != Terms.zero())
+        Solver.addConstraint(Value,
+                             Terms.var(Functions[CurrentFunction].Return));
     }
     return;
   }
@@ -492,14 +523,21 @@ bool ConstraintGenerator::isAllocatorName(const std::string &Name) const {
          Name == "valloc" || Name == "xmalloc" || Name == "strdup";
 }
 
+bool ConstraintGenerator::definedInProgram(const std::string &Name) const {
+  uint32_t Index = IdentIndex.find(stringTag(Name), [&](uint32_t Known) {
+    return Bindings[Known].Name == Name;
+  });
+  return Index != IdIndex::NotFound &&
+         Bindings[Index].Function != NotFound &&
+         Functions[Bindings[Index].Function].HasBody;
+}
+
 ExprId ConstraintGenerator::generateCall(const CallExpr *Call) {
   // Allocation sites make fresh heap locations (one per syntactic site).
   // A mere prototype of malloc keeps its allocator meaning; only a
   // program-supplied definition overrides it.
   if (const auto *Ident = dyn_cast<IdentExpr>(Call->Callee)) {
-    auto Fn = Functions.find(Ident->Name);
-    bool DefinedInProgram = Fn != Functions.end() && Fn->second.HasBody;
-    if (isAllocatorName(Ident->Name) && !DefinedInProgram) {
+    if (isAllocatorName(Ident->Name) && !definedInProgram(Ident->Name)) {
       for (const Expr *Arg : Call->Args)
         generateExpr(Arg);
       LocationId Heap =
@@ -518,20 +556,14 @@ ExprId ConstraintGenerator::generateCall(const CallExpr *Call) {
   ExprId Candidates = rvalueOf(Callee);
 
   SmallVector<ExprId, 8> SinkArgs;
-  SmallVector<Variance, 8> SinkVariance;
-  for (const Expr *Arg : Call->Args) {
+  for (const Expr *Arg : Call->Args)
     SinkArgs.push_back(rvalueOf(generateExpr(Arg)));
-    SinkVariance.push_back(Variance::Contravariant);
-  }
   VarId Ret = freshVar("call");
   SinkArgs.push_back(Terms.var(Ret));
-  SinkVariance.push_back(Variance::Covariant);
 
-  if (Candidates != Terms.zero()) {
-    ConsId LamCons = Terms.mutableConstructors().getOrCreate(
-        "lam$" + std::to_string(Call->Args.size()), SinkVariance);
-    Solver.addConstraint(Candidates, Terms.cons(LamCons, SinkArgs));
-  }
+  if (Candidates != Terms.zero())
+    Solver.addConstraint(
+        Candidates, Terms.cons(lamConstructor(Call->Args.size()), SinkArgs));
   return wrapRValue(Terms.var(Ret));
 }
 

@@ -44,8 +44,8 @@
 #include "minic/AST.h"
 #include "setcon/ConstraintSolver.h"
 #include "support/DenseU64Map.h"
+#include "support/IdIndex.h"
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -101,12 +101,17 @@ private:
   //===--------------------------------------------------------------------===
   // Locations and scopes
   //===--------------------------------------------------------------------===
-  LocationId createLocation(const std::string &Name, LocationKind Kind,
+  /// Creates location \p Name (uniquified against every earlier
+  /// location's name) with its content variable and ref term.
+  LocationId createLocation(std::string Name, LocationKind Kind,
                             bool IsArray);
   LocationId lookupOrCreateIdent(const std::string &Name);
+  /// The Bindings entry of identifier \p Name, created empty on first use.
+  uint32_t bindingOf(const std::string &Name);
   void bindLocal(const std::string &Name, LocationId Loc);
   void pushScope();
   void popScope();
+  bool inLocalScope() const { return !ScopeMarks.empty(); }
 
   //===--------------------------------------------------------------------===
   // Constraint helpers
@@ -127,6 +132,8 @@ private:
   void writeInto(ExprId LValues, ExprId Value);
   /// Wraps r-value set \p Value as a pseudo L-value set ref(0, V, ~1).
   ExprId wrapRValue(ExprId Value);
+  /// lamN(~p1, ..., ~pN, ret) for N = \p Arity, registered on first use.
+  ConsId lamConstructor(size_t Arity);
 
   //===--------------------------------------------------------------------===
   // Declarations, statements, expressions
@@ -139,7 +146,9 @@ private:
     bool HasBody = false;
   };
 
-  FunctionInfo &declareFunction(const minic::FunctionDecl *FD);
+  /// Returns the index of \p FD's FunctionInfo, declaring it on first
+  /// sight.
+  uint32_t declareFunction(const minic::FunctionDecl *FD);
   void generateFunctionBody(const minic::FunctionDecl *FD);
   void generateVarDecl(const minic::VarDecl *VD, bool IsLocal);
   void generateInitInto(LocationId Target, const minic::Expr *Init);
@@ -151,6 +160,23 @@ private:
   ExprId generateUnary(const minic::UnaryExpr *Unary);
 
   bool isAllocatorName(const std::string &Name) const;
+  /// True if the program defines (not just declares) function \p Name.
+  bool definedInProgram(const std::string &Name) const;
+
+  /// Everything an identifier names at the current point of the walk.
+  /// One table holds every identifier, so resolving one costs one hash.
+  struct Binding {
+    std::string Name;
+    LocationId Global = NotFound; ///< The file-scope location.
+    LocationId Local = NotFound;  ///< The innermost visible local.
+    uint32_t Function = NotFound; ///< Index into Functions.
+  };
+  /// A local binding that a scope replaced; closing the scope restores
+  /// it.
+  struct ShadowedLocal {
+    uint32_t Binding; ///< Index into Bindings.
+    LocationId Previous;
+  };
 
   ConstraintSolver &Solver;
   TermTable &Terms;
@@ -158,17 +184,25 @@ private:
 
   std::vector<Location> Locations;
   DenseU64Map<LocationId> RefTermToLocation;
-  std::map<std::string, LocationId> GlobalScope;
-  std::vector<std::map<std::string, LocationId>> LocalScopes;
-  std::map<std::string, FunctionInfo> Functions;
-  std::map<std::string, LocationId> NameIndex;
+  /// Identifiers in first-use order, found by name through IdentIndex.
+  std::vector<Binding> Bindings;
+  IdIndex IdentIndex;
+  /// Undo log of local bindings, and its length when each open scope
+  /// began.
+  std::vector<ShadowedLocal> ScopeLog;
+  std::vector<size_t> ScopeMarks;
+  std::vector<FunctionInfo> Functions;
+  /// Locations by their unique qualified name (Locations[Id].Name).
+  IdIndex LocationIndex;
+  /// lamN constructor by arity; ConstructorTable::NotFound until used.
+  std::vector<ConsId> LamCons;
+  /// Scratch for "@name" constructor names.
+  std::string NameConsScratch;
 
-  const FunctionInfo *CurrentFunction = nullptr;
+  uint32_t CurrentFunction = NotFound; ///< Index into Functions.
   std::string CurrentFunctionName;
   uint32_t NextHeapId = 0;
-  uint32_t NextStringId = 0;
   uint32_t NextLocalUniquifier = 0;
-  uint32_t NextTempId = 0;
 };
 
 } // namespace andersen

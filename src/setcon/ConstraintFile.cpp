@@ -49,31 +49,65 @@ struct LineCursor {
     return false;
   }
 
-  std::string word() {
+  /// The next name, as a view into Line.
+  std::string_view word() {
     skipSpace();
-    std::string Out;
+    size_t Begin = Pos;
     while (Pos < Line.size() &&
            (std::isalnum(static_cast<unsigned char>(Line[Pos])) ||
             Line[Pos] == '_' || Line[Pos] == '@' || Line[Pos] == '$' ||
             Line[Pos] == '.'))
-      Out.push_back(Line[Pos++]);
-    return Out;
+      ++Pos;
+    return std::string_view(Line).substr(Begin, Pos - Begin);
   }
 };
 
 } // namespace
 
 uint32_t ConstraintSystemFile::varIndex(const std::string &Name) const {
-  auto It = VarIndexOf.find(Name);
-  return It == VarIndexOf.end() ? NotFound : It->second;
+  return varIndexOf(Name);
+}
+
+uint32_t ConstraintSystemFile::varIndexOf(std::string_view Name) const {
+  uint32_t Index = VarIndexOf.find(
+      stringTag(Name), [&](uint32_t Known) { return VarNames[Known] == Name; });
+  return Index == IdIndex::NotFound ? NotFound : Index;
+}
+
+uint32_t ConstraintSystemFile::consIndexOf(std::string_view Name) const {
+  uint32_t Index = ConsIndexOf.find(stringTag(Name), [&](uint32_t Known) {
+    return ConsDecls[Known].Name == Name;
+  });
+  return Index == IdIndex::NotFound ? NotFound : Index;
+}
+
+bool ConstraintSystemFile::nameInUse(std::string_view Name) const {
+  return varIndexOf(Name) != NotFound || consIndexOf(Name) != NotFound ||
+         Name == "0" || Name == "1";
+}
+
+void ConstraintSystemFile::declareVar(std::string_view Name) {
+  const uint32_t NewIndex = static_cast<uint32_t>(VarNames.size());
+  uint32_t Index = VarIndexOf.findOrInsert(
+      stringTag(Name), NewIndex,
+      [&](uint32_t Known) { return VarNames[Known] == Name; });
+  assert(Index == NewIndex && "variable declared twice!");
+  (void)Index;
+  VarNames.emplace_back(Name);
+}
+
+void ConstraintSystemFile::declareCons(ConsDecl Decl) {
+  const uint32_t NewIndex = static_cast<uint32_t>(ConsDecls.size());
+  uint32_t Index = ConsIndexOf.findOrInsert(
+      stringTag(Decl.Name), NewIndex,
+      [&](uint32_t Known) { return ConsDecls[Known].Name == Decl.Name; });
+  assert(Index == NewIndex && "constructor declared twice!");
+  (void)Index;
+  ConsDecls.push_back(std::move(Decl));
 }
 
 Status ConstraintSystemFile::parse(const std::string &Text) {
-  VarNames.clear();
-  VarIndexOf.clear();
-  ConsDecls.clear();
-  ConsIndexOf.clear();
-  Constraints.clear();
+  *this = ConstraintSystemFile();
 
   auto Fail = [&](unsigned LineNo, const std::string &Message) {
     return Status::error(ErrorCode::ParseError,
@@ -90,27 +124,26 @@ Status ConstraintSystemFile::parse(const std::string &Text) {
       continue;
 
     size_t Mark = Cursor.Pos;
-    std::string First = Cursor.word();
+    std::string_view First = Cursor.word();
     if (First == "var") {
       while (!Cursor.atEnd()) {
-        std::string Name = Cursor.word();
+        std::string_view Name = Cursor.word();
         if (Name.empty())
           return Fail(LineNo, "expected variable name");
-        if (VarIndexOf.count(Name) || ConsIndexOf.count(Name) ||
-            Name == "0" || Name == "1")
-          return Fail(LineNo, "name '" + Name + "' already in use");
-        VarIndexOf[Name] = static_cast<uint32_t>(VarNames.size());
-        VarNames.push_back(Name);
+        if (nameInUse(Name))
+          return Fail(LineNo, "name '" + std::string(Name) +
+                                  "' already in use");
+        declareVar(Name);
       }
       continue;
     }
     if (First == "cons") {
-      std::string Name = Cursor.word();
+      std::string_view Name = Cursor.word();
       if (Name.empty())
         return Fail(LineNo, "expected constructor name");
-      if (VarIndexOf.count(Name) || ConsIndexOf.count(Name) ||
-          Name == "0" || Name == "1")
-        return Fail(LineNo, "name '" + Name + "' already in use");
+      if (nameInUse(Name))
+        return Fail(LineNo, "name '" + std::string(Name) +
+                                "' already in use");
       ConsDecl Decl;
       Decl.Name = Name;
       while (!Cursor.atEnd()) {
@@ -122,8 +155,7 @@ Status ConstraintSystemFile::parse(const std::string &Text) {
           return Fail(LineNo, "expected '+' or '-' variance marker");
         }
       }
-      ConsIndexOf[Name] = static_cast<uint32_t>(ConsDecls.size());
-      ConsDecls.push_back(std::move(Decl));
+      declareCons(std::move(Decl));
       continue;
     }
 
@@ -149,7 +181,7 @@ bool ConstraintSystemFile::parseExprAt(const std::string &Line, size_t &Pos,
                                        std::string &Error) const {
   LineCursor Cursor{Line, Pos};
   Cursor.skipSpace();
-  std::string Name = Cursor.word();
+  std::string_view Name = Cursor.word();
   Pos = Cursor.Pos;
   if (Name.empty()) {
     Error = "expected expression";
@@ -163,26 +195,26 @@ bool ConstraintSystemFile::parseExprAt(const std::string &Line, size_t &Pos,
     Out.K = FileExpr::Kind::One;
     return true;
   }
-  auto Var = VarIndexOf.find(Name);
-  if (Var != VarIndexOf.end()) {
+  uint32_t Var = varIndexOf(Name);
+  if (Var != NotFound) {
     Out.K = FileExpr::Kind::Var;
-    Out.VarIndex = Var->second;
+    Out.VarIndex = Var;
     return true;
   }
-  auto Cons = ConsIndexOf.find(Name);
-  if (Cons == ConsIndexOf.end()) {
-    Error = "undeclared name '" + Name + "'";
+  uint32_t Cons = consIndexOf(Name);
+  if (Cons == NotFound) {
+    Error = "undeclared name '" + std::string(Name) + "'";
     return false;
   }
   Out.K = FileExpr::Kind::Apply;
-  Out.ConsIndex = Cons->second;
-  unsigned Arity =
-      static_cast<unsigned>(ConsDecls[Cons->second].ArgVariance.size());
+  Out.ConsIndex = Cons;
+  unsigned Arity = static_cast<unsigned>(ConsDecls[Cons].ArgVariance.size());
   if (Arity == 0) {
     // Optional empty parens on nullary constructors.
     if (Cursor.eat('(') && !Cursor.eat(')')) {
       Pos = Cursor.Pos;
-      Error = "nullary constructor '" + Name + "' applied to arguments";
+      Error = "nullary constructor '" + std::string(Name) +
+              "' applied to arguments";
       return false;
     }
     Pos = Cursor.Pos;
@@ -190,14 +222,14 @@ bool ConstraintSystemFile::parseExprAt(const std::string &Line, size_t &Pos,
   }
   if (!Cursor.eat('(')) {
     Pos = Cursor.Pos;
-    Error = "constructor '" + Name + "' needs " + std::to_string(Arity) +
-            " argument(s)";
+    Error = "constructor '" + std::string(Name) + "' needs " +
+            std::to_string(Arity) + " argument(s)";
     return false;
   }
   for (unsigned I = 0; I != Arity; ++I) {
     if (I && !Cursor.eat(',')) {
       Pos = Cursor.Pos;
-      Error = "expected ',' in arguments of '" + Name + "'";
+      Error = "expected ',' in arguments of '" + std::string(Name) + "'";
       return false;
     }
     Pos = Cursor.Pos;
@@ -210,7 +242,7 @@ bool ConstraintSystemFile::parseExprAt(const std::string &Line, size_t &Pos,
   bool Closed = Cursor.eat(')');
   Pos = Cursor.Pos;
   if (!Closed) {
-    Error = "expected ')' after arguments of '" + Name + "'";
+    Error = "expected ')' after arguments of '" + std::string(Name) + "'";
     return false;
   }
   return true;
@@ -229,7 +261,7 @@ Status ConstraintSystemFile::parseLine(const std::string &Line,
     return Status(); // Blank or comment line.
 
   size_t Mark = Cursor.Pos;
-  std::string First = Cursor.word();
+  std::string_view First = Cursor.word();
 
   if (First == "var") {
     Out.K = ParsedLine::Kind::Vars;
@@ -244,28 +276,27 @@ Status ConstraintSystemFile::parseLine(const std::string &Line,
     // Validate every name up front: a rejected line must leave no fresh
     // variables behind when applied.
     while (!Cursor.atEnd()) {
-      std::string Name = Cursor.word();
+      std::string_view Name = Cursor.word();
       if (Name.empty())
         return Fail("expected variable name");
-      if (VarIndexOf.count(Name) || ConsIndexOf.count(Name) ||
-          Name == "0" || Name == "1")
-        return Fail("name '" + Name + "' already in use");
+      if (nameInUse(Name))
+        return Fail("name '" + std::string(Name) + "' already in use");
       for (const std::string &Prior : Out.Names)
         if (Prior == Name)
-          return Fail("name '" + Name + "' repeated in declaration");
-      Out.Names.push_back(std::move(Name));
+          return Fail("name '" + std::string(Name) +
+                      "' repeated in declaration");
+      Out.Names.emplace_back(Name);
     }
     return Status();
   }
 
   if (First == "cons") {
     Out.K = ParsedLine::Kind::Cons;
-    std::string Name = Cursor.word();
+    std::string_view Name = Cursor.word();
     if (Name.empty())
       return Fail("expected constructor name");
-    if (VarIndexOf.count(Name) || ConsIndexOf.count(Name) || Name == "0" ||
-        Name == "1")
-      return Fail("name '" + Name + "' already in use");
+    if (nameInUse(Name))
+      return Fail("name '" + std::string(Name) + "' already in use");
     Out.Decl.Name = Name;
     while (!Cursor.atEnd()) {
       if (Cursor.eat('+')) {
@@ -287,7 +318,7 @@ Status ConstraintSystemFile::parseLine(const std::string &Line,
       for (size_t I = 0; Same && I != Out.Decl.ArgVariance.size(); ++I)
         Same = Sig.ArgVariance[I] == Out.Decl.ArgVariance[I];
       if (!Same)
-        return Fail("constructor '" + Name +
+        return Fail("constructor '" + std::string(Name) +
                     "' redeclared with a different signature");
     }
     return Status();
@@ -330,10 +361,9 @@ Status ConstraintSystemFile::addLine(const std::string &Line,
     return Status();
 
   case ParsedLine::Kind::Vars:
-    for (std::string &Name : Parsed.Names) {
-      VarIndexOf[Name] = static_cast<uint32_t>(VarNames.size());
+    for (const std::string &Name : Parsed.Names) {
+      declareVar(Name);
       Solver.freshVar(Name);
-      VarNames.push_back(std::move(Name));
     }
     return Status();
 
@@ -345,9 +375,7 @@ Status ConstraintSystemFile::addLine(const std::string &Line,
                      Parsed.Decl.ArgVariance.end());
     Solver.terms().mutableConstructors().getOrCreate(Parsed.Decl.Name,
                                                      Variances);
-    ConsIndexOf[Parsed.Decl.Name] =
-        static_cast<uint32_t>(ConsDecls.size());
-    ConsDecls.push_back(std::move(Parsed.Decl));
+    declareCons(std::move(Parsed.Decl));
     return Status();
   }
 
@@ -379,39 +407,33 @@ Status ConstraintSystemFile::adoptDeclarations(
     return Status::error(ErrorCode::FailedPrecondition, Message);
   };
 
-  std::vector<std::string> NewVarNames;
-  std::map<std::string, uint32_t> NewVarIndexOf;
+  ConstraintSystemFile Adopted;
   for (uint32_t I = 0; I != Solver.numCreations(); ++I) {
     const std::string &Name = Solver.varName(Solver.varOfCreation(I));
     if (Name == "0" || Name == "1")
       return Fail("solver variable named '" + Name +
                   "' collides with a constant");
-    if (!NewVarIndexOf.emplace(Name, I).second)
+    if (Adopted.varIndexOf(Name) != NotFound)
       return Fail("duplicate variable name '" + Name +
                   "'; the textual format needs unique names");
-    NewVarNames.push_back(Name);
+    Adopted.declareVar(Name);
   }
 
-  std::vector<ConsDecl> NewConsDecls;
-  std::map<std::string, uint32_t> NewConsIndexOf;
   const ConstructorTable &Table = Solver.terms().constructors();
   for (ConsId Id = 0; Id != Table.size(); ++Id) {
     const ConstructorSignature &Sig = Table.signature(Id);
-    if (NewVarIndexOf.count(Sig.Name) || Sig.Name == "0" || Sig.Name == "1")
+    if (Adopted.varIndexOf(Sig.Name) != NotFound || Sig.Name == "0" ||
+        Sig.Name == "1")
       return Fail("constructor name '" + Sig.Name +
                   "' collides with a variable or constant");
     ConsDecl Decl;
     Decl.Name = Sig.Name;
     Decl.ArgVariance.assign(Sig.ArgVariance.begin(), Sig.ArgVariance.end());
-    NewConsIndexOf[Sig.Name] = static_cast<uint32_t>(NewConsDecls.size());
-    NewConsDecls.push_back(std::move(Decl));
+    Adopted.declareCons(std::move(Decl));
   }
 
-  VarNames = std::move(NewVarNames);
-  VarIndexOf = std::move(NewVarIndexOf);
-  ConsDecls = std::move(NewConsDecls);
-  ConsIndexOf = std::move(NewConsIndexOf);
-  Constraints.clear();
+  // Adopted has no constraints, so this also clears the recorded ones.
+  *this = std::move(Adopted);
   return Status();
 }
 

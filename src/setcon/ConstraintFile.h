@@ -29,10 +29,11 @@
 
 #include "setcon/ConstraintSolver.h"
 #include "setcon/Oracle.h"
+#include "support/IdIndex.h"
 #include "support/Status.h"
 
-#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace poce {
@@ -153,10 +154,21 @@ private:
   bool parseExprAt(const std::string &Line, size_t &Pos, FileExpr &Out,
                    std::string &Error) const;
 
+  /// Declaration index of variable \p Name, or NotFound.
+  uint32_t varIndexOf(std::string_view Name) const;
+  /// Declaration index of constructor \p Name, or NotFound.
+  uint32_t consIndexOf(std::string_view Name) const;
+  /// True if \p Name is a declared variable or constructor, or a
+  /// constant.
+  bool nameInUse(std::string_view Name) const;
+  /// Appends a declaration; its name must not be declared yet.
+  void declareVar(std::string_view Name);
+  void declareCons(ConsDecl Decl);
+
   std::vector<std::string> VarNames;
-  std::map<std::string, uint32_t> VarIndexOf;
+  IdIndex VarIndexOf; ///< Over VarNames.
   std::vector<ConsDecl> ConsDecls;
-  std::map<std::string, uint32_t> ConsIndexOf;
+  IdIndex ConsIndexOf; ///< Over ConsDecls' names.
   std::vector<std::pair<FileExpr, FileExpr>> Constraints;
 };
 

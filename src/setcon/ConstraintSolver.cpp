@@ -784,32 +784,31 @@ bool ConstraintSolver::detectAndCollapse(VarId Lhs, VarId Rhs) {
   // Rhs <= ... <= Lhs is already present.
   const bool Timed = phaseTimingOn();
   const uint64_t StartUs = Timed ? trace::nowMicros() : 0;
-  std::vector<VarId> Path;
   bool Found = false;
   if (Options.Form == GraphForm::Inductive) {
     if (orderOf(Lhs) > orderOf(Rhs)) {
       // New successor edge at Lhs: search predecessor chains from Lhs for
       // Rhs (each hop P in pred(V) means P <= V, so reaching Rhs proves
       // Rhs <= ... <= Lhs).
-      Found = searchChain(Lhs, Rhs, ChainKind::Pred, Path);
+      Found = searchChain(Lhs, Rhs, ChainKind::Pred);
     } else {
       // New predecessor edge at Rhs: search successor chains from Rhs for
       // Lhs (each hop S in succ(V) means V <= S).
-      Found = searchChain(Rhs, Lhs, ChainKind::Succ, Path);
+      Found = searchChain(Rhs, Lhs, ChainKind::Succ);
     }
   } else {
     // Standard form: all variable-variable edges are successors; search
     // from Rhs for Lhs, restricted to monotone chains to bound the cost.
     switch (Options.SFChains) {
     case SFChainMode::Decreasing:
-      Found = searchChain(Rhs, Lhs, ChainKind::SuccDecreasing, Path);
+      Found = searchChain(Rhs, Lhs, ChainKind::SuccDecreasing);
       break;
     case SFChainMode::Increasing:
-      Found = searchChain(Rhs, Lhs, ChainKind::SuccIncreasing, Path);
+      Found = searchChain(Rhs, Lhs, ChainKind::SuccIncreasing);
       break;
     case SFChainMode::Both:
-      Found = searchChain(Rhs, Lhs, ChainKind::SuccDecreasing, Path) ||
-              searchChain(Rhs, Lhs, ChainKind::SuccIncreasing, Path);
+      Found = searchChain(Rhs, Lhs, ChainKind::SuccDecreasing) ||
+              searchChain(Rhs, Lhs, ChainKind::SuccIncreasing);
       break;
     }
   }
@@ -818,9 +817,9 @@ bool ConstraintSolver::detectAndCollapse(VarId Lhs, VarId Rhs) {
       cycleSearchHistogram().record(trace::nowMicros() - StartUs);
     return false;
   }
-  collapseCycle(Path);
+  collapseCycle(ChainPath);
   ++Stats.CyclesCollapsed;
-  Stats.VarsEliminated += Path.size() - 1;
+  Stats.VarsEliminated += ChainPath.size() - 1;
   if (Timed) {
     cycleSearchHistogram().record(trace::nowMicros() - StartUs);
     // Successful searches are rare enough to trace individually; the
@@ -830,24 +829,22 @@ bool ConstraintSolver::detectAndCollapse(VarId Lhs, VarId Rhs) {
   return true;
 }
 
-bool ConstraintSolver::searchChain(VarId Start, VarId Target, ChainKind Kind,
-                                   std::vector<VarId> &Path) {
+bool ConstraintSolver::searchChain(VarId Start, VarId Target,
+                                   ChainKind Kind) {
   ++Stats.CycleSearches;
   ++CurrentEpoch;
   bool UsePreds = Kind == ChainKind::Pred;
 
-  struct Frame {
-    VarId Node;
-    uint32_t NextIndex;
-  };
-  std::vector<Frame> Frames;
+  std::vector<ChainFrame> &Frames = ChainFrames;
+  std::vector<VarId> &Path = ChainPath;
+  Frames.clear();
   Path.clear();
   Path.push_back(Start);
   Frames.push_back({Start, 0});
   Vars[Start].VisitEpoch = CurrentEpoch;
 
   while (!Frames.empty()) {
-    Frame &Top = Frames.back();
+    ChainFrame &Top = Frames.back();
     const std::vector<uint32_t> &List =
         UsePreds ? Vars[Top.Node].Preds : Vars[Top.Node].Succs;
     if (Top.NextIndex >= List.size()) {

@@ -534,9 +534,8 @@ private:
   bool detectAndCollapse(VarId Lhs, VarId Rhs);
 
   /// DFS from \p Start along \p Kind chains looking for \p Target; fills
-  /// \p Path with the chain (Start first) when found.
-  bool searchChain(VarId Start, VarId Target, ChainKind Kind,
-                   std::vector<VarId> &Path);
+  /// ChainPath with the chain (Start first) when found.
+  bool searchChain(VarId Start, VarId Target, ChainKind Kind);
 
   /// Collapses the distinct live variables in \p Cycle onto the
   /// lowest-ordered witness and re-enqueues their constraints. Callers
@@ -661,6 +660,17 @@ private:
   /// Scratch bitmaps reused by flushDelta/insertSucc to avoid per-flush
   /// allocations.
   SparseBitVector DeltaScratch, OldSrcScratch;
+
+  /// Chain-search scratch, reused by every search (one runs per
+  /// variable-variable insertion under CycleElim::Online): the DFS stack
+  /// and the chain it found. collapseCycle() only queues work, so no
+  /// search starts while ChainPath is being collapsed.
+  struct ChainFrame {
+    VarId Node;
+    uint32_t NextIndex;
+  };
+  std::vector<ChainFrame> ChainFrames;
+  std::vector<VarId> ChainPath;
 
   SparseBitVector SeenSources, SeenSinks;
   DenseU64Set RecordedSet, RecordedInitialSet;

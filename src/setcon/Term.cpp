@@ -9,6 +9,7 @@
 #include "support/DenseU64Set.h"
 #include "support/ErrorHandling.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace poce;
@@ -43,42 +44,36 @@ ExprId TermTable::var(VarId Var) {
 }
 
 ExprId TermTable::cons(ConsId Cons, const SmallVectorImpl<ExprId> &Args) {
-  assert(Args.size() == Constructors.signature(Cons).arity() &&
-         "constructor applied with wrong arity!");
-
-  uint64_t Hash = denseU64Hash(0x636f6e73ULL ^ Cons);
-  for (ExprId Arg : Args)
-    Hash = denseU64Hash(Hash ^ Arg);
-
-  SmallVector<ExprId, 2> &Candidates = ConsIndex[Hash];
-  for (ExprId Candidate : Candidates) {
-    if (consOf(Candidate) != Cons || numArgs(Candidate) != Args.size())
-      continue;
-    const ExprId *CandidateArgs = argsOf(Candidate);
-    bool Same = true;
-    for (size_t I = 0; I != Args.size(); ++I) {
-      if (CandidateArgs[I] != Args[I]) {
-        Same = false;
-        break;
-      }
-    }
-    if (Same)
-      return Candidate;
-  }
-
-  uint32_t Begin = static_cast<uint32_t>(ArgPool.size());
-  for (ExprId Arg : Args)
-    ArgPool.push_back(Arg);
-  ExprId Id =
-      allocate(ExprKind::Cons, Cons, Begin, static_cast<uint32_t>(Args.size()));
-  Candidates.push_back(Id);
-  return Id;
+  return internCons(Cons, Args.data(), Args.size());
 }
 
 ExprId TermTable::cons(ConsId Cons, std::initializer_list<ExprId> Args) {
-  SmallVector<ExprId, 4> ArgVec;
-  ArgVec.append(Args.begin(), Args.end());
-  return cons(Cons, ArgVec);
+  return internCons(Cons, Args.begin(), Args.size());
+}
+
+ExprId TermTable::internCons(ConsId Cons, const ExprId *Args,
+                             size_t NumArgs) {
+  assert(NumArgs == Constructors.signature(Cons).arity() &&
+         "constructor applied with wrong arity!");
+
+  uint64_t Hash = denseU64Hash(0x636f6e73ULL ^ Cons);
+  for (size_t I = 0; I != NumArgs; ++I)
+    Hash = denseU64Hash(Hash ^ Args[I]);
+  const uint32_t Tag = static_cast<uint32_t>(Hash ^ (Hash >> 32));
+
+  const ExprId NewId = size();
+  ExprId Id = ConsIndex.findOrInsert(Tag, NewId, [&](ExprId Candidate) {
+    return Payloads[Candidate] == Cons &&
+           ArgSlices[Candidate].second == NumArgs &&
+           std::equal(Args, Args + NumArgs,
+                      ArgPool.data() + ArgSlices[Candidate].first);
+  });
+  if (Id == NewId) {
+    uint32_t Begin = static_cast<uint32_t>(ArgPool.size());
+    ArgPool.insert(ArgPool.end(), Args, Args + NumArgs);
+    allocate(ExprKind::Cons, Cons, Begin, static_cast<uint32_t>(NumArgs));
+  }
+  return Id;
 }
 
 VarId TermTable::varOf(ExprId Id) const {

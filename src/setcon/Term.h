@@ -13,18 +13,26 @@
 /// structural equality is id equality and adjacency lists can store plain
 /// integers. Ids 0 and 1 are always the constants Zero and One.
 ///
+/// The hash-cons index is an IdIndex: one flat array of (hash tag, id)
+/// slots, so a new term allocates no node of its own, only its entries in
+/// the pools.
+/// The index only finds ids, it never assigns them: an id is the term's
+/// position in the pools, so ids follow first-construction order however
+/// the index grows.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef POCE_SETCON_TERM_H
 #define POCE_SETCON_TERM_H
 
 #include "setcon/Constructor.h"
+#include "support/IdIndex.h"
 #include "support/SmallVector.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace poce {
@@ -97,6 +105,9 @@ private:
   ExprId allocate(ExprKind Kind, uint32_t Payload, uint32_t ArgsBegin,
                   uint32_t NumArgs);
 
+  /// Hash-conses c(Args[0..NumArgs)).
+  ExprId internCons(ConsId Cons, const ExprId *Args, size_t NumArgs);
+
   ConstructorTable &Constructors;
 
   std::vector<ExprKind> Kinds;
@@ -108,9 +119,8 @@ private:
 
   /// Var -> ExprId cache.
   std::vector<ExprId> VarExprs;
-  /// Structural hash -> candidate Cons ids (full comparison resolves
-  /// collisions).
-  std::unordered_map<uint64_t, SmallVector<ExprId, 2>> ConsIndex;
+  /// Cons terms by structural hash (a full comparison confirms a match).
+  IdIndex ConsIndex;
 };
 
 } // namespace poce

@@ -11,22 +11,21 @@
 using namespace poce;
 
 uint32_t StringInterner::intern(std::string_view Str) {
-  auto It = Ids.find(std::string(Str));
-  if (It != Ids.end())
-    return It->second;
-  uint32_t Id = static_cast<uint32_t>(Strings.size());
-  auto [Inserted, IsNew] = Ids.emplace(std::string(Str), Id);
-  (void)IsNew;
-  Strings.push_back(&Inserted->first);
+  const uint32_t NewId = size();
+  auto Spells = [&](uint32_t Known) { return Strings[Known] == Str; };
+  const uint32_t Id = Index.findOrInsert(stringTag(Str), NewId, Spells);
+  if (Id == NewId)
+    Strings.emplace_back(Str);
   return Id;
 }
 
 uint32_t StringInterner::lookup(std::string_view Str) const {
-  auto It = Ids.find(std::string(Str));
-  return It == Ids.end() ? NotFound : It->second;
+  auto Spells = [&](uint32_t Known) { return Strings[Known] == Str; };
+  const uint32_t Id = Index.find(stringTag(Str), Spells);
+  return Id == IdIndex::NotFound ? NotFound : Id;
 }
 
 const std::string &StringInterner::str(uint32_t Id) const {
   assert(Id < Strings.size() && "string id out of range!");
-  return *Strings[Id];
+  return Strings[Id];
 }

@@ -5,18 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Interns strings to dense 32-bit ids with stable storage. Identifiers in
-/// MiniC sources and constructor names in the solver are compared by id.
+/// Interns strings to dense 32-bit ids. Constructor names in the solver
+/// are compared by id. The strings live in one vector in id order, found
+/// through an IdIndex: a lookup hashes the caller's string_view directly,
+/// and only a string interned for the first time is copied, once.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef POCE_SUPPORT_STRINGINTERNER_H
 #define POCE_SUPPORT_STRINGINTERNER_H
 
+#include "support/IdIndex.h"
+
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace poce {
@@ -30,9 +33,11 @@ public:
   uint32_t intern(std::string_view Str);
 
   /// Returns the id for \p Str, or NotFound if it was never interned.
+  /// Never interns.
   uint32_t lookup(std::string_view Str) const;
 
-  /// Returns the string for a previously returned id.
+  /// Returns the string for a previously returned id. The reference is
+  /// valid until the next intern().
   const std::string &str(uint32_t Id) const;
 
   uint32_t size() const { return static_cast<uint32_t>(Strings.size()); }
@@ -40,8 +45,8 @@ public:
   static constexpr uint32_t NotFound = ~0U;
 
 private:
-  std::unordered_map<std::string, uint32_t> Ids;
-  std::vector<const std::string *> Strings;
+  std::vector<std::string> Strings;
+  IdIndex Index;
 };
 
 } // namespace poce

@@ -296,6 +296,18 @@ TEST(QueryEngineTest, IncrementalMatchesFreshSolve) {
 // Re-bootstrap keeps the closure schedule
 //===----------------------------------------------------------------------===//
 
+} // namespace
+
+namespace poce {
+// Prints the schedule's name, so the test's listed name shows it instead
+// of the enum's byte (ADL finds this next to ClosureMode).
+static void PrintTo(ClosureMode Mode, std::ostream *OS) {
+  *OS << (Mode == ClosureMode::Worklist ? "Worklist" : "Wave");
+}
+} // namespace poce
+
+namespace {
+
 class ResetScheduleTest : public testing::TestWithParam<ClosureMode> {};
 
 TEST_P(ResetScheduleTest, ResetFromSnapshotKeepsTheSchedule) {

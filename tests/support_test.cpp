@@ -27,6 +27,8 @@
 #include <cstring>
 #include <fstream>
 #include <set>
+#include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -363,6 +365,23 @@ TEST(StringInternerTest, StableIdsInFirstSeenOrder) {
   EXPECT_EQ(Interner.lookup("gamma"), StringInterner::NotFound);
   EXPECT_EQ(Interner.lookup("beta"), 1u);
   EXPECT_EQ(Interner.size(), 2u);
+}
+
+TEST(StringInternerTest, LookupOfAnAbsentStringInternsNothing) {
+  StringInterner Interner;
+  EXPECT_EQ(Interner.lookup("ghost"), StringInterner::NotFound);
+  EXPECT_EQ(Interner.size(), 0u);
+  for (uint32_t I = 0; I != 1000; ++I)
+    EXPECT_EQ(Interner.intern("s" + std::to_string(I)), I);
+  EXPECT_EQ(Interner.lookup("ghost"), StringInterner::NotFound);
+  EXPECT_EQ(Interner.size(), 1000u);
+  // Strings stay where the ids say across the table's growth.
+  for (uint32_t I = 0; I != 1000; ++I)
+    EXPECT_EQ(Interner.str(I), "s" + std::to_string(I));
+  // A view into a longer buffer interns only the characters it spans.
+  const std::string Buffer = "s12 and more";
+  EXPECT_EQ(Interner.intern(std::string_view(Buffer).substr(0, 3)), 12u);
+  EXPECT_EQ(Interner.intern("ghost"), 1000u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 using namespace poce;
 
 TEST(ConstructorTableTest, RegisterAndLookup) {
@@ -37,6 +41,28 @@ TEST(ConstructorTableTest, NullaryConstructors) {
   ConsId B = Table.getOrCreate("b", {});
   EXPECT_NE(A, B);
   EXPECT_EQ(Table.signature(A).arity(), 0u);
+}
+
+TEST(ConstructorTableTest, LookupNeverRegistersAndIdsFollowFirstSeenOrder) {
+  ConstructorTable Table;
+  EXPECT_EQ(Table.lookup("ghost"), ConstructorTable::NotFound);
+  EXPECT_EQ(Table.size(), 0u);
+  ConsId A = Table.getOrCreate("a", {});
+  ConsId B = Table.getOrCreate("b", {Variance::Covariant});
+  EXPECT_EQ(Table.lookup("ghost"), ConstructorTable::NotFound);
+  EXPECT_EQ(Table.size(), 2u);
+  EXPECT_EQ(A, 0u);
+  EXPECT_EQ(B, 1u);
+  // A view that is a strict prefix of a longer buffer finds the name it
+  // spells, not the buffer.
+  const std::string Buffer = "ab";
+  EXPECT_EQ(Table.lookup(std::string_view(Buffer).substr(0, 1)), A);
+  EXPECT_EQ(Table.lookup(Buffer), ConstructorTable::NotFound);
+  ConsId Ghost = Table.getOrCreate("ghost", {});
+  EXPECT_EQ(Ghost, 2u);
+  EXPECT_EQ(Table.getOrCreate("a", {}), A);
+  EXPECT_EQ(Table.signature(Ghost).Name, "ghost");
+  EXPECT_EQ(Table.size(), 3u);
 }
 
 TEST(TermTableTest, ConstantsAreFixedIds) {
@@ -101,6 +127,65 @@ TEST(TermTableTest, ManyTermsSurviveRehash) {
     Ids.push_back(Terms.cons(C, {Terms.var(I)}));
   for (uint32_t I = 0; I != 2000; ++I)
     EXPECT_EQ(Terms.cons(C, {Terms.var(I)}), Ids[I]);
+}
+
+TEST(TermTableTest, IdsAreDenseInFirstConstructionOrderAcrossIndexGrowth) {
+  // The shapes constraint generation makes, 105k distinct terms in all,
+  // so the hash-cons index grows many times: one nullary "@name"
+  // constructor per location, the locations' content variables, binary
+  // terms over them, and one deep chain.
+  ConstructorTable Constructors;
+  TermTable Terms(Constructors);
+  ConsId Pair = Constructors.getOrCreate(
+      "pair", {Variance::Covariant, Variance::Contravariant});
+  ConsId Wrap = Constructors.getOrCreate("wrap", {Variance::Covariant});
+  const uint32_t Locations = 20000, Pairs = 60000, Depth = 5000;
+
+  std::vector<ExprId> Made;
+  auto expectNew = [&](ExprId Id) {
+    // Every new term takes the next id.
+    EXPECT_EQ(Id, Made.size() + 2);
+    Made.push_back(Id);
+  };
+  for (uint32_t I = 0; I != Locations; ++I)
+    expectNew(Terms.cons(
+        Constructors.getOrCreate("@loc" + std::to_string(I), {}), {}));
+  for (VarId V = 0; V != Locations; ++V)
+    expectNew(Terms.var(V));
+  auto pairOf = [&](uint32_t I) {
+    return Terms.cons(Pair, {Made[I], Made[(I * 7919u) % (2 * Locations)]});
+  };
+  for (uint32_t I = 0; I != Pairs; ++I)
+    expectNew(pairOf(I));
+  ExprId Deep = Terms.var(0);
+  for (uint32_t I = 0; I != Depth; ++I) {
+    Deep = Terms.cons(Wrap, {Deep});
+    expectNew(Deep);
+  }
+  ASSERT_EQ(Terms.size(), Made.size() + 2);
+  ASSERT_GE(Made.size(), 100000u);
+
+  // Asking again returns the original id and creates nothing.
+  for (uint32_t I = 0; I != Locations; ++I)
+    EXPECT_EQ(Terms.cons(Constructors.lookup("@loc" + std::to_string(I)), {}),
+              Made[I]);
+  for (VarId V = 0; V != Locations; ++V)
+    EXPECT_EQ(Terms.var(V), Made[Locations + V]);
+  for (uint32_t I = 0; I != Pairs; ++I)
+    EXPECT_EQ(pairOf(I), Made[2 * Locations + I]);
+  ExprId Again = Terms.var(0);
+  for (uint32_t I = 0; I != Depth; ++I)
+    Again = Terms.cons(Wrap, {Again});
+  EXPECT_EQ(Again, Deep);
+  EXPECT_EQ(Terms.size(), Made.size() + 2);
+
+  // The chain unwinds to its root through the stored arguments.
+  ExprId Cursor = Deep;
+  for (uint32_t I = 0; I != Depth; ++I) {
+    ASSERT_EQ(Terms.consOf(Cursor), Wrap);
+    Cursor = Terms.argsOf(Cursor)[0];
+  }
+  EXPECT_EQ(Cursor, Terms.var(0));
 }
 
 TEST(TermTableTest, RenderingWithVariance) {
