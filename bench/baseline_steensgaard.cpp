@@ -11,7 +11,8 @@
 /// claim is that online cycle elimination closes the performance gap.
 /// This bench runs both analyses over the suite and reports time and
 /// precision (total and average points-to set sizes over named locations,
-/// lower = more precise).
+/// lower = more precise). Both analyses walk one location model, and both
+/// times stop before the points-to extraction they share.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -10,8 +10,6 @@
 #include "minic/Parser.h"
 #include "support/Timer.h"
 
-#include <algorithm>
-
 using namespace poce;
 using namespace poce::andersen;
 
@@ -36,19 +34,19 @@ AnalysisResult poce::andersen::runAnalysis(const minic::TranslationUnit &Unit,
   Result.NumSetVars = Solver.stats().VarsCreated;
   Result.Inconsistencies = Solver.inconsistencies();
 
-  if (ExtractPointsTo) {
-    for (const Location &Loc : Generator.locations()) {
-      std::vector<std::string> Names;
-      for (ExprId Term : Solver.leastSolution(Loc.Content)) {
-        LocationId Target = Generator.locationOfRefTerm(Term);
-        if (Target != ConstraintGenerator::NotFound)
-          Names.push_back(Generator.locations()[Target].Name);
-      }
-      std::sort(Names.begin(), Names.end());
-      Names.erase(std::unique(Names.begin(), Names.end()), Names.end());
-      Result.PointsTo.emplace(Loc.Name, std::move(Names));
-    }
-  }
+  // A location points to the locations whose ref terms are in the least
+  // solution of its content variable.
+  if (ExtractPointsTo)
+    Result.PointsTo = extractPointsTo(
+        Generator.locations(),
+        [&](LocationId Loc, std::vector<LocationId> &Targets) {
+          for (ExprId Term :
+               Solver.leastSolution(Generator.locations()[Loc].Content)) {
+            LocationId Target = Generator.locationOfRefTerm(Term);
+            if (Target != ConstraintGenerator::NotFound)
+              Targets.push_back(Target);
+          }
+        });
   return Result;
 }
 

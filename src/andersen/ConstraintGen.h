@@ -41,10 +41,10 @@
 #ifndef POCE_ANDERSEN_CONSTRAINTGEN_H
 #define POCE_ANDERSEN_CONSTRAINTGEN_H
 
+#include "andersen/LocationModel.h"
 #include "minic/AST.h"
 #include "setcon/ConstraintSolver.h"
 #include "support/DenseU64Map.h"
-#include "support/IdIndex.h"
 
 #include <string>
 #include <vector>
@@ -52,66 +52,37 @@
 namespace poce {
 namespace andersen {
 
-/// Dense id of an abstract memory location.
-using LocationId = uint32_t;
-
-/// Kinds of abstract locations.
-enum class LocationKind : uint8_t {
-  Global,
-  Local,
-  Param,
-  Function,
-  Heap,
-  StringLit,
-};
-
-/// One abstract memory location.
-struct Location {
-  std::string Name; ///< Unique qualified name, e.g. "main.p", "heap@12".
-  LocationKind Kind = LocationKind::Global;
-  VarId Content = 0;   ///< X_l: the location's points-to contents.
-  ExprId RefTerm = 0;  ///< ref(name_l, X_l, ~X_l).
-  bool IsArray = false;
-};
-
 /// Walks a MiniC translation unit and emits Andersen constraints into a
 /// solver. One generator instance drives one solver run; generation is
 /// deterministic, so repeated runs over the same AST issue identical
 /// freshVar/addConstraint sequences (the property oracle construction
-/// relies on).
-class ConstraintGenerator {
+/// relies on). The walk, the locations and their names come from
+/// LocationWalker; run() and locations() are its.
+class ConstraintGenerator : public LocationWalker<ConstraintGenerator> {
 public:
   explicit ConstraintGenerator(ConstraintSolver &Solver);
-
-  /// Generates constraints for the whole translation unit.
-  void run(const minic::TranslationUnit &Unit);
-
-  const std::vector<Location> &locations() const { return Locations; }
 
   /// Maps a ref term back to its location; NotFound if \p Term is not a
   /// location's ref term.
   LocationId locationOfRefTerm(ExprId Term) const;
 
-  /// Looks up a location by its qualified name; NotFound if absent.
-  LocationId locationByName(const std::string &Name) const;
-
-  static constexpr LocationId NotFound = ~0U;
-
 private:
+  friend class LocationWalker<ConstraintGenerator>;
+
   //===--------------------------------------------------------------------===
-  // Locations and scopes
+  // Rules the location walker applies
   //===--------------------------------------------------------------------===
-  /// Creates location \p Name (uniquified against every earlier
-  /// location's name) with its content variable and ref term.
-  LocationId createLocation(std::string Name, LocationKind Kind,
-                            bool IsArray);
-  LocationId lookupOrCreateIdent(const std::string &Name);
-  /// The Bindings entry of identifier \p Name, created empty on first use.
-  uint32_t bindingOf(const std::string &Name);
-  void bindLocal(const std::string &Name, LocationId Loc);
-  void pushScope();
-  void popScope();
-  bool inLocalScope() const { return !ScopeMarks.empty(); }
+  /// Gives a new location its content variable and ref term.
+  void locationCreated(LocationId Loc);
+  /// Creates the function's return variable R_f.
+  void functionLocated(uint32_t Function);
+  /// Puts the function's lam value, and the function itself, into the
+  /// contents of its location.
+  void functionDeclared(uint32_t Function);
+  void initialize(LocationId Target, const minic::Expr *Init);
+  void returnValue(uint32_t Function, const minic::Expr *Value);
+  /// Evaluates \p E to its L-value set.
+  ExprId walkExpr(const minic::Expr *E);
 
   //===--------------------------------------------------------------------===
   // Constraint helpers
@@ -136,74 +107,27 @@ private:
   ConsId lamConstructor(size_t Arity);
 
   //===--------------------------------------------------------------------===
-  // Declarations, statements, expressions
+  // Expressions
   //===--------------------------------------------------------------------===
-  struct FunctionInfo {
-    LocationId Loc = 0;
-    std::vector<LocationId> Params;
-    VarId Return = 0;
-    bool Variadic = false;
-    bool HasBody = false;
-  };
-
-  /// Returns the index of \p FD's FunctionInfo, declaring it on first
-  /// sight.
-  uint32_t declareFunction(const minic::FunctionDecl *FD);
-  void generateFunctionBody(const minic::FunctionDecl *FD);
-  void generateVarDecl(const minic::VarDecl *VD, bool IsLocal);
-  void generateInitInto(LocationId Target, const minic::Expr *Init);
-  void generateStmt(const minic::Stmt *S);
-
-  /// Evaluates \p E to its L-value set.
-  ExprId generateExpr(const minic::Expr *E);
-  ExprId generateCall(const minic::CallExpr *Call);
-  ExprId generateUnary(const minic::UnaryExpr *Unary);
-
-  bool isAllocatorName(const std::string &Name) const;
-  /// True if the program defines (not just declares) function \p Name.
-  bool definedInProgram(const std::string &Name) const;
-
-  /// Everything an identifier names at the current point of the walk.
-  /// One table holds every identifier, so resolving one costs one hash.
-  struct Binding {
-    std::string Name;
-    LocationId Global = NotFound; ///< The file-scope location.
-    LocationId Local = NotFound;  ///< The innermost visible local.
-    uint32_t Function = NotFound; ///< Index into Functions.
-  };
-  /// A local binding that a scope replaced; closing the scope restores
-  /// it.
-  struct ShadowedLocal {
-    uint32_t Binding; ///< Index into Bindings.
-    LocationId Previous;
-  };
+  ExprId walkCall(const minic::CallExpr *Call);
+  ExprId walkUnary(const minic::UnaryExpr *Unary);
 
   ConstraintSolver &Solver;
   TermTable &Terms;
   ConsId RefCons;
 
-  std::vector<Location> Locations;
   DenseU64Map<LocationId> RefTermToLocation;
-  /// Identifiers in first-use order, found by name through IdentIndex.
-  std::vector<Binding> Bindings;
-  IdIndex IdentIndex;
-  /// Undo log of local bindings, and its length when each open scope
-  /// began.
-  std::vector<ShadowedLocal> ScopeLog;
-  std::vector<size_t> ScopeMarks;
-  std::vector<FunctionInfo> Functions;
-  /// Locations by their unique qualified name (Locations[Id].Name).
-  IdIndex LocationIndex;
+  /// R_f of each function, by its index in Functions.
+  std::vector<VarId> Returns;
   /// lamN constructor by arity; ConstructorTable::NotFound until used.
   std::vector<ConsId> LamCons;
   /// Scratch for "@name" constructor names.
   std::string NameConsScratch;
-
-  uint32_t CurrentFunction = NotFound; ///< Index into Functions.
-  std::string CurrentFunctionName;
-  uint32_t NextHeapId = 0;
-  uint32_t NextLocalUniquifier = 0;
 };
+
+// The walk is instantiated once, in ConstraintGen.cpp, next to the rules
+// it calls.
+extern template class LocationWalker<ConstraintGenerator>;
 
 } // namespace andersen
 } // namespace poce

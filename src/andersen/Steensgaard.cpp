@@ -6,12 +6,12 @@
 
 #include "andersen/Steensgaard.h"
 
+#include "andersen/LocationModel.h"
 #include "support/ErrorHandling.h"
 #include "support/Timer.h"
 #include "support/UnionFind.h"
 
 #include <algorithm>
-#include <cassert>
 #include <unordered_map>
 
 using namespace poce;
@@ -23,36 +23,30 @@ namespace {
 /// Sentinel for "no cell" (literals and other valueless expressions).
 constexpr uint32_t NoCell = ~0U;
 
-/// The unification engine plus the AST walker. Mirrors the structure of
-/// the Andersen ConstraintGenerator so the two analyses see identical
-/// abstract locations.
-class Steensgaard {
+/// The unification engine and its rules for the location walker, which
+/// hands it the same locations it hands the Andersen generator.
+class Steensgaard : public LocationWalker<Steensgaard> {
 public:
-  SteensgaardResult run(const TranslationUnit &Unit) {
-    Timer T;
-    for (const Decl *D : Unit.Decls) {
-      switch (D->kind()) {
-      case Node::Kind::Var:
-        walkVarDecl(cast<VarDecl>(D), /*IsLocal=*/false);
-        break;
-      case Node::Kind::Function: {
-        const auto *Fn = cast<FunctionDecl>(D);
-        declareFunction(Fn);
-        if (Fn->Body)
-          walkFunctionBody(Fn);
-        break;
-      }
-      case Node::Kind::Record:
-      case Node::Kind::Typedef:
-      case Node::Kind::Enum:
-        break;
-      default:
-        poce_unreachable("non-declaration node at top level");
-      }
-    }
-    SteensgaardResult Result = extract();
-    Result.AnalysisSeconds = T.seconds();
-    return Result;
+  uint32_t numCells() const { return Cells.size(); }
+  uint64_t joins() const { return Joins; }
+
+  /// The targets of every location, for extractPointsTo(): the named
+  /// members of its pointee class.
+  std::function<void(LocationId, std::vector<LocationId> &)> targets() {
+    // Class representative -> named members.
+    std::unordered_map<uint32_t, std::vector<LocationId>> Members;
+    for (LocationId Loc = 0; Loc != Locations.size(); ++Loc)
+      Members[find(CellOf[Loc])].push_back(Loc);
+    return [this, Members = std::move(Members)](
+               LocationId Loc, std::vector<LocationId> &Targets) {
+      auto PtsIt = Pts.find(find(CellOf[Loc]));
+      if (PtsIt == Pts.end())
+        return;
+      auto MembersIt = Members.find(find(PtsIt->second));
+      if (MembersIt != Members.end())
+        Targets.insert(Targets.end(), MembersIt->second.begin(),
+                       MembersIt->second.end());
+    };
   }
 
 private:
@@ -151,205 +145,44 @@ private:
   }
 
   //===--------------------------------------------------------------------===
-  // Locations and scopes (mirrors the Andersen generator)
+  // Rules the location walker applies
   //===--------------------------------------------------------------------===
+  friend class LocationWalker<Steensgaard>;
 
-  uint32_t createLocation(const std::string &Name, bool SelfContained) {
-    std::string Unique = Name;
-    while (LocationOf.count(Unique))
-      Unique = Name + "#" + std::to_string(++NextUniquifier);
-    uint32_t Cell = makeCell();
-    NameOf[Cell] = Unique;
-    LocationOf[Unique] = Cell;
-    if (SelfContained)
-      setPts(Cell, Cell); // Arrays/functions decay to themselves.
-    return Cell;
+  /// A location is a cell; arrays and string literals decay to
+  /// themselves.
+  void locationCreated(LocationId Loc) {
+    const uint32_t Cell = makeCell();
+    CellOf.push_back(Cell);
+    if (Locations[Loc].IsArray)
+      setPts(Cell, Cell);
   }
 
-  uint32_t lookupOrCreateIdent(const std::string &Name) {
-    for (auto It = Scopes.rbegin(); It != Scopes.rend(); ++It) {
-      auto Found = It->find(Name);
-      if (Found != It->end())
-        return Found->second;
-    }
-    auto Found = Globals.find(Name);
-    if (Found != Globals.end())
-      return Found->second;
-    uint32_t Cell = createLocation(Name, /*SelfContained=*/false);
-    Globals[Name] = Cell;
-    return Cell;
-  }
+  void functionLocated(uint32_t) {}
 
-  //===--------------------------------------------------------------------===
-  // Functions
-  //===--------------------------------------------------------------------===
-
-  struct FunctionInfo {
-    uint32_t Loc = NoCell;
-    std::vector<uint32_t> Params;
-    uint32_t Return = NoCell;
-    bool HasBody = false;
-  };
-
-  FunctionInfo &declareFunction(const FunctionDecl *Fn) {
-    auto It = Functions.find(Fn->Name);
-    if (It != Functions.end())
-      return It->second;
-    FunctionInfo Info;
-    auto Global = Globals.find(Fn->Name);
-    if (Global != Globals.end()) {
-      Info.Loc = Global->second;
-      setPts(Info.Loc, Info.Loc);
-    } else {
-      Info.Loc = createLocation(Fn->Name, /*SelfContained=*/true);
-      Globals[Fn->Name] = Info.Loc;
-    }
-    for (size_t I = 0; I != Fn->Params.size(); ++I) {
-      const VarDecl *Param = Fn->Params[I];
-      std::string ParamName =
-          Fn->Name + "." +
-          (Param->Name.empty() ? "p" + std::to_string(I) : Param->Name);
-      bool IsArray = Param->TypeText.find("[]") != std::string::npos;
-      Info.Params.push_back(createLocation(ParamName, IsArray));
-    }
-    Info.Return = makeCell();
+  /// A function contains itself and carries its signature.
+  void functionDeclared(uint32_t Function) {
+    const FunctionInfo &Info = Functions[Function];
+    const uint32_t Loc = CellOf[Info.Loc];
     Signature Sig;
-    Sig.Params = Info.Params;
-    Sig.Return = Info.Return;
-    Sigs.emplace(find(Info.Loc), std::move(Sig));
-    return Functions.emplace(Fn->Name, std::move(Info)).first->second;
+    for (LocationId Param : Info.Params)
+      Sig.Params.push_back(CellOf[Param]);
+    Sig.Return = makeCell();
+    ReturnOf.push_back(Sig.Return);
+    setPts(Loc, Loc);
+    Sigs.emplace(find(Loc), std::move(Sig));
   }
 
-  void walkFunctionBody(const FunctionDecl *Fn) {
-    FunctionInfo &Info = declareFunction(Fn);
-    Info.HasBody = true;
-    uint32_t PreviousReturn = CurrentReturn;
-    std::string PreviousName = CurrentFunctionName;
-    CurrentReturn = Info.Return;
-    CurrentFunctionName = Fn->Name;
-    Scopes.emplace_back();
-    for (size_t I = 0; I != Fn->Params.size() && I != Info.Params.size();
-         ++I)
-      if (!Fn->Params[I]->Name.empty())
-        Scopes.back()[Fn->Params[I]->Name] = Info.Params[I];
-    walkStmt(Fn->Body);
-    Scopes.pop_back();
-    CurrentReturn = PreviousReturn;
-    CurrentFunctionName = std::move(PreviousName);
-  }
-
-  bool isAllocatorName(const std::string &Name) const {
-    return Name == "malloc" || Name == "calloc" || Name == "realloc" ||
-           Name == "valloc" || Name == "xmalloc" || Name == "strdup";
-  }
-
-  //===--------------------------------------------------------------------===
-  // Declarations and statements
-  //===--------------------------------------------------------------------===
-
-  void walkVarDecl(const VarDecl *Var, bool IsLocal) {
-    if (Var->Name.empty())
-      return;
-    bool IsArray = Var->TypeText.find("[]") != std::string::npos;
-    uint32_t Cell;
-    if (IsLocal) {
-      Cell = createLocation(CurrentFunctionName + "." + Var->Name, IsArray);
-      Scopes.back()[Var->Name] = Cell;
-    } else {
-      auto It = Globals.find(Var->Name);
-      if (It != Globals.end()) {
-        Cell = It->second;
-      } else {
-        Cell = createLocation(Var->Name, IsArray);
-        Globals[Var->Name] = Cell;
-      }
-    }
-    if (Var->Init)
-      walkInitInto(Cell, Var->Init);
-  }
-
-  void walkInitInto(uint32_t Target, const Expr *Init) {
-    if (const auto *List = dyn_cast<InitListExpr>(Init)) {
-      for (const Expr *Element : List->Inits)
-        walkInitInto(Target, Element);
-      return;
-    }
+  void initialize(LocationId Target, const Expr *Init) {
     uint32_t Value = walkExpr(Init);
     if (Value != NoCell)
-      joinPts(Target, Value);
+      joinPts(CellOf[Target], Value);
   }
 
-  void walkStmt(const Stmt *S) {
-    if (!S)
-      return;
-    switch (S->kind()) {
-    case Node::Kind::Compound:
-      Scopes.emplace_back();
-      for (const Stmt *Sub : cast<CompoundStmt>(S)->Body)
-        walkStmt(Sub);
-      Scopes.pop_back();
-      return;
-    case Node::Kind::DeclStmt:
-      for (const VarDecl *Var : cast<DeclStmt>(S)->Decls)
-        walkVarDecl(Var, /*IsLocal=*/!Scopes.empty());
-      return;
-    case Node::Kind::ExprStmt:
-      walkExpr(cast<ExprStmt>(S)->E);
-      return;
-    case Node::Kind::If: {
-      const auto *If = cast<IfStmt>(S);
-      walkExpr(If->Cond);
-      walkStmt(If->Then);
-      walkStmt(If->Else);
-      return;
-    }
-    case Node::Kind::While:
-      walkExpr(cast<WhileStmt>(S)->Cond);
-      walkStmt(cast<WhileStmt>(S)->Body);
-      return;
-    case Node::Kind::Do:
-      walkStmt(cast<DoStmt>(S)->Body);
-      walkExpr(cast<DoStmt>(S)->Cond);
-      return;
-    case Node::Kind::For: {
-      const auto *For = cast<ForStmt>(S);
-      Scopes.emplace_back();
-      walkStmt(For->Init);
-      if (For->Cond)
-        walkExpr(For->Cond);
-      if (For->Inc)
-        walkExpr(For->Inc);
-      walkStmt(For->Body);
-      Scopes.pop_back();
-      return;
-    }
-    case Node::Kind::Return: {
-      const auto *Return = cast<ReturnStmt>(S);
-      if (Return->Value) {
-        uint32_t Value = walkExpr(Return->Value);
-        if (Value != NoCell && CurrentReturn != NoCell)
-          joinPts(CurrentReturn, Value);
-      }
-      return;
-    }
-    case Node::Kind::Switch:
-      walkExpr(cast<SwitchStmt>(S)->Cond);
-      walkStmt(cast<SwitchStmt>(S)->Body);
-      return;
-    case Node::Kind::Case: {
-      const auto *Case = cast<CaseStmt>(S);
-      if (Case->Value)
-        walkExpr(Case->Value);
-      walkStmt(Case->Sub);
-      return;
-    }
-    case Node::Kind::Break:
-    case Node::Kind::Continue:
-    case Node::Kind::Null:
-      return;
-    default:
-      poce_unreachable("non-statement node in statement position");
-    }
+  void returnValue(uint32_t Function, const Expr *Value) {
+    uint32_t Returned = walkExpr(Value);
+    if (Returned != NoCell)
+      joinPts(ReturnOf[Function], Returned);
   }
 
   //===--------------------------------------------------------------------===
@@ -363,11 +196,9 @@ private:
     case Node::Kind::CharLiteral:
       return NoCell;
     case Node::Kind::StringLiteral:
-      return createLocation(
-          "str@" + std::to_string(cast<StringLiteralExpr>(E)->LiteralId),
-          /*SelfContained=*/true);
+      return CellOf[stringLocation(cast<StringLiteralExpr>(E))];
     case Node::Kind::Ident:
-      return lookupOrCreateIdent(cast<IdentExpr>(E)->Name);
+      return CellOf[identLocation(cast<IdentExpr>(E)->Name)];
     case Node::Kind::Unary: {
       const auto *Unary = cast<UnaryExpr>(E);
       switch (Unary->Op) {
@@ -455,18 +286,11 @@ private:
   }
 
   uint32_t walkCall(const CallExpr *Call) {
-    if (const auto *Ident = dyn_cast<IdentExpr>(Call->Callee)) {
-      auto Fn = Functions.find(Ident->Name);
-      bool DefinedInProgram = Fn != Functions.end() && Fn->second.HasBody;
-      if (isAllocatorName(Ident->Name) && !DefinedInProgram) {
-        for (const Expr *Arg : Call->Args)
-          walkExpr(Arg);
-        uint32_t Heap = createLocation(
-            "heap@" + std::to_string(NextHeapId++), /*SelfContained=*/false);
-        uint32_t Wrapper = makeCell();
-        setPts(Wrapper, Heap);
-        return Wrapper;
-      }
+    const LocationId Heap = allocationSite(Call);
+    if (Heap != NotFound) {
+      uint32_t Wrapper = makeCell();
+      setPts(Wrapper, CellOf[Heap]);
+      return Wrapper;
     }
 
     uint32_t Callee = walkExpr(Call->Callee);
@@ -498,54 +322,27 @@ private:
     return Sig.Return;
   }
 
-  //===--------------------------------------------------------------------===
-  // Extraction
-  //===--------------------------------------------------------------------===
-
-  SteensgaardResult extract() {
-    SteensgaardResult Result;
-    Result.NumLocations = static_cast<uint32_t>(NameOf.size());
-    Result.NumCells = Cells.size();
-    Result.Joins = Joins;
-
-    // Class representative -> named members.
-    std::unordered_map<uint32_t, std::vector<std::string>> Members;
-    for (const auto &[Cell, Name] : NameOf)
-      Members[find(Cell)].push_back(Name);
-
-    for (const auto &[Cell, Name] : NameOf) {
-      std::vector<std::string> Targets;
-      auto PtsIt = Pts.find(find(Cell));
-      if (PtsIt != Pts.end()) {
-        auto MembersIt = Members.find(find(PtsIt->second));
-        if (MembersIt != Members.end())
-          Targets = MembersIt->second;
-      }
-      std::sort(Targets.begin(), Targets.end());
-      Result.PointsTo.emplace(Name, std::move(Targets));
-    }
-    return Result;
-  }
-
   UnionFind Cells;
   std::unordered_map<uint32_t, uint32_t> Pts;  ///< Root -> pointee cell.
   std::unordered_map<uint32_t, Signature> Sigs; ///< Root -> signature.
   uint64_t Joins = 0;
 
-  std::unordered_map<uint32_t, std::string> NameOf;
-  std::map<std::string, uint32_t> LocationOf;
-  std::map<std::string, uint32_t> Globals;
-  std::vector<std::map<std::string, uint32_t>> Scopes;
-  std::map<std::string, FunctionInfo> Functions;
-  uint32_t CurrentReturn = NoCell;
-  std::string CurrentFunctionName;
-  uint32_t NextHeapId = 0;
-  uint32_t NextUniquifier = 0;
+  std::vector<uint32_t> CellOf;   ///< Location -> its cell.
+  std::vector<uint32_t> ReturnOf; ///< Function -> its return-slot cell.
 };
 
 } // namespace
 
 SteensgaardResult
 poce::andersen::runSteensgaard(const TranslationUnit &Unit) {
-  return Steensgaard().run(Unit);
+  SteensgaardResult Result;
+  Timer T;
+  Steensgaard Analysis;
+  Analysis.run(Unit);
+  Result.AnalysisSeconds = T.seconds();
+  Result.NumLocations = static_cast<uint32_t>(Analysis.locations().size());
+  Result.NumCells = Analysis.numCells();
+  Result.Joins = Analysis.joins();
+  Result.PointsTo = extractPointsTo(Analysis.locations(), Analysis.targets());
+  return Result;
 }

@@ -21,10 +21,13 @@
 /// flow-blind merging (storing two pointers in one location equates their
 /// targets forever).
 ///
-/// The location model matches the Andersen implementation (field-
-/// insensitive; self-containing arrays and functions; one heap location
-/// per allocation site), so the two analyses' points-to sets are directly
-/// comparable and Andersen ⊆ Steensgaard holds location-for-location.
+/// Both analyses walk the program through one location model
+/// (LocationModel.h: field-insensitive; self-containing arrays and
+/// functions; one heap location per allocation site), so they have the
+/// same locations under the same names by construction, their points-to
+/// sets are directly comparable, and Andersen ⊆ Steensgaard holds
+/// location-for-location. Both end with the same extraction step, which
+/// neither analysis's AnalysisSeconds includes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,8 +54,9 @@ struct SteensgaardResult {
   uint32_t NumCells = 0;
   /// Class merges performed.
   uint64_t Joins = 0;
-  /// Seconds for the whole analysis (generation + unification +
-  /// extraction).
+  /// Seconds for the walk and unification. Like
+  /// AnalysisResult::AnalysisSeconds, this excludes the points-to
+  /// extraction that fills PointsTo.
   double AnalysisSeconds = 0;
 
   std::vector<std::string> pointsTo(const std::string &Name) const {

@@ -14,21 +14,21 @@ using namespace poce;
 
 ConsId ConstructorTable::getOrCreate(
     std::string_view Name, const SmallVectorImpl<Variance> &ArgVariance) {
-  uint32_t NameId = Names.intern(Name);
-  if (NameId < Signatures.size()) {
-    const ConstructorSignature &Existing = Signatures[NameId];
-    if (Existing.ArgVariance != ArgVariance)
+  const ConsId NewId = static_cast<ConsId>(Signatures.size());
+  const ConsId Id =
+      NameIndex.findOrInsert(stringTag(Name), NewId, [&](ConsId Known) {
+        return Signatures[Known].Name == Name;
+      });
+  if (Id != NewId) {
+    if (Signatures[Id].ArgVariance != ArgVariance)
       reportFatalError("constructor '" + std::string(Name) +
                        "' re-registered with a different signature");
-    return NameId;
+    return Id;
   }
-  assert(NameId == Signatures.size() &&
-         "interner and signature table out of sync!");
-  ConstructorSignature Sig;
-  Sig.Name = std::string(Name);
+  ConstructorSignature &Sig = Signatures.emplace_back();
+  Sig.Name = Name;
   Sig.ArgVariance = ArgVariance;
-  Signatures.push_back(std::move(Sig));
-  return NameId;
+  return Id;
 }
 
 ConsId ConstructorTable::getOrCreate(
@@ -39,8 +39,10 @@ ConsId ConstructorTable::getOrCreate(
 }
 
 ConsId ConstructorTable::lookup(std::string_view Name) const {
-  uint32_t NameId = Names.lookup(Name);
-  return NameId == StringInterner::NotFound ? NotFound : NameId;
+  const ConsId Id = NameIndex.find(stringTag(Name), [&](ConsId Known) {
+    return Signatures[Known].Name == Name;
+  });
+  return Id == IdIndex::NotFound ? NotFound : Id;
 }
 
 const ConstructorSignature &ConstructorTable::signature(ConsId Id) const {

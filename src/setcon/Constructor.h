@@ -17,12 +17,13 @@
 #ifndef POCE_SETCON_CONSTRUCTOR_H
 #define POCE_SETCON_CONSTRUCTOR_H
 
+#include "support/IdIndex.h"
 #include "support/SmallVector.h"
-#include "support/StringInterner.h"
 
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace poce {
 
@@ -68,8 +69,9 @@ public:
   static constexpr ConsId NotFound = ~0U;
 
 private:
-  StringInterner Names;
+  /// Signatures in id order, found by name through NameIndex.
   std::vector<ConstructorSignature> Signatures;
+  IdIndex NameIndex;
 };
 
 } // namespace poce

@@ -10,7 +10,7 @@
 /// the caller computes the tag and supplies an equality test on ids, so
 /// the index never owns, copies or rehashes a key, and growing it only
 /// re-slots (tag, id) pairs. The term table's hash-consing and every
-/// name table (constructor and variable names, the Andersen generator's
+/// name table (constructor and variable names, the MiniC location model's
 /// identifiers and location names, the .scs parser's declarations) use
 /// it, with their keys kept in their own vectors and found by id.
 ///

@@ -93,6 +93,14 @@ struct RandomCase {
   uint64_t Seed;
 };
 
+/// Names a case by its fields; gtest would otherwise print the struct's
+/// raw bytes, padding included, which differ from build to build.
+void PrintTo(const RandomCase &Case, std::ostream *OS) {
+  *OS << makeConfig(Case.Form, Case.Elim).configName()
+      << (Case.DiffProp ? "+diff" : "") << " vars=" << Case.NumVars
+      << " cons=" << Case.NumCons << " seed=" << Case.Seed;
+}
+
 class RandomDeterminismTest : public testing::TestWithParam<RandomCase> {};
 
 TEST_P(RandomDeterminismTest, LaneCountIsInvisible) {

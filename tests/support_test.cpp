@@ -15,7 +15,6 @@
 #include "support/PRNG.h"
 #include "support/SmallVector.h"
 #include "support/Status.h"
-#include "support/StringInterner.h"
 #include "support/Timer.h"
 #include "support/UnionFind.h"
 
@@ -350,38 +349,6 @@ TEST(PRNGTest, NextRangeInclusive) {
   }
   EXPECT_TRUE(SawLo);
   EXPECT_TRUE(SawHi);
-}
-
-//===----------------------------------------------------------------------===//
-// StringInterner
-//===----------------------------------------------------------------------===//
-
-TEST(StringInternerTest, StableIdsInFirstSeenOrder) {
-  StringInterner Interner;
-  EXPECT_EQ(Interner.intern("alpha"), 0u);
-  EXPECT_EQ(Interner.intern("beta"), 1u);
-  EXPECT_EQ(Interner.intern("alpha"), 0u);
-  EXPECT_EQ(Interner.str(1), "beta");
-  EXPECT_EQ(Interner.lookup("gamma"), StringInterner::NotFound);
-  EXPECT_EQ(Interner.lookup("beta"), 1u);
-  EXPECT_EQ(Interner.size(), 2u);
-}
-
-TEST(StringInternerTest, LookupOfAnAbsentStringInternsNothing) {
-  StringInterner Interner;
-  EXPECT_EQ(Interner.lookup("ghost"), StringInterner::NotFound);
-  EXPECT_EQ(Interner.size(), 0u);
-  for (uint32_t I = 0; I != 1000; ++I)
-    EXPECT_EQ(Interner.intern("s" + std::to_string(I)), I);
-  EXPECT_EQ(Interner.lookup("ghost"), StringInterner::NotFound);
-  EXPECT_EQ(Interner.size(), 1000u);
-  // Strings stay where the ids say across the table's growth.
-  for (uint32_t I = 0; I != 1000; ++I)
-    EXPECT_EQ(Interner.str(I), "s" + std::to_string(I));
-  // A view into a longer buffer interns only the characters it spans.
-  const std::string Buffer = "s12 and more";
-  EXPECT_EQ(Interner.intern(std::string_view(Buffer).substr(0, 3)), 12u);
-  EXPECT_EQ(Interner.intern("ghost"), 1000u);
 }
 
 //===----------------------------------------------------------------------===//
