@@ -1444,7 +1444,8 @@ int emitTrajectory(const std::string &Path) {
         "     \"work\": %llu, \"work_baseline\": %llu, "
         "\"delta_props\": %llu, \"delta_props_baseline\": %llu,\n"
         "     \"vars_eliminated\": %llu, \"vars_eliminated_baseline\": %llu, "
-        "\"wave_passes\": %llu, \"wave_fallbacks\": %llu, "
+        "\"cycle_search_steps\": %llu,\n"
+        "     \"wave_passes\": %llu, \"wave_fallbacks\": %llu, "
         "\"wave_collapsed_vars\": %llu,\n"
         "     \"pts_checksum\": %llu, \"checksum_match\": %s}",
         R.Programs, R.WallSeconds, R.BaselineSeconds, Speedup,
@@ -1454,6 +1455,7 @@ int emitTrajectory(const std::string &Path) {
         (unsigned long long)R.BaselineStats.DeltaPropagations,
         (unsigned long long)R.Stats.VarsEliminated,
         (unsigned long long)R.BaselineStats.VarsEliminated,
+        (unsigned long long)R.Stats.CycleSearchSteps,
         (unsigned long long)R.Stats.WavePasses,
         (unsigned long long)R.Stats.WaveFallbacks,
         (unsigned long long)R.Stats.WaveCollapsedVars,

@@ -16,6 +16,15 @@
 #   (5) the wave-order build collapsed the ring the online chain search
 #       missed (`wave collapsed:` >= 1), so its sweeps never delivered
 #       against the order (`wave fallbacks: 0`).
+# Last it builds a hub: a variable H with 160 successors (well over
+# twice the chain search's hub cutoff), 60 insertions into H (each
+# starts a chain search from H, and each is followed by one more
+# successor of H), edges that close cycles through H, and a ring
+# T159 <= H. It solves it under SF-Online on both schedules and asserts
+#   (6) the wave solutions are byte-identical to --closure=worklist, and
+#   (7) `search steps:`, `cycle searches:` and `vars eliminated:` on both
+#       schedules equal the values the plain list walk produced before
+#       searches replayed hub summaries (15,735 / 953 / 20).
 #
 # Usage: scripts/perf_smoke.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -123,7 +132,46 @@ if [ "$RING_COLLAPSED" -lt 1 ]; then
   exit 1
 fi
 
+HUB="$WORK/hub.scs"
+awk -v succs=160 -v adds=60 'BEGIN {
+  for (i = 0; i < adds; ++i) printf "cons s%d\n", i;
+  printf "var H";
+  for (j = 0; j < succs; ++j) printf " T%d", j;
+  for (i = 0; i < adds; ++i) printf " A%d U%d", i, i;
+  printf "\n";
+  for (j = 0; j < succs; ++j) printf "H <= T%d\n", j;
+  for (i = 0; i < adds; ++i) {
+    printf "s%d() <= A%d\n", i, i;
+    printf "A%d <= H\n", i;
+    printf "H <= U%d\n", i;
+  }
+  for (j = 0; j < succs; j += 7) printf "T%d <= A%d\n", j, (j * 3) % adds;
+  printf "T%d <= H\n", succs - 1;
+}' > "$HUB"
+"$SCSOLVE" --config=sf-online --closure=worklist "$HUB" > "$WORK/hub-worklist.out"
+"$SCSOLVE" --config=sf-online "$HUB" > "$WORK/hub-wave.out"
+if ! cmp -s "$WORK/hub-worklist.out" "$WORK/hub-wave.out"; then
+  echo "FAIL: SF-Online hub: wave least solutions differ from worklist" >&2
+  diff "$WORK/hub-worklist.out" "$WORK/hub-wave.out" >&2 | head -20
+  exit 1
+fi
+for CLOSURE in wave worklist; do
+  "$SCSOLVE" --config=sf-online --closure="$CLOSURE" --stats "$HUB" \
+    > "$WORK/hub-$CLOSURE.stats"
+  for PIN in 'search steps=15735' 'cycle searches=953' \
+             'vars eliminated=20'; do
+    LABEL=${PIN%=*}
+    WANT=${PIN#*=}
+    GOT=$(stat "$LABEL" "$WORK/hub-$CLOSURE.stats")
+    if [ "$GOT" != "$WANT" ]; then
+      echo "FAIL: SF-Online hub ($CLOSURE): $LABEL is '$GOT', want $WANT" >&2
+      exit 1
+    fi
+  done
+done
+
 echo "perf smoke OK: solutions identical;" \
      "delta props worklist=$WL_PROPS wave=$WAVE_PROPS" \
      "(passes=$WAVE_PASSES); SF-Online ring collapsed=$RING_COLLAPSED" \
-     "fallbacks=$RING_FALLBACKS"
+     "fallbacks=$RING_FALLBACKS; hub search steps, searches and" \
+     "eliminated match the plain walk"

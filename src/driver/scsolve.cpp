@@ -150,6 +150,8 @@ int main(int Argc, char **Argv) {
                 formatGrouped(Stats.VarsEliminated).c_str());
     std::printf("cycle searches:   %s\n",
                 formatGrouped(Stats.CycleSearches).c_str());
+    std::printf("search steps:     %s\n",
+                formatGrouped(Stats.CycleSearchSteps).c_str());
     std::printf("offline vars:     %s\n",
                 formatGrouped(Stats.OfflineCollapsedVars).c_str());
     std::printf("offline sccs:     %s\n",

@@ -20,6 +20,17 @@ bool Digraph::addEdge(uint32_t From, uint32_t To) {
   return true;
 }
 
+GraphRows Digraph::rows() const {
+  GraphRows Rows;
+  Rows.RowStart.reserve(numNodes() + 1);
+  Rows.Targets.reserve(NumEdges);
+  for (const std::vector<uint32_t> &Succs : Successors) {
+    Rows.Targets.insert(Rows.Targets.end(), Succs.begin(), Succs.end());
+    Rows.endRow();
+  }
+  return Rows;
+}
+
 std::vector<uint32_t> Digraph::reachableFrom(uint32_t Start) const {
   assert(Start < numNodes() && "start node out of range!");
   std::vector<bool> Visited(numNodes(), false);

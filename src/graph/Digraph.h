@@ -17,9 +17,28 @@
 #include "support/DenseU64Set.h"
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace poce {
+
+/// A graph as CSR rows: node N's successors are
+/// Targets[RowStart[N] .. RowStart[N + 1]), in visiting order. Duplicate
+/// targets and self loops are allowed and change no component.
+struct GraphRows {
+  std::vector<uint32_t> RowStart{0};
+  std::vector<uint32_t> Targets;
+
+  uint32_t numNodes() const {
+    return static_cast<uint32_t>(RowStart.size() - 1);
+  }
+  std::span<const uint32_t> row(uint32_t Node) const {
+    return {Targets.data() + RowStart[Node],
+            Targets.data() + RowStart[Node + 1]};
+  }
+  /// Closes the row being filled (the next node's row starts empty).
+  void endRow() { RowStart.push_back(static_cast<uint32_t>(Targets.size())); }
+};
 
 /// Adjacency-list digraph. Nodes are 0..numNodes()-1; parallel edges are
 /// coalesced.
@@ -54,6 +73,9 @@ public:
   const std::vector<uint32_t> &successors(uint32_t Node) const {
     return Successors[Node];
   }
+
+  /// The successor lists laid out as CSR rows.
+  GraphRows rows() const;
 
   /// Returns the set of nodes reachable from \p Start (including Start).
   std::vector<uint32_t> reachableFrom(uint32_t Start) const;

@@ -34,12 +34,13 @@ uint32_t SCCResult::numNontrivialSCCs() const {
   return Count;
 }
 
-SCCResult poce::computeSCCs(const Digraph &G) {
+FlatSCCs poce::computeSCCs(const GraphRows &G) {
   const uint32_t N = G.numNodes();
   constexpr uint32_t Unvisited = ~0U;
 
-  SCCResult Result;
+  FlatSCCs Result;
   Result.ComponentOf.assign(N, Unvisited);
+  Result.Members.reserve(N);
 
   std::vector<uint32_t> Index(N, Unvisited);
   std::vector<uint32_t> LowLink(N, 0);
@@ -47,7 +48,7 @@ SCCResult poce::computeSCCs(const Digraph &G) {
   std::vector<uint32_t> Stack;
   uint32_t NextIndex = 0;
 
-  // Explicit DFS frames: (node, position in its successor list).
+  // Explicit DFS frames: (node, next position in the target array).
   struct Frame {
     uint32_t Node;
     uint32_t SuccPos;
@@ -57,21 +58,20 @@ SCCResult poce::computeSCCs(const Digraph &G) {
   for (uint32_t Root = 0; Root != N; ++Root) {
     if (Index[Root] != Unvisited)
       continue;
-    CallStack.push_back({Root, 0});
+    CallStack.push_back({Root, G.RowStart[Root]});
     Index[Root] = LowLink[Root] = NextIndex++;
     Stack.push_back(Root);
     OnStack[Root] = true;
 
     while (!CallStack.empty()) {
       Frame &Top = CallStack.back();
-      const auto &Succs = G.successors(Top.Node);
-      if (Top.SuccPos < Succs.size()) {
-        uint32_t Succ = Succs[Top.SuccPos++];
+      if (Top.SuccPos != G.RowStart[Top.Node + 1]) {
+        uint32_t Succ = G.Targets[Top.SuccPos++];
         if (Index[Succ] == Unvisited) {
           Index[Succ] = LowLink[Succ] = NextIndex++;
           Stack.push_back(Succ);
           OnStack[Succ] = true;
-          CallStack.push_back({Succ, 0});
+          CallStack.push_back({Succ, G.RowStart[Succ]});
         } else if (OnStack[Succ]) {
           LowLink[Top.Node] = std::min(LowLink[Top.Node], Index[Succ]);
         }
@@ -87,19 +87,32 @@ SCCResult poce::computeSCCs(const Digraph &G) {
       }
       if (LowLink[Node] == Index[Node]) {
         uint32_t ComponentId = Result.numComponents();
-        Result.Components.emplace_back();
         while (true) {
           uint32_t Member = Stack.back();
           Stack.pop_back();
           OnStack[Member] = false;
           Result.ComponentOf[Member] = ComponentId;
-          Result.Components.back().push_back(Member);
+          Result.Members.push_back(Member);
           if (Member == Node)
             break;
         }
+        Result.MemberStart.push_back(
+            static_cast<uint32_t>(Result.Members.size()));
       }
     }
   }
+  return Result;
+}
+
+SCCResult poce::computeSCCs(const Digraph &G) {
+  FlatSCCs Flat = computeSCCs(G.rows());
+  SCCResult Result;
+  Result.Components.reserve(Flat.numComponents());
+  for (uint32_t Comp = 0; Comp != Flat.numComponents(); ++Comp) {
+    std::span<const uint32_t> Members = Flat.component(Comp);
+    Result.Components.emplace_back(Members.begin(), Members.end());
+  }
+  Result.ComponentOf = std::move(Flat.ComponentOf);
   return Result;
 }
 

@@ -12,6 +12,12 @@
 /// and the offline preprocessing pass (the last two sweep the
 /// condensation in its reverse topological numbering).
 ///
+/// The one Tarjan runs over GraphRows (graph/Digraph.h) and returns its
+/// components in one flat array (FlatSCCs); the solver's wave-order build
+/// calls it directly on the rows it resolves. The Digraph overload is a
+/// wrapper that runs it on Digraph::rows() and splits the result into one
+/// vector per component.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef POCE_GRAPH_TARJANSCC_H
@@ -20,6 +26,7 @@
 #include "graph/Digraph.h"
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace poce {
@@ -47,8 +54,29 @@ struct SCCResult {
   uint32_t numNontrivialSCCs() const;
 };
 
+/// SCCs with every member in one flat array: component C's members are
+/// Members[MemberStart[C] .. MemberStart[C + 1]), in the order Tarjan pops
+/// them. Components are numbered as in SCCResult.
+struct FlatSCCs {
+  std::vector<uint32_t> ComponentOf;
+  std::vector<uint32_t> Members;
+  std::vector<uint32_t> MemberStart{0};
+
+  uint32_t numComponents() const {
+    return static_cast<uint32_t>(MemberStart.size() - 1);
+  }
+  std::span<const uint32_t> component(uint32_t Comp) const {
+    return {Members.data() + MemberStart[Comp],
+            Members.data() + MemberStart[Comp + 1]};
+  }
+};
+
 /// Computes strongly connected components of \p G (iterative Tarjan; safe
-/// for graphs with millions of nodes).
+/// for graphs with millions of nodes). Roots are tried in node order and
+/// each row in its order, so the numbering is a function of the rows.
+FlatSCCs computeSCCs(const GraphRows &G);
+
+/// computeSCCs over \p G's successor lists, one vector per component.
 SCCResult computeSCCs(const Digraph &G);
 
 /// Builds the condensation of \p G given its SCC decomposition: one node

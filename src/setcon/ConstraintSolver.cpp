@@ -187,6 +187,7 @@ void ConstraintSolver::runOfflinePass() {
   Stats.HVNLabels = Equiv.Labels;
   if (!Equiv.Merges.empty()) {
     invalidateWaveOrder();
+    invalidateChainSummaries();
     for (auto [Var, Witness] : Equiv.Merges) {
       bool United = Forwarding.unite(Var, Witness);
       assert(United && "offline merge of a non-representative!");
@@ -349,8 +350,40 @@ void ConstraintSolver::runWavePass() {
 }
 
 void ConstraintSolver::buildWaveOrder() {
-  Digraph G = varVarDigraph();
-  SCCResult SCCs = computeSCCs(G);
+  assert(Options.Form == GraphForm::Standard &&
+         "only standard form parks deltas for a sweep");
+  // The live var-var graph as rows in VarId order, targets resolved and
+  // self references dropped. Standard form files every X <= Y as a
+  // successor of X, so the succ lists alone give the graph. Dead
+  // variables keep empty rows: Tarjan numbers them as isolated
+  // singletons, so the live components, and the member order within each,
+  // are those of any other copy of the graph.
+  //
+  // The arrays are sized before they are filled: grown by doubling, their
+  // discarded blocks stayed resident and raised the suite's peak RSS by
+  // about 2 MB.
+  const uint32_t NumNodes = numVars();
+  size_t NumLive = 0, MaxTargets = 0;
+  for (VarId Var = 0; Var != NumNodes; ++Var)
+    if (Forwarding.isRepresentative(Var)) {
+      ++NumLive;
+      MaxTargets += Vars[Var].Succs.size();
+    }
+  GraphRows G;
+  G.RowStart.reserve(NumNodes + 1);
+  G.Targets.reserve(MaxTargets);
+  for (VarId Var = 0; Var != NumNodes; ++Var) {
+    if (Forwarding.isRepresentative(Var))
+      for (uint32_t Entry : Vars[Var].Succs) {
+        if (isTermRef(Entry))
+          continue;
+        VarId Rep = Forwarding.find(payloadOf(Entry));
+        if (Rep != Var)
+          G.Targets.push_back(Rep);
+      }
+    G.endRow();
+  }
+  FlatSCCs SCCs = computeSCCs(G);
   // The paper's periodic strategy, run only where its Tarjan pass is
   // already paid for: SF-Online collapses every cycle found here, so the
   // order the next build completes is acyclic and its sweeps never fall
@@ -358,39 +391,47 @@ void ConstraintSolver::buildWaveOrder() {
   if (Options.Elim == CycleElim::Online &&
       collapseComponents(SCCs, Stats.WaveCollapsedVars) != 0)
     return;
-  Digraph Cond = condense(G, SCCs);
 
-  // Level the condensation Kahn-style. Tarjan numbers components in
-  // reverse topological order — every condensation edge goes from a
-  // higher component id to a lower one — so a single descending sweep
-  // sees each component after all of its predecessors.
-  uint32_t NumComps = SCCs.numComponents();
+  // Level the components Kahn-style from the rows. Tarjan numbers
+  // components in reverse topological order — every edge between two
+  // components goes from a higher id to a lower one — so a single
+  // descending sweep sees each component after all of its predecessors.
+  const uint32_t NumComps = SCCs.numComponents();
   std::vector<uint32_t> CompLevel(NumComps, 0);
   for (uint32_t Comp = NumComps; Comp-- > 0;)
-    for (uint32_t Succ : Cond.successors(Comp)) {
-      assert(Succ < Comp && "condensation edge against Tarjan numbering");
-      CompLevel[Succ] = std::max(CompLevel[Succ], CompLevel[Comp] + 1);
-    }
+    for (VarId Var : SCCs.component(Comp))
+      for (VarId Succ : G.row(Var)) {
+        uint32_t To = SCCs.ComponentOf[Succ];
+        assert(To <= Comp && "edge against Tarjan numbering");
+        if (To != Comp)
+          CompLevel[To] = std::max(CompLevel[To], CompLevel[Comp] + 1);
+      }
 
-  WaveLevel.assign(numVars(), 0);
-  std::vector<VarId> Order;
-  Order.reserve(numVars());
-  for (VarId Var = 0; Var != numVars(); ++Var) {
+  // Order indices are unique (Random packs the VarId into the low bits),
+  // so sorting by (level, order index) is a deterministic total order.
+  struct PositionKey {
+    uint32_t Level;
+    VarId Var;
+    uint64_t Order;
+  };
+  std::vector<PositionKey> Keys;
+  Keys.reserve(NumLive);
+  WaveLevel.assign(NumNodes, 0);
+  for (VarId Var = 0; Var != NumNodes; ++Var) {
     if (!Forwarding.isRepresentative(Var))
       continue;
     WaveLevel[Var] = CompLevel[SCCs.ComponentOf[Var]];
-    Order.push_back(Var);
+    Keys.push_back({WaveLevel[Var], Var, Vars[Var].Order});
   }
-  // Order indices are unique (Random packs the VarId into the low bits),
-  // so the position assignment is a deterministic total order.
-  std::sort(Order.begin(), Order.end(), [&](VarId A, VarId B) {
-    if (WaveLevel[A] != WaveLevel[B])
-      return WaveLevel[A] < WaveLevel[B];
-    return Vars[A].Order < Vars[B].Order;
-  });
-  WaveIndex.assign(numVars(), UINT32_MAX);
-  for (size_t I = 0; I != Order.size(); ++I)
-    WaveIndex[Order[I]] = static_cast<uint32_t>(I);
+  std::sort(Keys.begin(), Keys.end(),
+            [](const PositionKey &A, const PositionKey &B) {
+              if (A.Level != B.Level)
+                return A.Level < B.Level;
+              return A.Order < B.Order;
+            });
+  WaveIndex.assign(NumNodes, UINT32_MAX);
+  for (size_t I = 0; I != Keys.size(); ++I)
+    WaveIndex[Keys[I].Var] = static_cast<uint32_t>(I);
 
   // CSR edge rows: successor entries laid out contiguously in sweep order
   // with variable targets pre-resolved — the sweep then walks the pool
@@ -398,17 +439,17 @@ void ConstraintSolver::buildWaveOrder() {
   // chains. Entry order within a row matches the adjacency list, so
   // deliveries (and counters) are those of the adjacency-list walk.
   WaveArena.reset();
-  WaveRowStart = WaveArena.allocateArray<uint32_t>(Order.size() + 1);
+  WaveRowStart = WaveArena.allocateArray<uint32_t>(Keys.size() + 1);
   size_t Total = 0;
-  for (size_t I = 0; I != Order.size(); ++I) {
+  for (size_t I = 0; I != Keys.size(); ++I) {
     WaveRowStart[I] = static_cast<uint32_t>(Total);
-    Total += Vars[Order[I]].Succs.size();
+    Total += Vars[Keys[I].Var].Succs.size();
   }
-  WaveRowStart[Order.size()] = static_cast<uint32_t>(Total);
+  WaveRowStart[Keys.size()] = static_cast<uint32_t>(Total);
   WaveEdges = WaveArena.allocateArray<uint32_t>(Total);
   size_t Out = 0;
-  for (VarId Var : Order)
-    for (uint32_t Entry : Vars[Var].Succs)
+  for (const PositionKey &Key : Keys)
+    for (uint32_t Entry : Vars[Key.Var].Succs)
       WaveEdges[Out++] = isTermRef(Entry)
                              ? Entry
                              : varRef(Forwarding.find(payloadOf(Entry)));
@@ -840,43 +881,52 @@ bool ConstraintSolver::searchChain(VarId Start, VarId Target,
   Frames.clear();
   Path.clear();
   Path.push_back(Start);
-  Frames.push_back({Start, 0});
+  Frames.push_back({Start, 0, chainSummaryFor(Start, Kind), 0});
   Vars[Start].VisitEpoch = CurrentEpoch;
 
   while (!Frames.empty()) {
     ChainFrame &Top = Frames.back();
-    const std::vector<uint32_t> &List =
-        UsePreds ? Vars[Top.Node].Preds : Vars[Top.Node].Succs;
-    if (Top.NextIndex >= List.size()) {
-      Frames.pop_back();
-      Path.pop_back();
-      continue;
-    }
-    uint32_t Entry = List[Top.NextIndex++];
-    if (isTermRef(Entry))
-      continue;
-    VarId Next = Forwarding.find(payloadOf(Entry));
-    if (Next == Top.Node)
-      continue; // Stale self reference after a collapse.
-    ++Stats.CycleSearchSteps;
+    VarId Next;
+    if (Top.Summary != NoChainSummary) {
+      // A hub: replay the entries its summary says pass the order test,
+      // counting the steps the walk would count up to each of them, and
+      // scan the list only past the summarized prefix.
+      ChainSummary &Summary = ChainSummaries[Top.Summary];
+      if (Top.NextIndex == Summary.Passing.size() &&
+          !extendChainSummary(Summary, Top.Node, Kind)) {
+        Stats.CycleSearchSteps += Summary.Counted - Top.StepsCounted;
+        Frames.pop_back();
+        Path.pop_back();
+        continue;
+      }
+      const ChainSummary::Entry &Passing = Summary.Passing[Top.NextIndex++];
+      Stats.CycleSearchSteps += Passing.CountedIndex + 1 - Top.StepsCounted;
+      Top.StepsCounted = Passing.CountedIndex + 1;
+      Next = Passing.Target;
+    } else {
+      const std::vector<uint32_t> &List =
+          UsePreds ? Vars[Top.Node].Preds : Vars[Top.Node].Succs;
+      if (Top.NextIndex >= List.size()) {
+        Frames.pop_back();
+        Path.pop_back();
+        continue;
+      }
+      uint32_t Entry = List[Top.NextIndex++];
+      if (isTermRef(Entry))
+        continue;
+      Next = Forwarding.find(payloadOf(Entry));
+      if (Next == Top.Node)
+        continue; // Stale self reference after a collapse.
+      ++Stats.CycleSearchSteps;
 
-    // Only monotone chains are explored; for inductive form the stored
-    // representation already guarantees decreasing order.
-    bool OrderOk = false;
-    switch (Kind) {
-    case ChainKind::Pred:
-    case ChainKind::Succ:
-    case ChainKind::SuccDecreasing:
-      OrderOk = orderOf(Next) < orderOf(Top.Node);
-      break;
-    case ChainKind::SuccIncreasing:
-      OrderOk = orderOf(Next) > orderOf(Top.Node);
-      break;
+      // Only monotone chains are explored; for inductive form the stored
+      // representation already guarantees decreasing order.
+      bool OrderOk = chainOrderOk(Kind, Next, Top.Node);
+      if ((Kind == ChainKind::Pred || Kind == ChainKind::Succ) && !OrderOk)
+        poce_unreachable("inductive form stores only decreasing chains");
+      if (!OrderOk)
+        continue;
     }
-    if ((Kind == ChainKind::Pred || Kind == ChainKind::Succ) && !OrderOk)
-      poce_unreachable("inductive form stores only decreasing chains");
-    if (!OrderOk)
-      continue;
 
     if (Next == Target) {
       Path.push_back(Next);
@@ -886,13 +936,49 @@ bool ConstraintSolver::searchChain(VarId Start, VarId Target,
       continue;
     Vars[Next].VisitEpoch = CurrentEpoch;
     Path.push_back(Next);
-    Frames.push_back({Next, 0});
+    Frames.push_back({Next, 0, chainSummaryFor(Next, Kind), 0});
   }
   Path.clear();
   return false;
 }
 
-void ConstraintSolver::collapseCycle(const std::vector<VarId> &Cycle) {
+uint32_t ConstraintSolver::hubChainSummary(VarId Hub, ChainKind Kind) {
+  uint32_t &Slot = ChainSummaryOf[(static_cast<uint64_t>(Hub) << 1) |
+                                  (Kind == ChainKind::SuccIncreasing)];
+  if (!Slot) {
+    ChainSummaries.emplace_back();
+    Slot = static_cast<uint32_t>(ChainSummaries.size());
+  }
+  ChainSummary &Summary = ChainSummaries[Slot - 1];
+  if (Summary.Generation != ChainGeneration) {
+    Summary.Generation = ChainGeneration;
+    Summary.Scanned = 0;
+    Summary.Counted = 0;
+    Summary.Passing.clear();
+  }
+  return Slot - 1;
+}
+
+bool ConstraintSolver::extendChainSummary(ChainSummary &Summary, VarId Hub,
+                                          ChainKind Kind) {
+  const std::vector<uint32_t> &List = Vars[Hub].Succs;
+  while (Summary.Scanned != List.size()) {
+    uint32_t Entry = List[Summary.Scanned++];
+    if (isTermRef(Entry))
+      continue;
+    VarId Next = Forwarding.find(payloadOf(Entry));
+    if (Next == Hub)
+      continue; // Stale self reference after a collapse: not counted.
+    uint32_t CountedIndex = Summary.Counted++;
+    if (chainOrderOk(Kind, Next, Hub)) {
+      Summary.Passing.push_back({Next, CountedIndex});
+      return true;
+    }
+  }
+  return false;
+}
+
+void ConstraintSolver::collapseCycle(std::span<const VarId> Cycle) {
   assert(Cycle.size() >= 2 && "collapse of a trivial cycle!");
   VarId Witness = Cycle[0];
   for (VarId Var : Cycle)
@@ -907,6 +993,7 @@ void ConstraintSolver::collapseCycle(const std::vector<VarId> &Cycle) {
   });
 
   invalidateWaveOrder();
+  invalidateChainSummaries();
   // Unite first so representative lookups during re-adding see the final
   // classes.
   for (VarId Var : Cycle) {
@@ -935,22 +1022,24 @@ void ConstraintSolver::collapseCycle(const std::vector<VarId> &Cycle) {
   }
 }
 
-uint64_t ConstraintSolver::collapseComponents(const SCCResult &SCCs,
+uint64_t ConstraintSolver::collapseComponents(const FlatSCCs &SCCs,
                                               uint64_t &Eliminated) {
   uint64_t Collapsed = 0;
-  for (const auto &Component : SCCs.Components)
+  for (uint32_t Comp = 0; Comp != SCCs.numComponents(); ++Comp) {
+    std::span<const VarId> Component = SCCs.component(Comp);
     if (Component.size() >= 2) {
       collapseCycle(Component);
       Eliminated += Component.size() - 1;
       ++Collapsed;
     }
+  }
   return Collapsed;
 }
 
 void ConstraintSolver::runPeriodicPass() {
   ++Stats.PeriodicPasses;
-  Stats.CyclesCollapsed +=
-      collapseComponents(computeSCCs(varVarDigraph()), Stats.VarsEliminated);
+  Stats.CyclesCollapsed += collapseComponents(
+      computeSCCs(varVarDigraph().rows()), Stats.VarsEliminated);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1213,6 +1302,7 @@ bool ConstraintSolver::retract(const std::string &Tag) {
     ++Stats.ConeVarsRecomputed;
   }
   invalidateWaveOrder();
+  invalidateChainSummaries();
 
   // Queue the surviving roots that mention the cone, in input order, and
   // close them in one drain: the whole replay is one budget batch on
@@ -1580,6 +1670,7 @@ uint64_t ConstraintSolver::countPredChainReachable(VarId Var) {
 uint64_t ConstraintSolver::compact() {
   ensureClosed();
   invalidateWaveOrder(); // The CSR rows mirror the lists being rewritten.
+  invalidateChainSummaries();
   uint64_t Removed = 0;
   DenseU64Set Seen;
   for (VarId Var = 0; Var != numVars(); ++Var) {

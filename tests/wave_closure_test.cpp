@@ -327,6 +327,13 @@ struct RandomWaveCase {
   double Density;
 };
 
+/// Names a case by its fields; gtest would otherwise print the struct's
+/// raw bytes, padding included, which differ from build to build.
+void PrintTo(const RandomWaveCase &Case, std::ostream *OS) {
+  *OS << "vars=" << Case.NumVars << " cons=" << Case.NumCons
+      << " density=" << Case.Density << " seed=" << Case.Seed;
+}
+
 namespace {
 
 /// SF-Online on the wave schedule, per shape seed: final edges and
