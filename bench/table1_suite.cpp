@@ -46,10 +46,8 @@ int main() {
     Solver.finalize();
     const SolverStats &Stats = Solver.stats();
 
-    Digraph Initial(Solver.numCreations());
-    for (auto [From, To] : Solver.recordedInitialVarVar())
-      Initial.addEdge(From, To);
-    SCCResult InitialSCCs = computeSCCs(Initial);
+    FlatSCCs InitialSCCs = computeSCCs(rowsFromEdges(
+        Solver.numCreations(), Solver.recordedInitialVarVar()));
 
     const Oracle &O = Entry->oracle();
 

@@ -94,8 +94,8 @@ int main() {
     Generator.run(Unit);
     Solver.finalize();
 
-    Digraph G = Solver.varVarDigraph();
-    SCCResult SCCs = computeSCCs(G);
+    GraphRows G = Solver.varGraph();
+    FlatSCCs SCCs = computeSCCs(G);
     const char *FileName = Elim == CycleElim::None ? "cycle_before.dot"
                                                    : "cycle_after.dot";
     DotOptions DotOpts;

@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
-# Tier-1 verification (see ROADMAP.md): configure, build, run the full
-# test suite, then the end-to-end serving harnesses (protocol smoke test,
-# socket serving smoke, and crash-recovery/fault-injection) and the
-# wave-closure and offline-preprocessing perf smoke tests. Extra
-# arguments are passed to ctest.
+# Tier-1 verification (see ROADMAP.md): configure, build, check that no
+# test case is named by raw parameter bytes, run the full test suite,
+# then the end-to-end serving harnesses (protocol smoke test, socket
+# serving smoke, and crash-recovery/fault-injection) and the wave-closure
+# and offline-preprocessing perf smoke tests. Extra arguments are passed
+# to ctest.
 set -eu
 
 ROOT=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -11,6 +12,14 @@ BUILD="$ROOT/build"
 
 cmake -B "$BUILD" -S "$ROOT"
 cmake --build "$BUILD" -j
+# gtest names a parameterized case by its parameter's raw bytes unless the
+# parameter type has a PrintTo; those names (padding included) change with
+# every field added, so every such case must have one.
+if (cd "$BUILD" && ctest -N) | grep -q 'byte object'; then
+  echo "tier1: cases named by raw parameter bytes (add a PrintTo):" >&2
+  (cd "$BUILD" && ctest -N) | grep 'byte object' >&2
+  exit 1
+fi
 (cd "$BUILD" && ctest --output-on-failure -j "$@")
 "$ROOT/scripts/serve_smoke.sh" "$BUILD"
 "$ROOT/scripts/net_smoke.sh" "$BUILD"

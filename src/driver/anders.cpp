@@ -247,7 +247,7 @@ int main(int Argc, char **Argv) {
     ConstraintSolver Solver(Terms, Options, OraclePtr);
     andersen::ConstraintGenerator Generator(Solver);
     Generator.run(*Unit);
-    Digraph G = Solver.varVarDigraph();
+    GraphRows G = Solver.varGraph();
     DotOptions DotOpts;
     DotOpts.GraphName = SourceName;
     DotOpts.ColorSCCs = true;

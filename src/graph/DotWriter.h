@@ -5,16 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Renders a Digraph (or a constraint graph via its Digraph projection) to
-/// Graphviz DOT text, with optional node labels and SCC cluster coloring.
+/// Renders a graph (such as the solver's live variable graph) to Graphviz
+/// DOT text, with optional node labels and SCC cluster coloring.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef POCE_GRAPH_DOTWRITER_H
 #define POCE_GRAPH_DOTWRITER_H
 
-#include "graph/Digraph.h"
-#include "graph/TarjanSCC.h"
+#include "graph/GraphRows.h"
 
 #include <functional>
 #include <string>
@@ -30,8 +29,9 @@ struct DotOptions {
   bool ColorSCCs = false;
 };
 
-/// Renders \p G as DOT text.
-std::string writeDot(const Digraph &G, const DotOptions &Options = {});
+/// Renders \p G as DOT text: every node, then each distinct edge once, in
+/// row order and within a row in first-occurrence order.
+std::string writeDot(const GraphRows &G, const DotOptions &Options = {});
 
 } // namespace poce
 

@@ -39,15 +39,22 @@ static void forEachBernoulliSuccess(uint64_t Total, double P, PRNG &Rng,
   }
 }
 
-Digraph poce::randomDigraph(uint32_t NumNodes, double EdgeProb, PRNG &Rng) {
-  Digraph G(NumNodes);
+GraphRows poce::randomDigraph(uint32_t NumNodes, double EdgeProb,
+                              PRNG &Rng) {
+  // Successes arrive in ascending flat index, i.e. row by row, so each
+  // edge is appended to the row being filled.
+  GraphRows G;
   uint64_t Total = static_cast<uint64_t>(NumNodes) * NumNodes;
   forEachBernoulliSuccess(Total, EdgeProb, Rng, [&](uint64_t Flat) {
     uint32_t From = static_cast<uint32_t>(Flat / NumNodes);
     uint32_t To = static_cast<uint32_t>(Flat % NumNodes);
+    while (G.numNodes() != From)
+      G.endRow();
     if (From != To)
-      G.addEdge(From, To);
+      G.Targets.push_back(To);
   });
+  while (G.numNodes() != NumNodes)
+    G.endRow();
   return G;
 }
 

@@ -15,7 +15,7 @@
 #ifndef POCE_GRAPH_RANDOMGRAPH_H
 #define POCE_GRAPH_RANDOMGRAPH_H
 
-#include "graph/Digraph.h"
+#include "graph/GraphRows.h"
 #include "support/PRNG.h"
 
 #include <cstdint>
@@ -23,8 +23,9 @@
 namespace poce {
 
 /// Generates a G(n, p) digraph: each ordered pair of distinct nodes is an
-/// edge with probability \p EdgeProb.
-Digraph randomDigraph(uint32_t NumNodes, double EdgeProb, PRNG &Rng);
+/// edge with probability \p EdgeProb. Every row lists its targets once, in
+/// ascending order.
+GraphRows randomDigraph(uint32_t NumNodes, double EdgeProb, PRNG &Rng);
 
 /// Shape of a random inclusion constraint system per the model's
 /// assumptions: n variables, m constructed nodes (half sources, half

@@ -11,25 +11,25 @@
 
 using namespace poce;
 
-uint32_t SCCResult::numNodesInNontrivialSCCs() const {
+uint32_t FlatSCCs::numNodesInNontrivialSCCs() const {
   uint32_t Count = 0;
-  for (const auto &Component : Components)
-    if (Component.size() >= 2)
-      Count += static_cast<uint32_t>(Component.size());
+  for (uint32_t Comp = 0; Comp != numComponents(); ++Comp)
+    if (componentSize(Comp) >= 2)
+      Count += componentSize(Comp);
   return Count;
 }
 
-uint32_t SCCResult::maxComponentSize() const {
+uint32_t FlatSCCs::maxComponentSize() const {
   uint32_t Max = 0;
-  for (const auto &Component : Components)
-    Max = std::max(Max, static_cast<uint32_t>(Component.size()));
+  for (uint32_t Comp = 0; Comp != numComponents(); ++Comp)
+    Max = std::max(Max, componentSize(Comp));
   return Max;
 }
 
-uint32_t SCCResult::numNontrivialSCCs() const {
+uint32_t FlatSCCs::numNontrivialSCCs() const {
   uint32_t Count = 0;
-  for (const auto &Component : Components)
-    if (Component.size() >= 2)
+  for (uint32_t Comp = 0; Comp != numComponents(); ++Comp)
+    if (componentSize(Comp) >= 2)
       ++Count;
   return Count;
 }
@@ -102,29 +102,4 @@ FlatSCCs poce::computeSCCs(const GraphRows &G) {
     }
   }
   return Result;
-}
-
-SCCResult poce::computeSCCs(const Digraph &G) {
-  FlatSCCs Flat = computeSCCs(G.rows());
-  SCCResult Result;
-  Result.Components.reserve(Flat.numComponents());
-  for (uint32_t Comp = 0; Comp != Flat.numComponents(); ++Comp) {
-    std::span<const uint32_t> Members = Flat.component(Comp);
-    Result.Components.emplace_back(Members.begin(), Members.end());
-  }
-  Result.ComponentOf = std::move(Flat.ComponentOf);
-  return Result;
-}
-
-Digraph poce::condense(const Digraph &G, const SCCResult &SCCs) {
-  Digraph Condensed(SCCs.numComponents());
-  for (uint32_t Node = 0; Node != G.numNodes(); ++Node) {
-    uint32_t From = SCCs.ComponentOf[Node];
-    for (uint32_t Succ : G.successors(Node)) {
-      uint32_t To = SCCs.ComponentOf[Succ];
-      if (From != To)
-        Condensed.addEdge(From, To);
-    }
-  }
-  return Condensed;
 }

@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <unordered_map>
 
 #define POCE_DEBUG_TYPE "setcon"
 
@@ -73,7 +72,8 @@ Histogram &preprocessHistogram() {
 Histogram &waveOrderHistogram() {
   static Histogram &H = MetricsRegistry::global().histogram(
       "poce_solver_wave_order_us",
-      "Wave-order rebuild (condense + level + CSR edge layout)");
+      "Wave-order rebuild (Tarjan on resolved rows + level + CSR "
+      "edge layout)");
   return H;
 }
 
@@ -349,26 +349,46 @@ void ConstraintSolver::runWavePass() {
   }
 }
 
-void ConstraintSolver::buildWaveOrder() {
-  assert(Options.Form == GraphForm::Standard &&
-         "only standard form parks deltas for a sweep");
-  // The live var-var graph as rows in VarId order, targets resolved and
-  // self references dropped. Standard form files every X <= Y as a
-  // successor of X, so the succ lists alone give the graph. Dead
-  // variables keep empty rows: Tarjan numbers them as isolated
-  // singletons, so the live components, and the member order within each,
-  // are those of any other copy of the graph.
-  //
-  // The arrays are sized before they are filled: grown by doubling, their
-  // discarded blocks stayed resident and raised the suite's peak RSS by
-  // about 2 MB.
+GraphRows ConstraintSolver::liveVarRows() {
+  // One row per VarId, targets resolved and self references dropped. Dead
+  // variables keep empty rows: Tarjan numbers them as isolated singletons,
+  // so the live components, and the member order within each, are those
+  // of any other copy of the graph.
   const uint32_t NumNodes = numVars();
-  size_t NumLive = 0, MaxTargets = 0;
-  for (VarId Var = 0; Var != NumNodes; ++Var)
-    if (Forwarding.isRepresentative(Var)) {
-      ++NumLive;
-      MaxTargets += Vars[Var].Succs.size();
+  if (Options.Form == GraphForm::Inductive) {
+    // Inductive form files X <= Y as a predecessor entry of Y when
+    // o(X) < o(Y): an edge into its owner, so the rows come from an edge
+    // list whose counting sort keeps each row in emission order.
+    std::vector<std::pair<uint32_t, uint32_t>> Edges;
+    for (VarId Var = 0; Var != NumNodes; ++Var) {
+      if (!Forwarding.isRepresentative(Var))
+        continue;
+      for (uint32_t Pred : Vars[Var].Preds) {
+        if (isTermRef(Pred))
+          continue;
+        VarId PredRep = Forwarding.find(payloadOf(Pred));
+        if (PredRep != Var)
+          Edges.push_back({PredRep, Var});
+      }
+      for (uint32_t Succ : Vars[Var].Succs) {
+        if (isTermRef(Succ))
+          continue;
+        VarId SuccRep = Forwarding.find(payloadOf(Succ));
+        if (SuccRep != Var)
+          Edges.push_back({Var, SuccRep});
+      }
     }
+    return rowsFromEdges(NumNodes, Edges);
+  }
+  // Standard form files every X <= Y as a successor of X and keeps only
+  // source terms on the pred side, so the succ lists alone give the rows,
+  // written in place without walking any points-to set. The arrays are
+  // sized before they are filled: grown by doubling, their discarded
+  // blocks stayed resident and raised the suite's peak RSS by about 2 MB.
+  size_t MaxTargets = 0;
+  for (VarId Var = 0; Var != NumNodes; ++Var)
+    if (Forwarding.isRepresentative(Var))
+      MaxTargets += Vars[Var].Succs.size();
   GraphRows G;
   G.RowStart.reserve(NumNodes + 1);
   G.Targets.reserve(MaxTargets);
@@ -383,6 +403,14 @@ void ConstraintSolver::buildWaveOrder() {
       }
     G.endRow();
   }
+  return G;
+}
+
+void ConstraintSolver::buildWaveOrder() {
+  assert(Options.Form == GraphForm::Standard &&
+         "only standard form parks deltas for a sweep");
+  const uint32_t NumNodes = numVars();
+  GraphRows G = liveVarRows();
   FlatSCCs SCCs = computeSCCs(G);
   // The paper's periodic strategy, run only where its Tarjan pass is
   // already paid for: SF-Online collapses every cycle found here, so the
@@ -415,7 +443,7 @@ void ConstraintSolver::buildWaveOrder() {
     uint64_t Order;
   };
   std::vector<PositionKey> Keys;
-  Keys.reserve(NumLive);
+  Keys.reserve(numLiveVars());
   WaveLevel.assign(NumNodes, 0);
   for (VarId Var = 0; Var != NumNodes; ++Var) {
     if (!Forwarding.isRepresentative(Var))
@@ -1038,8 +1066,8 @@ uint64_t ConstraintSolver::collapseComponents(const FlatSCCs &SCCs,
 
 void ConstraintSolver::runPeriodicPass() {
   ++Stats.PeriodicPasses;
-  Stats.CyclesCollapsed += collapseComponents(
-      computeSCCs(varVarDigraph().rows()), Stats.VarsEliminated);
+  Stats.CyclesCollapsed +=
+      collapseComponents(computeSCCs(liveVarRows()), Stats.VarsEliminated);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1089,7 +1117,7 @@ void ConstraintSolver::computeRetractionCone(
   // cone is forward-closed over the current variable graph. Conversely,
   // a variable *not* downstream of any cone variable cannot hold a
   // source that depended on the retracted root.
-  Digraph G = varVarDigraph();
+  GraphRows G = liveVarRows();
 
   MentionsCone.assign(Terms.size(), 0);
   std::vector<VarId> TermVars;
@@ -1097,7 +1125,7 @@ void ConstraintSolver::computeRetractionCone(
     while (!Frontier.empty()) {
       VarId Rep = Frontier.back();
       Frontier.pop_back();
-      for (VarId Succ : G.successors(Rep))
+      for (VarId Succ : G.row(Rep))
         AddVar(Succ);
     }
     // Terms mentioning a cone variable, in one ascending pass (arguments
@@ -1164,52 +1192,6 @@ void ConstraintSolver::computeRetractionCone(
     ConeVar[Var] = ConeRep[Forwarding.find(Var)];
 }
 
-bool ConstraintSolver::classCycleSurvives(const std::vector<VarId> &Members) {
-  std::unordered_map<VarId, uint32_t> Local;
-  Local.reserve(Members.size());
-  for (uint32_t I = 0; I != Members.size(); ++I)
-    Local.emplace(Members[I], I);
-  // Internal edges among the members from surviving *direct* var <= var
-  // base constraints (derived edges are not provenance: they may have
-  // depended on the retracted root).
-  std::vector<std::vector<uint32_t>> Fwd(Members.size()), Rev(Members.size());
-  bool AnyEdge = false;
-  for (const BaseRoot &Root : BaseRoots) {
-    if (Terms.kind(Root.L) != ExprKind::Var ||
-        Terms.kind(Root.R) != ExprKind::Var)
-      continue;
-    auto LIt = Local.find(Terms.varOf(Root.L));
-    auto RIt = Local.find(Terms.varOf(Root.R));
-    if (LIt == Local.end() || RIt == Local.end())
-      continue;
-    Fwd[LIt->second].push_back(RIt->second);
-    Rev[RIt->second].push_back(LIt->second);
-    AnyEdge = true;
-  }
-  if (!AnyEdge)
-    return false;
-  // One SCC covering every member iff all are forward- and backward-
-  // reachable from member 0.
-  auto CoversAll = [&](const std::vector<std::vector<uint32_t>> &Adj) {
-    std::vector<uint8_t> Seen(Members.size(), 0);
-    std::vector<uint32_t> Stack = {0};
-    Seen[0] = 1;
-    size_t Count = 1;
-    while (!Stack.empty()) {
-      uint32_t Node = Stack.back();
-      Stack.pop_back();
-      for (uint32_t Next : Adj[Node])
-        if (!Seen[Next]) {
-          Seen[Next] = 1;
-          ++Count;
-          Stack.push_back(Next);
-        }
-    }
-    return Count == Members.size();
-  };
-  return CoversAll(Fwd) && CoversAll(Rev);
-}
-
 bool ConstraintSolver::hasRootTag(const std::string &Tag) const {
   for (const BaseRoot &Root : BaseRoots)
     if (Root.Tag == Tag)
@@ -1240,12 +1222,12 @@ bool ConstraintSolver::retract(const std::string &Tag) {
   std::vector<uint8_t> ConeVar, MentionsCone;
   computeRetractionCone(RootL, RootR, ConeVar, MentionsCone);
 
-  // Cone classes with their members, captured before any split changes
-  // the forwarding structure.
-  std::vector<std::vector<VarId>> ClassMembers(numVars());
+  // The class (representative) of every cone variable, captured before
+  // any split changes the forwarding structure.
+  std::vector<VarId> ClassOf(numVars());
   for (VarId Var = 0; Var != numVars(); ++Var)
     if (ConeVar[Var])
-      ClassMembers[Forwarding.find(Var)].push_back(Var);
+      ClassOf[Var] = Forwarding.find(Var);
 
   // Scrub: drop the untouched remainder's edges into the cone; the
   // replay re-derives exactly the surviving ones (insertion pairs a new
@@ -1277,20 +1259,36 @@ bool ConstraintSolver::retract(const std::string &Tag) {
   }
 
   // Split check: a multi-member class stays collapsed only when the
-  // surviving direct constraints still strongly connect every member.
-  // Otherwise (including every offline HVN-merged class, which has no
-  // online witness cycle) the class dissolves into singletons and the
-  // replay lets online detection re-collapse whatever cycles remain —
-  // splitting is always sound because the whole class is rebuilt.
-  for (VarId Rep = 0; Rep != numVars(); ++Rep) {
-    const std::vector<VarId> &Members = ClassMembers[Rep];
-    if (Members.size() < 2)
+  // surviving direct var <= var base constraints between its own members
+  // still strongly connect them: one Tarjan pass over those edges, and a
+  // class survives iff all its members land in one component. Derived
+  // edges are not provenance (they may have depended on the retracted
+  // root), and a path through a variable outside the class does not
+  // count. A split class (including every offline HVN-merged class, which
+  // has no online witness cycle) dissolves into singletons and the replay
+  // lets online detection re-collapse whatever cycles remain — splitting
+  // is always sound because the whole class is rebuilt.
+  std::vector<std::pair<uint32_t, uint32_t>> Internal;
+  for (const BaseRoot &Root : BaseRoots) {
+    if (Terms.kind(Root.L) != ExprKind::Var ||
+        Terms.kind(Root.R) != ExprKind::Var)
       continue;
-    if (!classCycleSurvives(Members)) {
-      for (VarId Member : Members)
-        Forwarding.reset(Member);
+    VarId L = Terms.varOf(Root.L), R = Terms.varOf(Root.R);
+    if (ConeVar[L] && ConeVar[R] && ClassOf[L] == ClassOf[R])
+      Internal.push_back({L, R});
+  }
+  FlatSCCs Parts = computeSCCs(rowsFromEdges(numVars(), Internal));
+  std::vector<uint8_t> Split(numVars(), 0);
+  for (VarId Var = 0; Var != numVars(); ++Var)
+    if (ConeVar[Var] &&
+        Parts.ComponentOf[Var] != Parts.ComponentOf[ClassOf[Var]])
+      Split[ClassOf[Var]] = 1;
+  for (VarId Var = 0; Var != numVars(); ++Var) {
+    if (!ConeVar[Var] || !Split[ClassOf[Var]])
+      continue;
+    if (Var == ClassOf[Var])
       ++Stats.CollapsesSplit;
-    }
+    Forwarding.reset(Var);
   }
 
   // Reset every cone variable to a fresh node; the replay rebuilds it from
@@ -1333,6 +1331,11 @@ void ConstraintSolver::finalize() {
 void ConstraintSolver::settleSolutions(ThreadPool &Pool) {
   ensureClosed();
   Finalized = true;
+  // The IF level tasks and the readers sharing a settled solver look
+  // representatives up with findConst, which compresses nothing: compress
+  // every chain once here so each of those lookups is a single hop.
+  for (VarId Var = 0; Var != numVars(); ++Var)
+    Forwarding.find(Var);
   const bool Timed = phaseTimingOn();
   const uint64_t StartUs = Timed ? trace::nowMicros() : 0;
   LSView.assign(numVars(), {});
@@ -1428,9 +1431,8 @@ void ConstraintSolver::computeLeastSolutionIF(ThreadPool &Pool) {
   });
 
   // Kahn levels in one ascending pass (predecessors precede their users).
-  // This sequential sweep also path-compresses every forwarding chain the
-  // level tasks will look up, so the findConst calls below are single
-  // hops on immutable data.
+  // settleSolutions() compressed every forwarding chain before this pass,
+  // so the findConst calls below are single hops on immutable data.
   std::vector<uint32_t> Depth(numVars(), 0);
   std::vector<std::vector<VarId>> Levels;
   for (VarId Var : Live) {
@@ -1614,33 +1616,9 @@ uint64_t ConstraintSolver::countFinalEdges() {
   return Count;
 }
 
-Digraph ConstraintSolver::varVarDigraph() {
-  ensureClosed(); // No-op while a drain is in progress (Draining guard).
-  // Standard form files every X <= Y as a successor of X and keeps only
-  // source terms on the pred side, so the succ lists alone give the graph
-  // without walking every points-to set.
-  const bool ScanPreds = Options.Form == GraphForm::Inductive;
-  Digraph G(numVars());
-  for (VarId Var = 0; Var != numVars(); ++Var) {
-    if (!Forwarding.isRepresentative(Var))
-      continue;
-    if (ScanPreds)
-      for (uint32_t Pred : Vars[Var].Preds) {
-        if (isTermRef(Pred))
-          continue;
-        VarId PredRep = Forwarding.find(payloadOf(Pred));
-        if (PredRep != Var)
-          G.addEdge(PredRep, Var);
-      }
-    for (uint32_t Succ : Vars[Var].Succs) {
-      if (isTermRef(Succ))
-        continue;
-      VarId SuccRep = Forwarding.find(payloadOf(Succ));
-      if (SuccRep != Var)
-        G.addEdge(Var, SuccRep);
-    }
-  }
-  return G;
+GraphRows ConstraintSolver::varGraph() {
+  ensureClosed();
+  return liveVarRows();
 }
 
 uint64_t ConstraintSolver::countPredChainReachable(VarId Var) {

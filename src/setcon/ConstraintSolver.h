@@ -53,7 +53,7 @@
 #ifndef POCE_SETCON_CONSTRAINTSOLVER_H
 #define POCE_SETCON_CONSTRAINTSOLVER_H
 
-#include "graph/Digraph.h"
+#include "graph/GraphRows.h"
 #include "setcon/SolverOptions.h"
 #include "setcon/SolverStats.h"
 #include "setcon/Term.h"
@@ -196,8 +196,8 @@ public:
     return Finalized && LSView.size() == numVars();
   }
 
-  /// Representative lookup without path compression (single const hop on
-  /// the pre-compressed forwarding chains finalize() leaves behind).
+  /// Representative lookup without path compression: a single const hop,
+  /// because finalize() compresses every forwarding chain.
   VarId repConst(VarId Var) const { return Forwarding.findConst(Var); }
 
   /// leastSolutionBits() without the lazy finalize.
@@ -282,9 +282,9 @@ public:
   /// first violation (the invariant the IF ascending pass asserts).
   bool verifyGraphInvariants();
 
-  /// Projects the current variable-variable graph (edges between live
-  /// representatives) for SCC analysis and visualization.
-  Digraph varVarDigraph();
+  /// Closes the graph and returns the live variable graph (liveVarRows())
+  /// for SCC analysis and visualization.
+  GraphRows varGraph();
 
   /// Number of variables reachable from \p Var along predecessor chains
   /// (Theorem 5.2 measurement).
@@ -457,8 +457,9 @@ private:
   /// before the next pass rebuilds the order.
   void runWavePass();
 
-  /// (Re)builds the cached topological order: resolve the live successor
-  /// rows into one flat array, run Tarjan over it, level the components
+  /// (Re)builds the cached topological order: take the live variable
+  /// graph from liveVarRows() (written in place from the successor lists
+  /// in standard form), run Tarjan over it, level the components
   /// Kahn-style from the same rows, assign each live representative a
   /// unique position sorted by (level, order index), and lay the
   /// successor lists out as CSR arrays in position order with targets
@@ -591,6 +592,15 @@ private:
 
   void recordVarVar(VarId Lhs, VarId Rhs, bool Derived);
 
+  /// The live variable graph as one row per VarId: an edge Rep -> Rep' for
+  /// every variable-variable entry of a live representative (successor
+  /// entries from it, inductive form's predecessor entries into it),
+  /// targets resolved through forwarding and self loops dropped; dead
+  /// variables have empty rows. Rows keep adjacency-list order and may
+  /// repeat a target. The wave-order build, the periodic pass, the
+  /// retraction cone and varGraph() all read the graph through it.
+  GraphRows liveVarRows();
+
   //===--------------------------------------------------------------------===
   // Constraint retraction
   //===--------------------------------------------------------------------===
@@ -610,18 +620,14 @@ private:
                              std::vector<uint8_t> &ConeVar,
                              std::vector<uint8_t> &MentionsCone);
 
-  /// True if the surviving direct variable-variable base constraints
-  /// still strongly connect every member of the collapsed class listed
-  /// in \p Members — the cheap certificate that the class's witness
-  /// cycle survives the retraction and the collapse may stay.
-  bool classCycleSurvives(const std::vector<VarId> &Members);
-
   //===--------------------------------------------------------------------===
   // Least solution
   //===--------------------------------------------------------------------===
 
-  /// Closes, marks the solver finalized and computes the least solutions
-  /// on \p Pool (the body of finalize() minus the view policy).
+  /// Closes, marks the solver finalized, compresses every forwarding
+  /// chain (so repConst() and the const accessors take one hop) and
+  /// computes the least solutions on \p Pool (the body of finalize()
+  /// minus the view policy).
   void settleSolutions(ThreadPool &Pool);
   /// Inductive form's least solutions (equation 1 of the paper) as a
   /// wavefront: Kahn levels over the collapsed (acyclic) representative

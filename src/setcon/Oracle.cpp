@@ -9,6 +9,7 @@
 #include "graph/TarjanSCC.h"
 #include "setcon/ConstraintSolver.h"
 #include "support/Debug.h"
+#include "support/DenseU64Set.h"
 
 #include <algorithm>
 
@@ -48,7 +49,10 @@ Oracle poce::buildOracle(const GeneratorFn &Generate,
                          const SolverOptions &BaseOptions,
                          unsigned MaxIterations) {
   UnionFind Classes;
+  // Every distinct constraint recorded by any pass, in first-seen order.
   std::vector<std::pair<uint32_t, uint32_t>> AllEdges;
+  DenseU64Set SeenEdges;
+  std::vector<std::pair<uint32_t, uint32_t>> Edges;
   Oracle Current;
 
   for (unsigned Iteration = 0; Iteration != MaxIterations; ++Iteration) {
@@ -68,29 +72,29 @@ Oracle poce::buildOracle(const GeneratorFn &Generate,
     Solver.ensureClosed();
 
     Classes.growTo(Solver.numCreations());
-    const auto &Recorded = Solver.recordedVarVar();
-    AllEdges.insert(AllEdges.end(), Recorded.begin(), Recorded.end());
+    // Each pass records again most of what earlier passes recorded.
+    for (const auto &[From, To] : Solver.recordedVarVar())
+      if (SeenEdges.insert((static_cast<uint64_t>(From) << 32) | To))
+        AllEdges.push_back({From, To});
 
     // SCCs of (all recorded constraints + known equalities) are the
     // equality classes implied so far.
     uint32_t N = Classes.size();
-    Digraph G(N);
+    Edges.clear();
     for (uint32_t I = 0; I != N; ++I) {
       uint32_t Root = Classes.find(I);
       if (Root != I) {
-        G.addEdge(I, Root);
-        G.addEdge(Root, I);
+        Edges.push_back({I, Root});
+        Edges.push_back({Root, I});
       }
     }
-    for (const auto &[From, To] : AllEdges)
-      G.addEdge(From, To);
+    Edges.insert(Edges.end(), AllEdges.begin(), AllEdges.end());
 
-    SCCResult SCCs = computeSCCs(G);
+    FlatSCCs SCCs = computeSCCs(rowsFromEdges(N, Edges));
     bool Changed = false;
-    for (const auto &Component : SCCs.Components) {
-      if (Component.size() < 2)
-        continue;
-      for (size_t I = 1; I != Component.size(); ++I)
+    for (uint32_t Comp = 0; Comp != SCCs.numComponents(); ++Comp) {
+      std::span<const uint32_t> Component = SCCs.component(Comp);
+      for (size_t I = 1; I < Component.size(); ++I)
         Changed |= Classes.unite(Component[I], Component[0]);
     }
     Current = Oracle::fromClasses(Classes);

@@ -67,7 +67,7 @@ OfflineEquivalence poce::offlinePreprocess(
   // visited-pair set, so nested matches like c(d(X)) <= c(d(Y)) surface
   // their X <= Y edges; mismatches are skipped silently (the replay counts
   // them through the normal path).
-  Digraph G(NumVars);
+  std::vector<std::pair<uint32_t, uint32_t>> VarEdges;
   std::vector<std::vector<ExprId>> SourcesInto(NumVars);
   std::vector<uint8_t> Indirect(NumVars, 0);
   std::vector<uint8_t> TermSeen(Terms.size(), 0);
@@ -97,7 +97,7 @@ OfflineEquivalence poce::offlinePreprocess(
       break;
     case ExprKind::Var:
       if (RhsKind == ExprKind::Var)
-        G.addEdge(Terms.varOf(Lhs), Terms.varOf(Rhs));
+        VarEdges.push_back({Terms.varOf(Lhs), Terms.varOf(Rhs)});
       // Var <= sink constrains nothing about the variable's solution; the
       // sink's embedded variables were marked indirect above.
       break;
@@ -128,28 +128,32 @@ OfflineEquivalence poce::offlinePreprocess(
     }
   }
 
-  // Condense with Tarjan's algorithm. Components come numbered in
-  // reverse topological order — every condensation edge goes from a
+  // Tarjan's algorithm over the edge rows (the visited-pair set already
+  // made each edge distinct). Components come numbered in reverse
+  // topological order — every edge between two components goes from a
   // higher component id to a lower one — so a descending sweep sees each
   // component after all of its predecessors. The labeling needs the
-  // predecessor side, so invert the condensation's successor lists.
-  SCCResult SCCs = computeSCCs(G);
-  Digraph Cond = condense(G, SCCs);
+  // predecessor side, so each row's edges that leave its component are
+  // filed under their target component; a repeated component pair only
+  // repeats a label, which the label-set sort below drops.
+  GraphRows G = rowsFromEdges(NumVars, VarEdges);
+  FlatSCCs SCCs = computeSCCs(G);
   const uint32_t NumComps = SCCs.numComponents();
   std::vector<std::vector<uint32_t>> CompPreds(NumComps);
-  for (uint32_t Comp = 0; Comp != NumComps; ++Comp)
-    for (uint32_t Succ : Cond.successors(Comp))
-      CompPreds[Succ].push_back(Comp);
+  for (VarId Var = 0; Var != NumVars; ++Var)
+    for (VarId Succ : G.row(Var)) {
+      uint32_t From = SCCs.ComponentOf[Var], To = SCCs.ComponentOf[Succ];
+      if (From != To)
+        CompPreds[To].push_back(From);
+    }
 
   std::vector<uint8_t> CompIndirect(NumComps, 0);
   for (VarId Var = 0; Var != NumVars; ++Var)
     if (Indirect[Var])
       CompIndirect[SCCs.ComponentOf[Var]] = 1;
-  for (const std::vector<uint32_t> &Component : SCCs.Components)
-    if (Component.size() >= 2) {
-      ++Result.NontrivialSCCs;
-      Result.SCCCollapsedVars += Component.size() - 1;
-    }
+  Result.NontrivialSCCs = SCCs.numNontrivialSCCs();
+  Result.SCCCollapsedVars =
+      SCCs.numNodesInNontrivialSCCs() - Result.NontrivialSCCs;
 
   // HVN labeling. Label 0 is reserved for "provably empty"; every other
   // label comes from one monotone counter so source-term labels, fresh
@@ -176,7 +180,7 @@ OfflineEquivalence poce::offlinePreprocess(
     for (uint32_t Pred : CompPreds[Comp])
       if (PE[Pred])
         LabelSet.push_back(PE[Pred]);
-    for (uint32_t Member : SCCs.Components[Comp])
+    for (uint32_t Member : SCCs.component(Comp))
       for (ExprId Source : SourcesInto[Member]) {
         uint32_t &Label = SourceLabel[Source];
         if (!Label)

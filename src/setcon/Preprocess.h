@@ -7,9 +7,9 @@
 /// \file
 /// Offline pre-solve analysis of a pending constraint set
 /// (SolverOptions::Preprocess == PreprocessMode::Offline): dry-resolve the
-/// input constraints into the pre-closure inclusion graph, condense it with
-/// Tarjan's SCC algorithm, then run an HVN-style pointer-equivalence
-/// labeling over the condensation (Hardekopf & Lin, "Exploiting Pointer and
+/// input constraints into the pre-closure inclusion graph, partition it
+/// with Tarjan's SCC algorithm, then run an HVN-style pointer-equivalence
+/// labeling over the components (Hardekopf & Lin, "Exploiting Pointer and
 /// Location Equivalence to Optimize Pointer Analysis", SAS 2007, adapted to
 /// the set-constraint language). Variables with equal labels provably have
 /// equal least solutions under any closure schedule, so the solver can
@@ -61,7 +61,7 @@ struct OfflineEquivalence {
   uint64_t HVNMergedVars = 0;
   /// Nontrivial (size >= 2) components of the pre-closure graph.
   uint64_t NontrivialSCCs = 0;
-  /// Distinct pointer-equivalence labels over the condensed components.
+  /// Distinct pointer-equivalence labels over the components.
   uint64_t Labels = 0;
 };
 

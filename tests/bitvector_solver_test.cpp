@@ -33,6 +33,13 @@ struct Case {
   double Density;
 };
 
+/// Names a case by its fields; gtest would otherwise print the struct's
+/// raw bytes, padding included, which differ from build to build.
+void PrintTo(const Case &C, std::ostream *OS) {
+  *OS << "vars=" << C.NumVars << " cons=" << C.NumCons
+      << " density=" << C.Density << " seed=" << C.Seed;
+}
+
 const Case Shapes[] = {
     {21, 12, 8, 1.0},  {22, 40, 26, 1.5}, {23, 40, 26, 3.0},
     {24, 80, 50, 1.0}, {25, 120, 80, 2.0}, {26, 200, 130, 1.2},

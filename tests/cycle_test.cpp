@@ -257,9 +257,9 @@ TEST(CycleTest, InductiveInvariantHoldsAfterCollapses) {
       H.Solver.addConstraint(H.v(Vars[A]), H.v(Vars[B]));
   }
   H.Solver.finalize(); // Asserts the invariant internally (debug builds).
-  Digraph G = H.Solver.varVarDigraph();
+  GraphRows G = H.Solver.varGraph();
   for (uint32_t Var = 0; Var != G.numNodes(); ++Var)
-    for (uint32_t Succ : G.successors(Var))
+    for (uint32_t Succ : G.row(Var))
       EXPECT_TRUE(H.Solver.isLive(Var) && H.Solver.isLive(Succ));
 }
 

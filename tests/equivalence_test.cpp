@@ -76,6 +76,13 @@ struct RandomCase {
   double Density; ///< Edge probability as a multiple of 1/n.
 };
 
+/// Names a case by its fields; gtest would otherwise print the struct's
+/// raw bytes, padding included, which differ from build to build.
+void PrintTo(const RandomCase &Case, std::ostream *OS) {
+  *OS << "seed=" << Case.Seed << " vars=" << Case.NumVars
+      << " cons=" << Case.NumCons << " density=" << Case.Density;
+}
+
 class RandomEquivalenceTest : public testing::TestWithParam<RandomCase> {};
 
 TEST_P(RandomEquivalenceTest, AllSixConfigsAgree) {

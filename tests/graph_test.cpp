@@ -4,8 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "graph/Digraph.h"
 #include "graph/DotWriter.h"
+#include "graph/GraphRows.h"
 #include "graph/RandomGraph.h"
 #include "graph/TarjanSCC.h"
 
@@ -16,61 +16,61 @@
 
 using namespace poce;
 
+namespace {
+
+using EdgeList = std::vector<std::pair<uint32_t, uint32_t>>;
+
+/// The distinct edges between different components, as component pairs.
+std::set<std::pair<uint32_t, uint32_t>>
+condensationEdges(const GraphRows &G, const FlatSCCs &SCCs) {
+  std::set<std::pair<uint32_t, uint32_t>> Edges;
+  for (uint32_t Node = 0; Node != G.numNodes(); ++Node)
+    for (uint32_t Succ : G.row(Node))
+      if (SCCs.ComponentOf[Node] != SCCs.ComponentOf[Succ])
+        Edges.insert({SCCs.ComponentOf[Node], SCCs.ComponentOf[Succ]});
+  return Edges;
+}
+
+/// True if every condensation edge goes from a higher component id to a
+/// lower one: the numbering is a reverse topological order, so the
+/// condensation is acyclic.
+bool condensationDescends(const GraphRows &G, const FlatSCCs &SCCs) {
+  for (auto [From, To] : condensationEdges(G, SCCs))
+    if (From <= To)
+      return false;
+  return true;
+}
+
+} // namespace
+
 //===----------------------------------------------------------------------===//
-// Digraph
+// Rows from an edge list
 //===----------------------------------------------------------------------===//
 
-TEST(DigraphTest, AddAndDedupeEdges) {
-  Digraph G(3);
-  EXPECT_TRUE(G.addEdge(0, 1));
-  EXPECT_FALSE(G.addEdge(0, 1));
-  EXPECT_TRUE(G.addEdge(1, 2));
-  EXPECT_EQ(G.numEdges(), 2u);
-  EXPECT_TRUE(G.hasEdge(0, 1));
-  EXPECT_FALSE(G.hasEdge(1, 0));
+TEST(GraphRowsTest, EdgeListKeepsEmissionOrderPerRow) {
+  GraphRows G = rowsFromEdges(
+      4, EdgeList{{2, 0}, {0, 3}, {2, 1}, {0, 1}, {2, 0}, {0, 3}});
+  ASSERT_EQ(G.numNodes(), 4u);
+  EXPECT_EQ(G.Targets.size(), 6u); // Duplicates stay.
+  EXPECT_EQ(std::vector<uint32_t>(G.row(0).begin(), G.row(0).end()),
+            (std::vector<uint32_t>{3, 1, 3}));
+  EXPECT_TRUE(G.row(1).empty());
+  EXPECT_EQ(std::vector<uint32_t>(G.row(2).begin(), G.row(2).end()),
+            (std::vector<uint32_t>{0, 1, 0}));
+  EXPECT_TRUE(G.row(3).empty());
 }
 
-TEST(DigraphTest, ReachableFrom) {
-  Digraph G(5);
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
-  G.addEdge(3, 4);
-  auto Reach = G.reachableFrom(0);
-  std::set<uint32_t> Set(Reach.begin(), Reach.end());
-  EXPECT_EQ(Set, (std::set<uint32_t>{0, 1, 2}));
-}
-
-TEST(DigraphTest, TopologicalOrderOnDag) {
-  Digraph G(4);
-  G.addEdge(0, 1);
-  G.addEdge(0, 2);
-  G.addEdge(1, 3);
-  G.addEdge(2, 3);
-  auto Order = G.topologicalOrder();
-  ASSERT_EQ(Order.size(), 4u);
-  std::vector<uint32_t> Position(4);
-  for (uint32_t I = 0; I != 4; ++I)
-    Position[Order[I]] = I;
-  EXPECT_LT(Position[0], Position[1]);
-  EXPECT_LT(Position[1], Position[3]);
-  EXPECT_LT(Position[2], Position[3]);
-  EXPECT_TRUE(G.isAcyclic());
-}
-
-TEST(DigraphTest, TopologicalOrderDetectsCycle) {
-  Digraph G(3);
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
-  G.addEdge(2, 0);
-  EXPECT_TRUE(G.topologicalOrder().empty());
-  EXPECT_FALSE(G.isAcyclic());
-}
-
-TEST(DigraphTest, GrowTo) {
-  Digraph G;
-  G.growTo(10);
-  EXPECT_EQ(G.numNodes(), 10u);
-  EXPECT_EQ(G.addNode(), 10u);
+TEST(GraphRowsTest, DuplicateEdgesChangeNoComponent) {
+  // The same graph once with every edge distinct and once with repeats
+  // scattered through the list: the numbering and member order match.
+  EdgeList Distinct = {{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 3}};
+  EdgeList Repeated = {{0, 1}, {1, 2}, {0, 1}, {2, 0}, {2, 3},
+                       {1, 2}, {3, 4}, {2, 3}, {4, 3}, {2, 0}};
+  FlatSCCs A = computeSCCs(rowsFromEdges(5, Distinct));
+  FlatSCCs B = computeSCCs(rowsFromEdges(5, Repeated));
+  EXPECT_EQ(A.ComponentOf, B.ComponentOf);
+  EXPECT_EQ(A.Members, B.Members);
+  EXPECT_EQ(A.MemberStart, B.MemberStart);
 }
 
 //===----------------------------------------------------------------------===//
@@ -78,12 +78,8 @@ TEST(DigraphTest, GrowTo) {
 //===----------------------------------------------------------------------===//
 
 TEST(TarjanTest, SingleCycle) {
-  Digraph G(4);
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
-  G.addEdge(2, 0);
-  G.addEdge(2, 3);
-  SCCResult SCCs = computeSCCs(G);
+  GraphRows G = rowsFromEdges(4, EdgeList{{0, 1}, {1, 2}, {2, 0}, {2, 3}});
+  FlatSCCs SCCs = computeSCCs(G);
   EXPECT_EQ(SCCs.numComponents(), 2u);
   EXPECT_EQ(SCCs.ComponentOf[0], SCCs.ComponentOf[1]);
   EXPECT_EQ(SCCs.ComponentOf[1], SCCs.ComponentOf[2]);
@@ -94,12 +90,8 @@ TEST(TarjanTest, SingleCycle) {
 }
 
 TEST(TarjanTest, DagIsAllSingletons) {
-  Digraph G(5);
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
-  G.addEdge(2, 3);
-  G.addEdge(3, 4);
-  SCCResult SCCs = computeSCCs(G);
+  GraphRows G = rowsFromEdges(5, EdgeList{{0, 1}, {1, 2}, {2, 3}, {3, 4}});
+  FlatSCCs SCCs = computeSCCs(G);
   EXPECT_EQ(SCCs.numComponents(), 5u);
   EXPECT_EQ(SCCs.numNodesInNontrivialSCCs(), 0u);
 }
@@ -108,46 +100,46 @@ TEST(TarjanTest, SelfLoopIsTrivialComponent) {
   // A self loop forms a component of size 1 (the solver never stores
   // self edges, but the ground-truth SCC analysis must not count them as
   // collapsible).
-  Digraph G(2);
-  G.addEdge(0, 0);
-  G.addEdge(0, 1);
-  SCCResult SCCs = computeSCCs(G);
+  GraphRows G = rowsFromEdges(2, EdgeList{{0, 0}, {0, 1}});
+  FlatSCCs SCCs = computeSCCs(G);
   EXPECT_EQ(SCCs.numComponents(), 2u);
   EXPECT_EQ(SCCs.numNodesInNontrivialSCCs(), 0u);
 }
 
 TEST(TarjanTest, TwoSCCsWithBridge) {
-  Digraph G(6);
   // SCC {0,1,2} -> SCC {3,4} -> 5.
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
-  G.addEdge(2, 0);
-  G.addEdge(2, 3);
-  G.addEdge(3, 4);
-  G.addEdge(4, 3);
-  G.addEdge(4, 5);
-  SCCResult SCCs = computeSCCs(G);
+  GraphRows G = rowsFromEdges(
+      6, EdgeList{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 3}, {4, 5}});
+  FlatSCCs SCCs = computeSCCs(G);
   EXPECT_EQ(SCCs.numComponents(), 3u);
   EXPECT_EQ(SCCs.numNontrivialSCCs(), 2u);
   // Reverse topological numbering: every edge goes from a higher
   // component id to a lower one (or stays inside one component) — the
   // order the offline preprocessing pass and the wave order sweep by.
   for (uint32_t Node = 0; Node != G.numNodes(); ++Node)
-    for (uint32_t Succ : G.successors(Node))
+    for (uint32_t Succ : G.row(Node))
       EXPECT_GE(SCCs.ComponentOf[Node], SCCs.ComponentOf[Succ]);
-  Digraph Condensed = condense(G, SCCs);
-  EXPECT_TRUE(Condensed.isAcyclic());
-  EXPECT_EQ(Condensed.numNodes(), 3u);
-  EXPECT_EQ(Condensed.numEdges(), 2u);
+  EXPECT_TRUE(condensationDescends(G, SCCs));
+  EXPECT_EQ(condensationEdges(G, SCCs).size(), 2u);
 }
 
 // Brute-force SCC: nodes are equivalent iff mutually reachable.
-static std::vector<uint32_t> bruteForceSCC(const Digraph &G) {
+static std::vector<uint32_t> bruteForceSCC(const GraphRows &G) {
   uint32_t N = G.numNodes();
   std::vector<std::vector<bool>> Reach(N, std::vector<bool>(N, false));
-  for (uint32_t I = 0; I != N; ++I)
-    for (uint32_t Node : G.reachableFrom(I))
-      Reach[I][Node] = true;
+  for (uint32_t I = 0; I != N; ++I) {
+    std::vector<uint32_t> Stack = {I};
+    Reach[I][I] = true;
+    while (!Stack.empty()) {
+      uint32_t Node = Stack.back();
+      Stack.pop_back();
+      for (uint32_t Succ : G.row(Node))
+        if (!Reach[I][Succ]) {
+          Reach[I][Succ] = true;
+          Stack.push_back(Succ);
+        }
+    }
+  }
   std::vector<uint32_t> Label(N, ~0U);
   uint32_t Next = 0;
   for (uint32_t I = 0; I != N; ++I) {
@@ -168,8 +160,8 @@ TEST_P(TarjanRandomTest, AgreesWithBruteForce) {
   PRNG Rng(GetParam());
   uint32_t N = 5 + static_cast<uint32_t>(Rng.nextBelow(40));
   double P = 0.02 + Rng.nextDouble() * 0.2;
-  Digraph G = randomDigraph(N, P, Rng);
-  SCCResult SCCs = computeSCCs(G);
+  GraphRows G = randomDigraph(N, P, Rng);
+  FlatSCCs SCCs = computeSCCs(G);
   std::vector<uint32_t> Reference = bruteForceSCC(G);
   for (uint32_t A = 0; A != N; ++A)
     for (uint32_t B = 0; B != N; ++B)
@@ -177,9 +169,9 @@ TEST_P(TarjanRandomTest, AgreesWithBruteForce) {
                 Reference[A] == Reference[B])
           << "nodes " << A << " and " << B;
   for (uint32_t Node = 0; Node != N; ++Node)
-    for (uint32_t Succ : G.successors(Node))
+    for (uint32_t Succ : G.row(Node))
       EXPECT_GE(SCCs.ComponentOf[Node], SCCs.ComponentOf[Succ]);
-  EXPECT_TRUE(condense(G, SCCs).isAcyclic());
+  EXPECT_TRUE(condensationDescends(G, SCCs));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TarjanRandomTest,
@@ -188,11 +180,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TarjanRandomTest,
 TEST(TarjanTest, LargeCycleDoesNotOverflowStack) {
   // Iterative Tarjan must handle very long chains/cycles.
   const uint32_t N = 300000;
-  Digraph G(N);
-  for (uint32_t I = 0; I + 1 != N; ++I)
-    G.addEdge(I, I + 1);
-  G.addEdge(N - 1, 0);
-  SCCResult SCCs = computeSCCs(G);
+  GraphRows G;
+  for (uint32_t I = 0; I != N; ++I) {
+    G.Targets.push_back(I + 1 == N ? 0 : I + 1);
+    G.endRow();
+  }
+  FlatSCCs SCCs = computeSCCs(G);
   EXPECT_EQ(SCCs.numComponents(), 1u);
   EXPECT_EQ(SCCs.maxComponentSize(), N);
 }
@@ -205,16 +198,17 @@ TEST(RandomGraphTest, EdgeCountNearExpectation) {
   PRNG Rng(21);
   const uint32_t N = 300;
   const double P = 0.05;
-  Digraph G = randomDigraph(N, P, Rng);
+  GraphRows G = randomDigraph(N, P, Rng);
+  ASSERT_EQ(G.numNodes(), N);
   double Expected = static_cast<double>(N) * (N - 1) * P;
-  EXPECT_GT(G.numEdges(), Expected * 0.85);
-  EXPECT_LT(G.numEdges(), Expected * 1.15);
+  EXPECT_GT(G.Targets.size(), Expected * 0.85);
+  EXPECT_LT(G.Targets.size(), Expected * 1.15);
 }
 
 TEST(RandomGraphTest, ZeroAndOneProbability) {
   PRNG Rng(22);
-  EXPECT_EQ(randomDigraph(20, 0.0, Rng).numEdges(), 0u);
-  EXPECT_EQ(randomDigraph(20, 1.0, Rng).numEdges(), 20u * 19u);
+  EXPECT_EQ(randomDigraph(20, 0.0, Rng).Targets.size(), 0u);
+  EXPECT_EQ(randomDigraph(20, 1.0, Rng).Targets.size(), 20u * 19u);
 }
 
 TEST(RandomGraphTest, ConstraintShapeCounts) {
@@ -254,10 +248,7 @@ TEST(RandomGraphTest, DeterministicForSeed) {
 //===----------------------------------------------------------------------===//
 
 TEST(DotWriterTest, ContainsNodesAndEdges) {
-  Digraph G(3);
-  G.addEdge(0, 1);
-  G.addEdge(1, 2);
-  G.addEdge(2, 1);
+  GraphRows G = rowsFromEdges(3, EdgeList{{0, 1}, {1, 2}, {2, 1}});
   DotOptions Options;
   Options.GraphName = "test";
   Options.ColorSCCs = true;
@@ -268,4 +259,15 @@ TEST(DotWriterTest, ContainsNodesAndEdges) {
   EXPECT_NE(Dot.find("label=\"N2\""), std::string::npos);
   // Nodes 1 and 2 form an SCC and should be colored.
   EXPECT_NE(Dot.find("fillcolor"), std::string::npos);
+}
+
+TEST(DotWriterTest, PrintsEachDistinctEdgeOnceInFirstOccurrenceOrder) {
+  GraphRows G = rowsFromEdges(3, EdgeList{{0, 2}, {0, 1}, {0, 2}, {2, 0},
+                                          {0, 1}, {2, 0}});
+  std::string Dot = writeDot(G);
+  EXPECT_EQ(Dot, "digraph \"poce\" {\n"
+                 "  rankdir=LR;\n  node [shape=circle, fontsize=10];\n"
+                 "  n0 [label=\"0\"];\n  n1 [label=\"1\"];\n"
+                 "  n2 [label=\"2\"];\n"
+                 "  n0 -> n2;\n  n0 -> n1;\n  n2 -> n0;\n}\n");
 }

@@ -180,10 +180,10 @@ TEST(IntegrationTest, InitialCyclesAreMinorityOfFinalCycles) {
   Generator.run(Program->Unit);
   Solver.finalize();
 
-  Digraph Initial(Solver.numCreations());
-  for (auto [From, To] : Solver.recordedInitialVarVar())
-    Initial.addEdge(From, To);
-  uint32_t InitialCyclic = computeSCCs(Initial).numNodesInNontrivialSCCs();
+  uint32_t InitialCyclic =
+      computeSCCs(rowsFromEdges(Solver.numCreations(),
+                                Solver.recordedInitialVarVar()))
+          .numNodesInNontrivialSCCs();
 
   SolverOptions Base = makeConfig(GraphForm::Inductive, CycleElim::Online);
   Oracle O =

@@ -101,6 +101,12 @@ struct MCCase {
   double P;
 };
 
+/// Names a case by its fields; gtest would otherwise print the struct's
+/// raw bytes, padding included, which differ from build to build.
+void PrintTo(const MCCase &Case, std::ostream *OS) {
+  *OS << "n=" << Case.N << " m=" << Case.M << " p=" << Case.P;
+}
+
 class ModelSimulationTest : public testing::TestWithParam<MCCase> {};
 
 TEST_P(ModelSimulationTest, SimulationMatchesSeries) {

@@ -69,7 +69,7 @@ TEST(OracleTest, OracleRunCollapsesNothingAndSubstitutes) {
   EXPECT_EQ(Solver.stats().VarsEliminated, 0u);
   EXPECT_EQ(Solver.stats().OracleSubstitutions, 2u); // B and C.
   EXPECT_EQ(Solver.stats().VarsCreated, 2u);         // A (witness) and D.
-  EXPECT_TRUE(Solver.varVarDigraph().isAcyclic());
+  EXPECT_EQ(computeSCCs(Solver.varGraph()).numNontrivialSCCs(), 0u);
 }
 
 class OracleRandomTest : public testing::TestWithParam<uint64_t> {};
@@ -91,7 +91,7 @@ TEST_P(OracleRandomTest, OracleGraphsAreAcyclic) {
     workload::emitRandomConstraints(Shape, Solver);
     Solver.finalize();
     EXPECT_EQ(Solver.stats().VarsEliminated, 0u);
-    EXPECT_TRUE(Solver.varVarDigraph().isAcyclic())
+    EXPECT_EQ(computeSCCs(Solver.varGraph()).numNontrivialSCCs(), 0u)
         << "form " << (Form == GraphForm::Standard ? "SF" : "IF");
   }
 }
@@ -140,11 +140,9 @@ TEST_P(OracleRandomTest, OracleClassesMatchTarjanOnRecordedRelation) {
   // Independent ground truth: SCCs of the *initial* variable-variable
   // relation must be refinements of the oracle's classes (closure only
   // adds constraints).
-  Digraph Initial(Shape.NumVars);
-  for (auto [From, To] : Shape.VarVar)
-    Initial.addEdge(From, To);
-  SCCResult SCCs = computeSCCs(Initial);
-  for (const auto &Component : SCCs.Components) {
+  FlatSCCs SCCs = computeSCCs(rowsFromEdges(Shape.NumVars, Shape.VarVar));
+  for (uint32_t Comp = 0; Comp != SCCs.numComponents(); ++Comp) {
+    std::span<const uint32_t> Component = SCCs.component(Comp);
     for (size_t I = 1; I < Component.size(); ++I)
       EXPECT_EQ(O.witness(Component[I]), O.witness(Component[0]));
   }

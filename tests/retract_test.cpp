@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -228,6 +229,37 @@ TEST(RetractTest, SurvivingCycleStaysCollapsed) {
             (std::vector<std::vector<std::string>>{{"s"}, {"s"}}));
 }
 
+TEST(RetractTest, ClassJoinedOnlyThroughAnOutsideVariableSplits) {
+  // With o(a) < o(b) < o(c), the partial search collapses a <= b <= a but
+  // never looks at the longer cycle a <= c <= b <= a, so c stays outside
+  // the class. After "a <= b" goes, a and b are still strongly connected,
+  // but only through c: no surviving constraint between the members
+  // themselves closes a cycle, so the class must split, and the replay
+  // re-collapses whatever cycle the search finds again.
+  SolverOptions Options = makeConfig(GraphForm::Inductive, CycleElim::Online);
+  Options.Order = OrderKind::Creation;
+  FileHarness H(Options);
+  std::vector<std::string> Decls = {"var a b c", "cons s"};
+  std::vector<std::string> Lines = {"s <= a", "a <= c", "c <= b", "a <= b",
+                                    "b <= a"};
+  for (const std::string &Line : Decls)
+    H.add(Line);
+  for (const std::string &Line : Lines)
+    H.add(Line);
+  H.Solver.ensureClosed();
+  ASSERT_EQ(H.Solver.stats().CyclesCollapsed, 1u);
+  ASSERT_EQ(H.Solver.rep(0), H.Solver.rep(1));
+  ASSERT_NE(H.Solver.rep(2), H.Solver.rep(0));
+
+  ASSERT_TRUE(H.retract("a <= b"));
+  EXPECT_EQ(H.Solver.stats().CollapsesSplit, 1u);
+  EXPECT_EQ(H.Solver.stats().ConeVarsRecomputed, 3u);
+  EXPECT_EQ(H.Solver.stats().CyclesCollapsed, 2u);
+  Lines.erase(std::find(Lines.begin(), Lines.end(), "a <= b"));
+  EXPECT_EQ(H.solutions(), freshSolutions(Options, Decls, Lines));
+  EXPECT_TRUE(H.Solver.verifyGraphInvariants());
+}
+
 TEST(RetractTest, GoldenChainConeCounters) {
   // s <= a <= b <= c <= d; retracting a <= b seeds {a, b} and the
   // forward closure pulls in c and d: exactly four cone variables, no
@@ -352,6 +384,167 @@ TEST_P(RetractSweepTest, RetractionMatchesFreshSolveOfSurvivors) {
     }
     EXPECT_EQ(H.Solver.stats().Retractions,
               std::min<uint64_t>(6, Sys.Lines.size()));
+  }
+}
+
+namespace {
+
+/// CollapsesSplit/ConeVarsRecomputed/CyclesCollapsed after each retraction
+/// of RetractionMatchesFreshSolveOfSurvivors' sequence: one row per seed,
+/// one entry per sweepConfigs() configuration in its order. Every cone in
+/// these sequences spans the whole system (18 to 20 variables), so they
+/// pin how many classes split and how many cycles the replays collapse
+/// again; RetractTest's hand-built cases cover a class that survives.
+const char *const SplitGoldens[5][16] = {
+    // Seed 1.
+    {
+        // SF-None: worklist, + offline, wave, + offline.
+        "0/19/0 0/38/0 0/57/0 0/76/0 0/95/0 0/114/0",
+        "0/19/0 0/38/0 0/57/0 0/76/0 0/95/0 0/114/0",
+        "0/19/0 0/38/0 0/57/0 0/76/0 0/95/0 0/114/0",
+        "0/19/0 0/38/0 0/57/0 0/76/0 0/95/0 0/114/0",
+        // SF-Online: worklist, + offline, wave, + offline.
+        "0/19/0 0/38/0 0/57/0 0/76/0 0/95/0 0/114/0",
+        "0/19/0 0/38/0 0/57/0 0/76/0 0/95/0 0/114/0",
+        "0/19/0 0/38/0 0/57/0 0/76/0 0/95/0 0/114/0",
+        "0/19/0 0/38/0 0/57/0 0/76/0 0/95/0 0/114/0",
+        // IF-None: worklist, + offline, wave, + offline.
+        "0/19/0 0/38/0 0/57/0 0/76/0 0/95/0 0/114/0",
+        "0/19/0 0/38/0 0/57/0 0/76/0 0/95/0 0/114/0",
+        "0/19/0 0/38/0 0/57/0 0/76/0 0/95/0 0/114/0",
+        "0/19/0 0/38/0 0/57/0 0/76/0 0/95/0 0/114/0",
+        // IF-Online: worklist, + offline, wave, + offline.
+        "0/19/0 0/38/0 0/57/0 0/76/0 0/95/0 0/114/0",
+        "0/19/0 0/38/0 0/57/0 0/76/0 0/95/0 0/114/0",
+        "0/19/0 0/38/0 0/57/0 0/76/0 0/95/0 0/114/0",
+        "0/19/0 0/38/0 0/57/0 0/76/0 0/95/0 0/114/0",
+    },
+    // Seed 2.
+    {
+        // SF-None: worklist, + offline, wave, + offline.
+        "0/20/0 0/40/0 0/60/0 0/80/0 0/100/0 0/120/0",
+        "0/20/0 0/40/0 0/60/0 0/80/0 0/100/0 0/120/0",
+        "0/20/0 0/40/0 0/60/0 0/80/0 0/100/0 0/120/0",
+        "0/20/0 0/40/0 0/60/0 0/80/0 0/100/0 0/120/0",
+        // SF-Online: worklist, + offline, wave, + offline.
+        "1/20/20 2/40/30 3/60/40 4/80/50 5/100/59 6/120/64",
+        "1/20/20 2/40/30 3/60/40 4/80/50 5/100/59 6/120/64",
+        "1/20/7 2/40/13 3/60/19 4/80/25 5/100/31 6/120/33",
+        "1/20/7 2/40/13 3/60/19 4/80/25 5/100/31 6/120/33",
+        // IF-None: worklist, + offline, wave, + offline.
+        "0/20/0 0/40/0 0/60/0 0/80/0 0/100/0 0/120/0",
+        "0/20/0 0/40/0 0/60/0 0/80/0 0/100/0 0/120/0",
+        "0/20/0 0/40/0 0/60/0 0/80/0 0/100/0 0/120/0",
+        "0/20/0 0/40/0 0/60/0 0/80/0 0/100/0 0/120/0",
+        // IF-Online: worklist, + offline, wave, + offline.
+        "1/20/18 2/40/27 3/60/36 4/80/45 5/100/54 6/120/63",
+        "1/20/18 2/40/27 3/60/36 4/80/45 5/100/54 6/120/63",
+        "1/20/18 2/40/27 3/60/36 4/80/45 5/100/54 6/120/63",
+        "1/20/18 2/40/27 3/60/36 4/80/45 5/100/54 6/120/63",
+    },
+    // Seed 3.
+    {
+        // SF-None: worklist, + offline, wave, + offline.
+        "0/18/0 0/36/0 0/54/0 0/72/0 0/90/0 0/108/0",
+        "1/18/0 1/36/0 1/54/0 1/72/0 1/90/0 1/108/0",
+        "0/18/0 0/36/0 0/54/0 0/72/0 0/90/0 0/108/0",
+        "1/18/0 1/36/0 1/54/0 1/72/0 1/90/0 1/108/0",
+        // SF-Online: worklist, + offline, wave, + offline.
+        "1/18/16 2/36/24 3/54/32 4/72/35 5/90/38 6/108/41",
+        "1/18/15 2/36/23 3/54/31 4/72/34 5/90/37 6/108/40",
+        "1/18/2 2/36/3 3/54/4 4/72/5 5/90/6 6/108/7",
+        "1/18/2 2/36/3 3/54/4 4/72/5 5/90/6 6/108/7",
+        // IF-None: worklist, + offline, wave, + offline.
+        "0/19/0 0/38/0 0/57/0 0/76/0 0/95/0 0/114/0",
+        "2/20/0 2/39/0 2/58/0 2/77/0 2/96/0 2/115/0",
+        "0/19/0 0/38/0 0/57/0 0/76/0 0/95/0 0/114/0",
+        "2/20/0 2/39/0 2/58/0 2/77/0 2/96/0 2/115/0",
+        // IF-Online: worklist, + offline, wave, + offline.
+        "1/19/20 2/38/30 3/57/40 4/76/46 5/95/52 6/114/58",
+        "2/20/19 3/39/29 4/58/39 5/77/45 6/96/51 7/115/57",
+        "1/19/20 2/38/30 3/57/40 4/76/46 5/95/52 6/114/58",
+        "2/20/19 3/39/29 4/58/39 5/77/45 6/96/51 7/115/57",
+    },
+    // Seed 4.
+    {
+        // SF-None: worklist, + offline, wave, + offline.
+        "0/20/0 0/40/0 0/60/0 0/80/0 0/100/0 0/120/0",
+        "2/20/0 2/40/0 2/60/0 2/80/0 2/100/0 2/120/0",
+        "0/20/0 0/40/0 0/60/0 0/80/0 0/100/0 0/120/0",
+        "2/20/0 2/40/0 2/60/0 2/80/0 2/100/0 2/120/0",
+        // SF-Online: worklist, + offline, wave, + offline.
+        "1/20/18 2/40/26 3/60/33 4/80/40 5/100/47 6/120/55",
+        "2/20/19 3/40/27 4/60/34 5/80/41 6/100/48 7/120/56",
+        "1/20/2 2/40/3 3/60/9 4/80/15 5/100/21 6/120/27",
+        "2/20/4 3/40/5 4/60/11 5/80/17 6/100/23 7/120/29",
+        // IF-None: worklist, + offline, wave, + offline.
+        "0/20/0 0/40/0 0/60/0 0/80/0 0/100/0 0/120/0",
+        "2/20/0 2/40/0 2/60/0 2/80/0 2/100/0 2/120/0",
+        "0/20/0 0/40/0 0/60/0 0/80/0 0/100/0 0/120/0",
+        "2/20/0 2/40/0 2/60/0 2/80/0 2/100/0 2/120/0",
+        // IF-Online: worklist, + offline, wave, + offline.
+        "1/20/19 2/40/27 3/60/35 4/80/43 5/100/51 6/120/60",
+        "2/20/19 3/40/27 4/60/35 5/80/43 6/100/51 7/120/60",
+        "1/20/19 2/40/27 3/60/35 4/80/43 5/100/51 6/120/60",
+        "2/20/19 3/40/27 4/60/35 5/80/43 6/100/51 7/120/60",
+    },
+    // Seed 5.
+    {
+        // SF-None: worklist, + offline, wave, + offline.
+        "0/20/0 0/40/0 0/60/0 0/80/0 0/100/0 0/120/0",
+        "0/20/0 0/40/0 0/60/0 0/80/0 0/100/0 0/120/0",
+        "0/20/0 0/40/0 0/60/0 0/80/0 0/100/0 0/120/0",
+        "0/20/0 0/40/0 0/60/0 0/80/0 0/100/0 0/120/0",
+        // SF-Online: worklist, + offline, wave, + offline.
+        "1/20/19 2/40/29 3/60/39 4/80/48 5/100/56 6/120/64",
+        "1/20/19 2/40/29 3/60/39 4/80/48 5/100/56 6/120/64",
+        "1/20/7 2/40/10 3/60/13 4/80/16 5/100/18 6/120/20",
+        "1/20/7 2/40/10 3/60/13 4/80/16 5/100/18 6/120/20",
+        // IF-None: worklist, + offline, wave, + offline.
+        "0/20/0 0/40/0 0/60/0 0/80/0 0/100/0 0/120/0",
+        "0/20/0 0/40/0 0/60/0 0/80/0 0/100/0 0/120/0",
+        "0/20/0 0/40/0 0/60/0 0/80/0 0/100/0 0/120/0",
+        "0/20/0 0/40/0 0/60/0 0/80/0 0/100/0 0/120/0",
+        // IF-Online: worklist, + offline, wave, + offline.
+        "1/20/21 2/40/30 3/60/39 4/80/48 5/100/57 6/120/66",
+        "1/20/21 2/40/30 3/60/39 4/80/48 5/100/57 6/120/66",
+        "1/20/21 2/40/30 3/60/39 4/80/48 5/100/57 6/120/66",
+        "1/20/21 2/40/30 3/60/39 4/80/48 5/100/57 6/120/66",
+    },
+};
+
+} // namespace
+
+TEST_P(RetractSweepTest, SplitDecisionsMatchRecordedCounters) {
+  uint64_t Seed = GetParam();
+  RandomSystem Sys = makeRandomSystem(Seed, /*NumVars=*/20, /*NumLines=*/50);
+  std::vector<SolverOptions> Configs = sweepConfigs(Seed);
+  ASSERT_EQ(Configs.size(), std::size(SplitGoldens[0]));
+
+  for (size_t Config = 0; Config != Configs.size(); ++Config) {
+    FileHarness H(Configs[Config]);
+    for (const std::string &Line : Sys.Decls)
+      H.add(Line);
+    for (const std::string &Line : Sys.Lines)
+      H.add(Line);
+    (void)H.solutions();
+
+    std::vector<std::string> Survivors = Sys.Lines;
+    PRNG Rng(Seed * 31 + 7);
+    std::string Counters;
+    for (int Round = 0; Round != 6 && !Survivors.empty(); ++Round) {
+      size_t Victim = Rng.nextBelow(static_cast<uint32_t>(Survivors.size()));
+      std::string Line = Survivors[Victim];
+      Survivors.erase(Survivors.begin() + Victim);
+      ASSERT_TRUE(H.retract(Line));
+      const SolverStats &Stats = H.Solver.stats();
+      Counters += (Round ? " " : "") + std::to_string(Stats.CollapsesSplit) +
+                  "/" + std::to_string(Stats.ConeVarsRecomputed) + "/" +
+                  std::to_string(Stats.CyclesCollapsed);
+    }
+    EXPECT_EQ(Counters, SplitGoldens[Seed - 1][Config])
+        << "config " << Config << " (" << Configs[Config].configName()
+        << ")";
   }
 }
 

@@ -144,7 +144,7 @@ TEST(StressTest, AbortedSolverStaysUsable) {
     H.Solver.finalize();
     EXPECT_NO_FATAL_FAILURE(H.Solver.leastSolution(Vars[29]));
     EXPECT_NO_FATAL_FAILURE(H.Solver.countFinalEdges());
-    EXPECT_NO_FATAL_FAILURE(H.Solver.varVarDigraph());
+    EXPECT_NO_FATAL_FAILURE(H.Solver.varGraph());
   }
 }
 
