@@ -92,7 +92,7 @@ RunResult runVariant(const RandomConstraintShape &Shape, bool FactsFirst,
     Solver.finalize();
     size_t Bits = 0;
     for (VarId Var = 0; Var != Solver.numVars(); ++Var)
-      Bits += Solver.leastSolution(Var).size();
+      Bits += Solver.leastSolution(Var).count();
     double Seconds = T.seconds();
     if (Repeat == 0 || Seconds < Out.BestSeconds)
       Out.BestSeconds = Seconds;

@@ -103,7 +103,7 @@ serve::SolverBundle buildBundle(const std::string &Text,
     return Bundle;
   }
   System.emit(*Bundle.Solver);
-  Bundle.Solver->materializeAllViews();
+  Bundle.Solver->finalize();
   return Bundle;
 }
 
@@ -282,7 +282,7 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "repl_bench: %s\n", Loaded.toString().c_str());
     return 1;
   }
-  FolBundle.Solver->materializeAllViews();
+  FolBundle.Solver->finalize();
   serve::ServerCoreConfig FolConfig;
   FolConfig.SnapshotPath = FolSnap;
   FolConfig.WalPath = FolWal;

@@ -104,7 +104,7 @@ serve::SolverBundle buildBundle(const std::string &Text,
     return Bundle;
   }
   System.emit(*Bundle.Solver);
-  Bundle.Solver->materializeAllViews();
+  Bundle.Solver->finalize();
   return Bundle;
 }
 

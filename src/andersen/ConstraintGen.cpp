@@ -40,7 +40,9 @@ void ConstraintGenerator::locationCreated(LocationId Id) {
   ExprId NameTerm = Terms.cons(NameCons, {});
   ExprId ContentVar = Terms.var(Loc.Content);
   Loc.RefTerm = Terms.cons(RefCons, {NameTerm, ContentVar, ContentVar});
-  RefTermToLocation.insert(Loc.RefTerm, Id);
+  if (Loc.RefTerm >= RefTermToLocation.size())
+    RefTermToLocation.resize(Loc.RefTerm + 1, NotFound);
+  RefTermToLocation[Loc.RefTerm] = Id;
 
   // Arrays (and functions, handled by the lam constraint) contain
   // themselves: reading an array r-value yields the array location, which
@@ -50,8 +52,7 @@ void ConstraintGenerator::locationCreated(LocationId Id) {
 }
 
 LocationId ConstraintGenerator::locationOfRefTerm(ExprId Term) const {
-  const LocationId *Id = RefTermToLocation.lookup(Term);
-  return Id ? *Id : NotFound;
+  return Term < RefTermToLocation.size() ? RefTermToLocation[Term] : NotFound;
 }
 
 //===----------------------------------------------------------------------===//

@@ -44,7 +44,6 @@
 #include "andersen/LocationModel.h"
 #include "minic/AST.h"
 #include "setcon/ConstraintSolver.h"
-#include "support/DenseU64Map.h"
 
 #include <string>
 #include <vector>
@@ -116,7 +115,9 @@ private:
   TermTable &Terms;
   ConsId RefCons;
 
-  DenseU64Map<LocationId> RefTermToLocation;
+  /// Location of each ref term, indexed by ExprId; NotFound for every
+  /// other term. Sized to the terms the generator has seen.
+  std::vector<LocationId> RefTermToLocation;
   /// R_f of each function, by its index in Functions.
   std::vector<VarId> Returns;
   /// lamN constructor by arity; ConstructorTable::NotFound until used.

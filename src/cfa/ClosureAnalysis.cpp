@@ -6,7 +6,6 @@
 
 #include "cfa/ClosureAnalysis.h"
 
-#include "support/DenseU64Map.h"
 #include "support/ErrorHandling.h"
 #include "support/PRNG.h"
 #include "support/Timer.h"
@@ -32,8 +31,7 @@ public:
 
   /// Lambda label of a source fun term, or ~0u.
   uint32_t labelOfTerm(ExprId Term) const {
-    const uint32_t *Label = TermToLabel.lookup(Term);
-    return Label ? *Label : ~0U;
+    return Term < TermToLabel.size() ? TermToLabel[Term] : ~0U;
   }
 
   /// Application site -> the set variable holding the callee's closures.
@@ -71,7 +69,9 @@ private:
           "L" + std::to_string(T->LamLabel), {});
       ExprId Lam = Terms.cons(FunCons, {Terms.cons(LabelCons, {}),
                                         Terms.var(Param), Terms.var(Body)});
-      TermToLabel.insert(Lam, T->LamLabel);
+      if (Lam >= TermToLabel.size())
+        TermToLabel.resize(Lam + 1, ~0U);
+      TermToLabel[Lam] = T->LamLabel;
       VarId Result = Solver.freshVar("lam");
       Solver.addConstraint(Lam, Terms.var(Result));
       return Result;
@@ -126,7 +126,9 @@ private:
   TermTable &Terms;
   ConsId FunCons;
   std::vector<std::pair<std::string, VarId>> Scopes;
-  DenseU64Map<uint32_t> TermToLabel;
+  /// Lambda label of each fun term, indexed by ExprId; ~0u for every
+  /// other term.
+  std::vector<uint32_t> TermToLabel;
   std::vector<std::pair<uint32_t, VarId>> CallSites;
   std::vector<std::string> Unbound;
 };

@@ -662,15 +662,11 @@ Status GraphSnapshot::deserialize(const uint8_t *Data, size_t Size,
   if (!R.u8(Finalized))
     return Bail("finalized flag");
   S.Finalized = Finalized != 0;
-  if (S.Finalized) {
-    if (O.Form == GraphForm::Inductive) {
-      S.LSBits.resize(NumVars);
-      for (VarId Var = 0; Var != NumVars; ++Var)
-        if (!readBitmap(R, S.LSBits[Var], NumTerms, "least-solution set"))
-          return Bail("least solutions");
-    }
-    S.LSView.assign(NumVars, {});
-    S.LSViewBuilt.assign(NumVars, 0);
+  if (S.Finalized && O.Form == GraphForm::Inductive) {
+    S.LSBits.resize(NumVars);
+    for (VarId Var = 0; Var != NumVars; ++Var)
+      if (!readBitmap(R, S.LSBits[Var], NumTerms, "least-solution set"))
+        return Bail("least solutions");
   }
 
   if (R.remaining() != 0)

@@ -109,69 +109,31 @@ void ConstraintSystemFile::declareCons(ConsDecl Decl) {
 Status ConstraintSystemFile::parse(const std::string &Text) {
   *this = ConstraintSystemFile();
 
-  auto Fail = [&](unsigned LineNo, const std::string &Message) {
-    return Status::error(ErrorCode::ParseError,
-                         "line " + std::to_string(LineNo) + ": " + Message);
-  };
-
   std::istringstream In(Text);
   std::string Line;
   unsigned LineNo = 0;
+  ParsedLine Parsed;
   while (std::getline(In, Line)) {
     ++LineNo;
-    LineCursor Cursor{Line};
-    if (Cursor.atEnd())
-      continue;
-
-    size_t Mark = Cursor.Pos;
-    std::string_view First = Cursor.word();
-    if (First == "var") {
-      while (!Cursor.atEnd()) {
-        std::string_view Name = Cursor.word();
-        if (Name.empty())
-          return Fail(LineNo, "expected variable name");
-        if (nameInUse(Name))
-          return Fail(LineNo, "name '" + std::string(Name) +
-                                  "' already in use");
+    Status St = parseLine(Line, /*Solver=*/nullptr, Parsed);
+    if (!St.ok())
+      return Status::error(ErrorCode::ParseError,
+                           "line " + std::to_string(LineNo) + ": " +
+                               St.message());
+    switch (Parsed.K) {
+    case ParsedLine::Kind::Blank:
+      break;
+    case ParsedLine::Kind::Vars:
+      for (const std::string &Name : Parsed.Names)
         declareVar(Name);
-      }
-      continue;
+      break;
+    case ParsedLine::Kind::Cons:
+      declareCons(std::move(Parsed.Decl));
+      break;
+    case ParsedLine::Kind::Constraint:
+      Constraints.push_back({std::move(Parsed.Lhs), std::move(Parsed.Rhs)});
+      break;
     }
-    if (First == "cons") {
-      std::string_view Name = Cursor.word();
-      if (Name.empty())
-        return Fail(LineNo, "expected constructor name");
-      if (nameInUse(Name))
-        return Fail(LineNo, "name '" + std::string(Name) +
-                                "' already in use");
-      ConsDecl Decl;
-      Decl.Name = Name;
-      while (!Cursor.atEnd()) {
-        if (Cursor.eat('+')) {
-          Decl.ArgVariance.push_back(Variance::Covariant);
-        } else if (Cursor.eat('-')) {
-          Decl.ArgVariance.push_back(Variance::Contravariant);
-        } else {
-          return Fail(LineNo, "expected '+' or '-' variance marker");
-        }
-      }
-      declareCons(std::move(Decl));
-      continue;
-    }
-
-    // A constraint line: expr <= expr.
-    Cursor.Pos = Mark;
-    FileExpr Lhs, Rhs;
-    std::string Error;
-    if (!parseExprAt(Line, Cursor.Pos, Lhs, Error))
-      return Fail(LineNo, Error);
-    if (!Cursor.eatArrowLE())
-      return Fail(LineNo, "expected '<=' between expressions");
-    if (!parseExprAt(Line, Cursor.Pos, Rhs, Error))
-      return Fail(LineNo, Error);
-    if (!Cursor.atEnd())
-      return Fail(LineNo, "unexpected trailing input");
-    Constraints.push_back({std::move(Lhs), std::move(Rhs)});
   }
   return Status();
 }
@@ -249,7 +211,7 @@ bool ConstraintSystemFile::parseExprAt(const std::string &Line, size_t &Pos,
 }
 
 Status ConstraintSystemFile::parseLine(const std::string &Line,
-                                       const ConstraintSolver &Solver,
+                                       const ConstraintSolver *Solver,
                                        ParsedLine &Out) const {
   auto Fail = [&](const std::string &Message) {
     return Status::error(ErrorCode::ParseError, Message);
@@ -267,11 +229,11 @@ Status ConstraintSystemFile::parseLine(const std::string &Line,
     Out.K = ParsedLine::Kind::Vars;
     // Declaration order must stay aligned with solver creation order so
     // that declaration indices keep mapping through varOfCreation().
-    if (VarNames.size() != Solver.numCreations())
+    if (Solver && VarNames.size() != Solver->numCreations())
       return Status::error(ErrorCode::FailedPrecondition,
                            "system/solver variable counts differ (" +
                                std::to_string(VarNames.size()) + " vs " +
-                               std::to_string(Solver.numCreations()) +
+                               std::to_string(Solver->numCreations()) +
                                "); adoptDeclarations() first");
     // Validate every name up front: a rejected line must leave no fresh
     // variables behind when applied.
@@ -307,10 +269,12 @@ Status ConstraintSystemFile::parseLine(const std::string &Line,
         return Fail("expected '+' or '-' variance marker");
       }
     }
+    if (!Solver)
+      return Status();
     // The solver may already know this constructor (e.g. from a loaded
     // snapshot); a mismatched redeclaration must fail here rather than
     // trip the fatal signature check inside getOrCreate() later.
-    const ConstructorTable &Table = Solver.terms().constructors();
+    const ConstructorTable &Table = Solver->terms().constructors();
     ConsId Existing = Table.lookup(Name);
     if (Existing != ConstructorTable::NotFound) {
       const ConstructorSignature &Sig = Table.signature(Existing);
@@ -336,7 +300,7 @@ Status ConstraintSystemFile::parseLine(const std::string &Line,
     return Fail(Error);
   if (!Cursor.atEnd())
     return Fail("unexpected trailing input");
-  if (VarNames.size() > Solver.numCreations())
+  if (Solver && VarNames.size() > Solver->numCreations())
     return Status::error(
         ErrorCode::FailedPrecondition,
         "system declares variables the solver does not have");
@@ -346,13 +310,13 @@ Status ConstraintSystemFile::parseLine(const std::string &Line,
 Status ConstraintSystemFile::checkLine(const std::string &Line,
                                        const ConstraintSolver &Solver) const {
   ParsedLine Parsed;
-  return parseLine(Line, Solver, Parsed);
+  return parseLine(Line, &Solver, Parsed);
 }
 
 Status ConstraintSystemFile::addLine(const std::string &Line,
                                      ConstraintSolver &Solver) {
   ParsedLine Parsed;
-  Status St = parseLine(Line, Solver, Parsed);
+  Status St = parseLine(Line, &Solver, Parsed);
   if (!St.ok())
     return St;
 
@@ -487,7 +451,7 @@ Status ConstraintSystemFile::canonicalizeConstraint(const std::string &Line,
                                                     const ConstraintSolver &Solver,
                                                     std::string &Canon) const {
   ParsedLine Parsed;
-  Status St = parseLine(Line, Solver, Parsed);
+  Status St = parseLine(Line, &Solver, Parsed);
   if (!St.ok())
     return St;
   if (Parsed.K != ParsedLine::Kind::Constraint)

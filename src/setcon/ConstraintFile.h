@@ -129,8 +129,8 @@ private:
   };
 
   /// One line of the file format in parsed-but-unapplied form, shared by
-  /// checkLine() (parse + validate only) and addLine() (parse + validate
-  /// + apply).
+  /// parse() and addLine() (parse + validate + apply), checkLine() (parse
+  /// + validate only) and canonicalizeConstraint().
   struct ParsedLine {
     enum class Kind : uint8_t { Blank, Vars, Cons, Constraint };
     Kind K = Kind::Blank;
@@ -140,9 +140,10 @@ private:
   };
 
   /// Parses one line and checks it against this system's declarations
-  /// and \p Solver's state without mutating either. On success \p Out
-  /// holds everything needed to apply the line.
-  Status parseLine(const std::string &Line, const ConstraintSolver &Solver,
+  /// and, unless \p Solver is null (parse(), which has no solver yet),
+  /// the solver's state, without mutating either. On success \p Out holds
+  /// everything needed to apply the line.
+  Status parseLine(const std::string &Line, const ConstraintSolver *Solver,
                    ParsedLine &Out) const;
 
   ExprId build(const FileExpr &E, ConstraintSolver &Solver,

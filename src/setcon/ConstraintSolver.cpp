@@ -209,8 +209,6 @@ void ConstraintSolver::invalidateSolutions() {
     return;
   Finalized = false;
   LSBits.clear();
-  LSView.clear();
-  LSViewBuilt.clear();
 }
 
 void ConstraintSolver::enqueue(ExprId Lhs, ExprId Rhs) {
@@ -971,8 +969,11 @@ bool ConstraintSolver::searchChain(VarId Start, VarId Target,
 }
 
 uint32_t ConstraintSolver::hubChainSummary(VarId Hub, ChainKind Kind) {
-  uint32_t &Slot = ChainSummaryOf[(static_cast<uint64_t>(Hub) << 1) |
-                                  (Kind == ChainKind::SuccIncreasing)];
+  const size_t Key = 2 * static_cast<size_t>(Hub) +
+                     (Kind == ChainKind::SuccIncreasing);
+  if (Key >= ChainSummaryOf.size())
+    ChainSummaryOf.resize(2 * static_cast<size_t>(numVars()), 0);
+  uint32_t &Slot = ChainSummaryOf[Key];
   if (!Slot) {
     ChainSummaries.emplace_back();
     Slot = static_cast<uint32_t>(ChainSummaries.size());
@@ -1320,15 +1321,6 @@ void ConstraintSolver::finalize() {
   if (Finalized)
     return;
   ThreadPool Pool(Options.Threads);
-  settleSolutions(Pool);
-  // One lane keeps the sorted views lazy: most callers read a handful of
-  // variables, and rendering every view would add about half again to
-  // finalize(). More lanes render them all now, while the pool is up.
-  if (Pool.numLanes() > 1)
-    materializeAllSolutions(Pool);
-}
-
-void ConstraintSolver::settleSolutions(ThreadPool &Pool) {
   ensureClosed();
   Finalized = true;
   // The IF level tasks and the readers sharing a settled solver look
@@ -1338,8 +1330,6 @@ void ConstraintSolver::settleSolutions(ThreadPool &Pool) {
     Forwarding.find(Var);
   const bool Timed = phaseTimingOn();
   const uint64_t StartUs = Timed ? trace::nowMicros() : 0;
-  LSView.assign(numVars(), {});
-  LSViewBuilt.assign(numVars(), 0);
   if (Options.Form == GraphForm::Inductive)
     computeLeastSolutionIF(Pool);
   else
@@ -1350,38 +1340,24 @@ void ConstraintSolver::settleSolutions(ThreadPool &Pool) {
   }
 }
 
-const std::vector<ExprId> &ConstraintSolver::leastSolution(VarId Var) {
+const SparseBitVector &ConstraintSolver::leastSolution(VarId Var) {
   finalize();
-  return materializeLS(Forwarding.find(Var));
-}
-
-const SparseBitVector &ConstraintSolver::leastSolutionBits(VarId Var) {
-  finalize();
-  VarId Rep = Forwarding.find(Var);
-  return Options.Form == GraphForm::Standard ? Vars[Rep].PredTerms
-                                             : LSBits[Rep];
+  return leastSolutionBitsConst(Forwarding.find(Var));
 }
 
 const SparseBitVector &
 ConstraintSolver::leastSolutionBitsConst(VarId Var) const {
   assert(readShareable() &&
-         "const solution access on an unsettled solver; call "
-         "materializeAllViews() first");
+         "const solution access on an unsettled solver; call finalize() "
+         "first");
   VarId Rep = Forwarding.findConst(Var);
   return Options.Form == GraphForm::Standard ? Vars[Rep].PredTerms
                                              : LSBits[Rep];
 }
 
-const std::vector<ExprId> &
+std::vector<ExprId>
 ConstraintSolver::leastSolutionViewConst(VarId Var) const {
-  assert(readShareable() &&
-         "const solution access on an unsettled solver; call "
-         "materializeAllViews() first");
-  VarId Rep = Forwarding.findConst(Var);
-  assert(LSViewBuilt[Rep] &&
-         "view not materialized; materializeAllViews() builds every live "
-         "representative's view");
-  return LSView[Rep];
+  return leastSolutionBitsConst(Var).toVector<ExprId>();
 }
 
 bool ConstraintSolver::aliasConst(VarId X, VarId Y) const {
@@ -1390,17 +1366,6 @@ bool ConstraintSolver::aliasConst(VarId X, VarId Y) const {
   if (RepX == RepY)
     return true;
   return leastSolutionBitsConst(RepX).intersects(leastSolutionBitsConst(RepY));
-}
-
-const std::vector<ExprId> &ConstraintSolver::materializeLS(VarId Rep) {
-  if (!LSViewBuilt[Rep]) {
-    const SparseBitVector &Bits = Options.Form == GraphForm::Standard
-                                      ? Vars[Rep].PredTerms
-                                      : LSBits[Rep];
-    LSView[Rep] = Bits.toVector<ExprId>();
-    LSViewBuilt[Rep] = 1;
-  }
-  return LSView[Rep];
 }
 
 // In inductive form every variable predecessor has a smaller order index,
@@ -1431,7 +1396,7 @@ void ConstraintSolver::computeLeastSolutionIF(ThreadPool &Pool) {
   });
 
   // Kahn levels in one ascending pass (predecessors precede their users).
-  // settleSolutions() compressed every forwarding chain before this pass,
+  // finalize() compressed every forwarding chain before this pass,
   // so the findConst calls below are single hops on immutable data.
   std::vector<uint32_t> Depth(numVars(), 0);
   std::vector<std::vector<VarId>> Levels;
@@ -1492,24 +1457,6 @@ void ConstraintSolver::computeLeastSolutionIF(ThreadPool &Pool) {
 
   for (const CacheAligned<LaneScratch> &S : Scratch)
     Stats += S.Value.Delta;
-}
-
-void ConstraintSolver::materializeAllViews() {
-  ThreadPool Pool(Options.Threads);
-  if (!Finalized)
-    settleSolutions(Pool);
-  materializeAllSolutions(Pool);
-}
-
-void ConstraintSolver::materializeAllSolutions(ThreadPool &Pool) {
-  std::vector<VarId> Pending;
-  for (VarId Var = 0; Var != numVars(); ++Var)
-    if (Forwarding.isRepresentative(Var) && !LSViewBuilt[Var])
-      Pending.push_back(Var);
-  // Each task touches only its own representative's view and flag.
-  Pool.parallelFor(Pending.size(), [&](size_t I, unsigned) {
-    (void)materializeLS(Pending[I]);
-  });
 }
 
 std::vector<std::vector<ExprId>> ConstraintSolver::referenceLeastSolutions() {

@@ -43,8 +43,7 @@
 /// representation and difference propagation".
 ///
 /// The least-solution post-pass runs as a level-by-level wavefront over the
-/// collapsed representative graph on SolverOptions::Threads lanes (with
-/// more than one, solution views are also materialized concurrently);
+/// collapsed representative graph on SolverOptions::Threads lanes;
 /// solutions and every counter are bit-identical for any lane count (see
 /// docs/INTERNALS.md, "Parallel execution layer").
 ///
@@ -58,7 +57,6 @@
 #include "setcon/SolverStats.h"
 #include "setcon/Term.h"
 #include "support/Arena.h"
-#include "support/DenseU64Map.h"
 #include "support/DenseU64Set.h"
 #include "support/PRNG.h"
 #include "support/SparseBitVector.h"
@@ -160,52 +158,45 @@ public:
   // Solutions
   //===--------------------------------------------------------------------===
 
-  /// Computes least solutions for all variables on Options.Threads lanes.
-  /// Idempotent; implied by leastSolution(). Adding constraints afterwards
-  /// invalidates the cached solutions, which are recomputed on the next
-  /// query.
+  /// Closes the graph, compresses every forwarding chain (so repConst()
+  /// and the const accessors take one hop) and computes the least
+  /// solutions: inductive form's on Options.Threads lanes, while standard
+  /// form's closed graph already holds them. Idempotent; implied by
+  /// leastSolution(). Adding constraints afterwards invalidates the
+  /// solutions, which are recomputed on the next query.
   void finalize();
 
-  /// The least solution of \p Var: the sorted set of constructed source
-  /// terms (by ExprId) contained in every solution's value for Var. The
-  /// solution is held as a bitvector; the sorted vector view is
-  /// materialized lazily per representative and cached until the next
-  /// constraint addition.
-  const std::vector<ExprId> &leastSolution(VarId Var);
-
-  /// The least solution of \p Var as a bitmap (no materialization).
-  const SparseBitVector &leastSolutionBits(VarId Var);
+  /// The least solution of \p Var: the set of constructed source terms
+  /// (by ExprId) contained in every solution's value for Var, as its
+  /// representative's bitmap. Iterating it yields the ExprIds in
+  /// ascending order. The reference stays valid until the next constraint
+  /// addition.
+  const SparseBitVector &leastSolution(VarId Var);
 
   //===--------------------------------------------------------------------===
   // Concurrent read surface
   //===--------------------------------------------------------------------===
   //
   // The accessors below are genuinely const: no lazy closure, no lazy
-  // finalize, no union-find path compression — so a solver that has been
-  // fully settled with materializeAllViews() can be shared read-only
-  // across threads with no synchronization at all. The serve layer's
-  // ReadView (serve/ReadView.h) reads a finalized solver through them
-  // when it builds its rows. Calling them on an unsettled solver is a
-  // programming error (asserted).
+  // finalize, no union-find path compression — so a finalized solver can
+  // be shared read-only across threads with no synchronization at all.
+  // The serve layer's ReadView (serve/ReadView.h) reads a finalized
+  // solver through them when it builds its rows. Calling them on an
+  // unsettled solver is a programming error (asserted).
 
-  /// True once finalize() has settled the solutions (materializeAllViews()
-  /// additionally builds every sorted view, which leastSolutionViewConst
-  /// asserts per representative): the precondition of the *Const
-  /// accessors below.
-  bool readShareable() const {
-    return Finalized && LSView.size() == numVars();
-  }
+  /// True once finalize() has settled the solutions: the precondition of
+  /// the *Const accessors below.
+  bool readShareable() const { return Finalized; }
 
   /// Representative lookup without path compression: a single const hop,
   /// because finalize() compresses every forwarding chain.
   VarId repConst(VarId Var) const { return Forwarding.findConst(Var); }
 
-  /// leastSolutionBits() without the lazy finalize.
+  /// leastSolution() without the lazy finalize.
   const SparseBitVector &leastSolutionBitsConst(VarId Var) const;
 
-  /// leastSolution() without the lazy finalize or view materialization;
-  /// requires materializeAllViews() to have built every view.
-  const std::vector<ExprId> &leastSolutionViewConst(VarId Var) const;
+  /// leastSolutionBitsConst() copied out as a sorted vector.
+  std::vector<ExprId> leastSolutionViewConst(VarId Var) const;
 
   /// alias query (same representative or intersecting solutions) on the
   /// const surface.
@@ -306,12 +297,8 @@ public:
   /// successor entries. Intended for debugging and golden tests.
   std::string dumpGraph();
 
-  /// Finalizes (if needed) and builds every live representative's sorted
-  /// solution view not built yet, on Options.Threads lanes. The serve
-  /// layer calls this after loading a snapshot so that first queries do
-  /// not pay materialization cost; results are identical for any lane
-  /// count.
-  void materializeAllViews();
+  /// Same as finalize(); perfbench still calls it.
+  void materializeAllViews() { finalize(); }
 
   /// Overrides the thread-count option. Threads only affects wall-clock
   /// (solutions and counters are bit-identical for any value), so a
@@ -624,11 +611,6 @@ private:
   // Least solution
   //===--------------------------------------------------------------------===
 
-  /// Closes, marks the solver finalized, compresses every forwarding
-  /// chain (so repConst() and the const accessors take one hop) and
-  /// computes the least solutions on \p Pool (the body of finalize()
-  /// minus the view policy).
-  void settleSolutions(ThreadPool &Pool);
   /// Inductive form's least solutions (equation 1 of the paper) as a
   /// wavefront: Kahn levels over the collapsed (acyclic) representative
   /// graph, then per-level word-level unions on \p Pool — each level's
@@ -636,13 +618,7 @@ private:
   /// write their own bitmap. LSBits and counters are bit-identical for any
   /// lane count.
   void computeLeastSolutionIF(ThreadPool &Pool);
-  /// Builds every live representative's sorted solution view not built
-  /// yet, concurrently on \p Pool.
-  void materializeAllSolutions(ThreadPool &Pool);
   void invalidateSolutions();
-  /// Builds (or returns) the cached sorted-vector view of \p Rep's least
-  /// solution bitmap.
-  const std::vector<ExprId> &materializeLS(VarId Rep);
 
   TermTable &Terms;
   SolverOptions Options;
@@ -751,8 +727,9 @@ private:
     std::vector<Entry> Passing;
   };
   std::vector<ChainSummary> ChainSummaries;
-  /// (hub << 1 | increasing) -> index into ChainSummaries, plus one.
-  DenseU64Map<uint32_t> ChainSummaryOf;
+  /// Indexed by hub * 2 + increasing: the index into ChainSummaries plus
+  /// one, or 0 for none. Grown on demand to two slots per variable.
+  std::vector<uint32_t> ChainSummaryOf;
   uint64_t ChainGeneration = 1;
 
   SparseBitVector SeenSources, SeenSinks;
@@ -765,9 +742,6 @@ private:
   /// Inductive-form least solutions per VarId (unused entries empty).
   /// Standard form reads PredTerms directly instead.
   std::vector<SparseBitVector> LSBits;
-  /// Lazily materialized sorted views of the solution bitmaps.
-  std::vector<std::vector<ExprId>> LSView;
-  std::vector<uint8_t> LSViewBuilt;
 
   SolverStats Stats;
 };

@@ -194,8 +194,7 @@ struct SolverOptions {
   /// hardware thread). Purely a wall-clock knob: with any value the least
   /// solutions and every paper-defined counter are bit-identical — the
   /// online closure itself always runs single-threaded. The inductive-form
-  /// recurrence runs as a level-by-level wavefront on this many lanes;
-  /// values > 1 also materialize every solution view concurrently (see
+  /// recurrence runs as a level-by-level wavefront on this many lanes (see
   /// docs/INTERNALS.md, "Parallel execution layer").
   unsigned Threads = 1;
 

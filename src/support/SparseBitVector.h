@@ -18,7 +18,8 @@
 /// a word-level merge that reports whether anything changed (the signal
 /// difference propagation is built on), and iteration yields ids in
 /// ascending order — which for hash-consed ExprIds is exactly the sorted
-/// order the least-solution API promises.
+/// order the least-solution API promises, so callers range-for over a
+/// least solution's bitmap directly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +29,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -324,6 +326,86 @@ public:
         forEachBitInWord(Word, L.Index * ElementBits + W * WordBits, F);
       }
     }
+  }
+
+  /// Forward iterator over the set ids in ascending order, so a set reads
+  /// like a sorted container: `for (uint32_t Id : Set)`. A non-end
+  /// position holds the unvisited bits of one nonzero word; the end
+  /// position holds none.
+  class const_iterator {
+  public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = uint32_t;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const uint32_t *;
+    using reference = uint32_t;
+
+    const_iterator() = default;
+
+    uint32_t operator*() const {
+      return Base + static_cast<uint32_t>(__builtin_ctzll(Bits));
+    }
+    const_iterator &operator++() {
+      Bits &= Bits - 1;
+      if (!Bits)
+        nextWord();
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator Old = *this;
+      ++*this;
+      return Old;
+    }
+    bool operator==(const const_iterator &RHS) const {
+      return Elt == RHS.Elt && Word == RHS.Word && Bits == RHS.Bits;
+    }
+    bool operator!=(const const_iterator &RHS) const {
+      return !(*this == RHS);
+    }
+
+  private:
+    friend class SparseBitVector;
+
+    const_iterator(const Element *Elt, const Element *End)
+        : Elt(Elt), End(End) {
+      if (Elt == End)
+        return;
+      Bits = Elt->Words[0];
+      Base = Elt->Index * ElementBits;
+      if (!Bits)
+        nextWord();
+    }
+
+    /// Moves to the next nonzero word, or to the end position.
+    void nextWord() {
+      while (true) {
+        if (++Word == ElementWords) {
+          Word = 0;
+          if (++Elt == End)
+            return;
+        }
+        Bits = Elt->Words[Word];
+        if (Bits) {
+          Base = Elt->Index * ElementBits + Word * WordBits;
+          return;
+        }
+      }
+    }
+
+    const Element *Elt = nullptr;
+    const Element *End = nullptr;
+    uint32_t Word = 0;
+    uint32_t Base = 0;
+    uint64_t Bits = 0;
+  };
+  using iterator = const_iterator;
+
+  const_iterator begin() const {
+    return const_iterator(Elems.data(), Elems.data() + Elems.size());
+  }
+  const_iterator end() const {
+    const Element *Past = Elems.data() + Elems.size();
+    return const_iterator(Past, Past);
   }
 
   /// Visits every set id in ascending order.

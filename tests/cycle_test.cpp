@@ -173,7 +173,7 @@ std::vector<std::vector<ExprId>> runRandomSystem(SolverHarness &H,
   H.Solver.finalize();
   std::vector<std::vector<ExprId>> Result;
   for (VarId Var : Vars)
-    Result.push_back(H.Solver.leastSolution(Var));
+    Result.push_back(H.Solver.leastSolution(Var).toVector<ExprId>());
   return Result;
 }
 
@@ -226,8 +226,10 @@ TEST(CycleTest, CollapsedVariablesShareRepresentativeAndLS) {
   H.Solver.addConstraint(H.v(Y), H.v(Z));
   H.Solver.finalize();
   EXPECT_EQ(H.Solver.rep(X), H.Solver.rep(Y));
-  EXPECT_EQ(H.Solver.leastSolution(X), H.Solver.leastSolution(Y));
-  EXPECT_EQ(H.Solver.leastSolution(Z), std::vector<ExprId>{S});
+  EXPECT_EQ(H.Solver.leastSolution(X).toVector<ExprId>(),
+            H.Solver.leastSolution(Y).toVector<ExprId>());
+  EXPECT_EQ(H.Solver.leastSolution(Z).toVector<ExprId>(),
+            std::vector<ExprId>{S});
   EXPECT_EQ(H.Solver.numLiveVars(), 2u);
 }
 

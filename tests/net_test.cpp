@@ -214,7 +214,7 @@ struct LoopbackServer {
       return;
     }
     System.emit(*Bundle.Solver);
-    Bundle.Solver->materializeAllViews();
+    Bundle.Solver->finalize();
 
     Core = std::make_unique<serve::ServerCore>(std::move(Bundle),
                                                /*CacheCapacity=*/64, CoreCfg);
@@ -995,7 +995,7 @@ TEST(NetReplicationTest, FollowerRefusesReplicateHandshake) {
 // Regression: `verify` must judge convergence by answer identity, not
 // serialized-byte identity. A follower started the way `scserved
 // --follow` starts one — cold bootstrap to disk, GraphSnapshot::load,
-// materializeAllViews, recover — replays the WAL tail onto a
+// finalize, recover — replays the WAL tail onto a
 // deserialized graph and can collapse cycles onto different (equally
 // valid) representatives than the live-solved primary, so the two
 // serialized byte streams never match while every answer does; a
@@ -1059,7 +1059,7 @@ TEST(NetReplicationTest, VerifyConvergesAcrossRepresentationDivergence) {
   uint64_t FolBase = 0;
   Status Loaded = serve::GraphSnapshot::load(FolSnap, FolBundle, &FolBase);
   ASSERT_TRUE(Loaded.ok()) << Loaded.toString();
-  FolBundle.Solver->materializeAllViews();
+  FolBundle.Solver->finalize();
   serve::ServerCoreConfig FolCfg;
   FolCfg.SnapshotPath = FolSnap;
   FolCfg.WalPath = replTempPath("canon_fol.wal");

@@ -80,7 +80,7 @@ SolveSnapshot solveRandom(const RandomConstraintShape &Shape,
   Snap.FinalEdges = Solver.countFinalEdges();
   Snap.LeastSolutions.reserve(Solver.numVars());
   for (VarId Var = 0; Var != Solver.numVars(); ++Var)
-    Snap.LeastSolutions.push_back(Solver.leastSolution(Var));
+    Snap.LeastSolutions.push_back(Solver.leastSolution(Var).toVector<ExprId>());
   return Snap;
 }
 

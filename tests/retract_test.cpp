@@ -21,6 +21,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <cstdio>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -348,13 +350,107 @@ RandomSystem makeRandomSystem(uint64_t Seed, uint32_t NumVars,
   return Out;
 }
 
-} // namespace
+/// The sparse shape: more variables than lines, mostly copies and
+/// sources, and few ref lines. Copies stay inside four groups of three
+/// variables, which close short cycles (some joined only through a third
+/// member), while sources and refs range over every variable; so a
+/// retraction's cone stays local and collapsed classes meet split checks
+/// that keep them as well as ones that split them.
+RandomSystem makeSparseSystem(uint64_t Seed, uint32_t NumVars,
+                              uint32_t NumLines) {
+  PRNG Rng(Seed * 104729 + 3);
+  RandomSystem Out;
+  std::string VarDecl = "var";
+  for (uint32_t I = 0; I != NumVars; ++I)
+    VarDecl += " v" + std::to_string(I);
+  Out.Decls.push_back(VarDecl);
+  for (int I = 0; I != 4; ++I)
+    Out.Decls.push_back("cons s" + std::to_string(I));
+  Out.Decls.push_back("cons ref + -");
 
-class RetractSweepTest : public testing::TestWithParam<uint64_t> {};
+  auto V = [&] { return "v" + std::to_string(Rng.nextBelow(NumVars)); };
+  auto S = [&] { return "s" + std::to_string(Rng.nextBelow(4)); };
+  for (uint32_t I = 0; I != NumLines; ++I) {
+    uint32_t Kind = Rng.nextBelow(20);
+    if (Kind < 11) {
+      uint32_t Group = 3 * Rng.nextBelow(4);
+      uint32_t From = Rng.nextBelow(3);
+      uint32_t To = (From + 1 + Rng.nextBelow(2)) % 3;
+      Out.Lines.push_back("v" + std::to_string(Group + From) + " <= v" +
+                          std::to_string(Group + To));
+    } else if (Kind < 18) {
+      Out.Lines.push_back(S() + " <= " + V());
+    } else if (Kind == 18) {
+      Out.Lines.push_back(V() + " <= ref(1, " + V() + ")");
+    } else {
+      Out.Lines.push_back(V() + " <= ref(" + V() + ", 0)");
+    }
+  }
+  return Out;
+}
 
-TEST_P(RetractSweepTest, RetractionMatchesFreshSolveOfSurvivors) {
-  uint64_t Seed = GetParam();
-  RandomSystem Sys = makeRandomSystem(Seed, /*NumVars=*/20, /*NumLines=*/50);
+/// Creation indices of the variables \p Line names (`v<N>` is the N-th).
+std::vector<uint32_t> namedVars(const std::string &Line) {
+  std::vector<uint32_t> Out;
+  for (size_t Pos = Line.find('v'); Pos != std::string::npos;
+       Pos = Line.find('v', Pos + 1))
+    if (Pos + 1 < Line.size() &&
+        std::isdigit(static_cast<unsigned char>(Line[Pos + 1])))
+      Out.push_back(static_cast<uint32_t>(std::stoul(Line.substr(Pos + 1))));
+  return Out;
+}
+
+/// True if the `v<A> <= v<B>` lines among \p Lines whose ends are both in
+/// \p Members strongly connect \p Members.
+bool connectedByInternalCopies(const std::vector<uint32_t> &Members,
+                               const std::vector<std::string> &Lines) {
+  std::vector<std::pair<uint32_t, uint32_t>> Edges;
+  for (const std::string &Line : Lines) {
+    unsigned A, B;
+    int End = 0;
+    if (std::sscanf(Line.c_str(), "v%u <= v%u%n", &A, &B, &End) == 2 &&
+        static_cast<size_t>(End) == Line.size() &&
+        std::count(Members.begin(), Members.end(), A) &&
+        std::count(Members.begin(), Members.end(), B))
+      Edges.push_back({A, B});
+  }
+  // Every member must reach, and be reached from, the first one.
+  for (bool Forward : {true, false}) {
+    std::vector<uint32_t> Reached = {Members[0]};
+    for (size_t I = 0; I != Reached.size(); ++I)
+      for (auto [A, B] : Edges) {
+        uint32_t From = Forward ? A : B, To = Forward ? B : A;
+        if (From == Reached[I] &&
+            !std::count(Reached.begin(), Reached.end(), To))
+          Reached.push_back(To);
+      }
+    if (Reached.size() != Members.size())
+      return false;
+  }
+  return true;
+}
+
+/// What the retractions of sweepRetractions() reached.
+struct SweepObservations {
+  /// Retractions whose cone left out a variable some line names.
+  uint64_t PartialCones = 0;
+  /// Collapsed classes of a retracted line's variables that stayed
+  /// collapsed through the split check.
+  uint64_t ClassesKept = 0;
+};
+
+/// Retracts \p Rounds lines of \p Sys, chosen by \p Seed, under every
+/// sweepConfigs() configuration, and checks each retraction against a
+/// fresh solve of the surviving lines. A class that survives its split
+/// check must still be strongly connected by surviving copies between its
+/// own members.
+void sweepRetractions(const RandomSystem &Sys, uint64_t Seed, int Rounds,
+                      SweepObservations &Seen) {
+  std::vector<uint32_t> Named;
+  for (const std::string &Line : Sys.Lines)
+    for (uint32_t Var : namedVars(Line))
+      if (!std::count(Named.begin(), Named.end(), Var))
+        Named.push_back(Var);
 
   for (const SolverOptions &Options : sweepConfigs(Seed)) {
     FileHarness H(Options);
@@ -363,13 +459,34 @@ TEST_P(RetractSweepTest, RetractionMatchesFreshSolveOfSurvivors) {
     for (const std::string &Line : Sys.Lines)
       H.add(Line);
     (void)H.solutions(); // Settle (and run any offline pass) before retracts.
+    const SolverStats &Stats = H.Solver.stats();
 
     std::vector<std::string> Survivors = Sys.Lines;
     PRNG Rng(Seed * 31 + 7);
-    for (int Round = 0; Round != 6 && !Survivors.empty(); ++Round) {
+    for (int Round = 0; Round != Rounds && !Survivors.empty(); ++Round) {
       size_t Victim = Rng.nextBelow(static_cast<uint32_t>(Survivors.size()));
       std::string Line = Survivors[Victim];
       Survivors.erase(Survivors.begin() + Victim);
+
+      // The retracted line's variables seed the cone, so their classes
+      // always meet the split check.
+      std::vector<std::vector<uint32_t>> Classes;
+      for (uint32_t Var : namedVars(Line)) {
+        VarId Rep = H.Solver.rep(H.Solver.varOfCreation(Var));
+        std::vector<uint32_t> Members;
+        for (uint32_t I = 0; I != H.Solver.numCreations(); ++I)
+          if (H.Solver.rep(H.Solver.varOfCreation(I)) == Rep)
+            Members.push_back(I);
+        if (Members.size() >= 2 &&
+            std::find(Classes.begin(), Classes.end(), Members) ==
+                Classes.end())
+          Classes.push_back(std::move(Members));
+      }
+      const uint64_t SplitBefore = Stats.CollapsesSplit;
+      const uint64_t CollapsedBefore =
+          Stats.CyclesCollapsed + Stats.WaveCollapsedVars;
+      const uint64_t ConeBefore = Stats.ConeVarsRecomputed;
+
       ASSERT_TRUE(H.retract(Line))
           << "config " << Options.configName() << " line '" << Line << "'";
       ASSERT_TRUE(H.Solver.verifyGraphInvariants());
@@ -381,10 +498,56 @@ TEST_P(RetractSweepTest, RetractionMatchesFreshSolveOfSurvivors) {
           << (Options.Preprocess == PreprocessMode::Offline ? "offline"
                                                             : "none")
           << " after retracting '" << Line << "'";
+
+      if (Stats.ConeVarsRecomputed - ConeBefore < Named.size())
+        ++Seen.PartialCones;
+      // A split resets every member and only a replay collapse reunites
+      // them: a class still together after a retraction that split
+      // nothing, or collapsed nothing, was kept by its split check.
+      if (Stats.CollapsesSplit != SplitBefore &&
+          Stats.CyclesCollapsed + Stats.WaveCollapsedVars != CollapsedBefore)
+        continue;
+      for (const std::vector<uint32_t> &Members : Classes) {
+        VarId Rep = H.Solver.rep(H.Solver.varOfCreation(Members[0]));
+        if (!std::all_of(Members.begin(), Members.end(), [&](uint32_t Var) {
+              return H.Solver.rep(H.Solver.varOfCreation(Var)) == Rep;
+            }))
+          continue;
+        ++Seen.ClassesKept;
+        EXPECT_TRUE(connectedByInternalCopies(Members, Survivors))
+            << "config " << Options.configName()
+            << ": a class kept collapsed after retracting '" << Line
+            << "' is not strongly connected by its own copies";
+      }
     }
-    EXPECT_EQ(H.Solver.stats().Retractions,
-              std::min<uint64_t>(6, Sys.Lines.size()));
+    EXPECT_EQ(Stats.Retractions,
+              std::min<uint64_t>(Rounds, Sys.Lines.size()));
   }
+}
+
+} // namespace
+
+class RetractSweepTest : public testing::TestWithParam<uint64_t> {};
+
+TEST_P(RetractSweepTest, RetractionMatchesFreshSolveOfSurvivors) {
+  uint64_t Seed = GetParam();
+  SweepObservations Seen;
+  sweepRetractions(makeRandomSystem(Seed, /*NumVars=*/20, /*NumLines=*/50),
+                   Seed, /*Rounds=*/6, Seen);
+}
+
+TEST(SparseRetractSweepTest, RetractionsReachPartialConesAndKeptClasses) {
+  // The dense shape's cones reach nearly every variable, and every class
+  // it checks splits; the sparse shape reaches small cones and classes
+  // that survive their split check.
+  SweepObservations Seen;
+  for (uint64_t Seed = 1; Seed != 61; ++Seed) {
+    sweepRetractions(makeSparseSystem(Seed, /*NumVars=*/40, /*NumLines=*/30),
+                     Seed, /*Rounds=*/12, Seen);
+    ASSERT_FALSE(HasFatalFailure()) << "seed " << Seed;
+  }
+  EXPECT_GT(Seen.PartialCones, 0u);
+  EXPECT_GT(Seen.ClassesKept, 0u);
 }
 
 namespace {

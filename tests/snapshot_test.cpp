@@ -128,7 +128,8 @@ void expectEquivalent(ConstraintSolver &Original, ConstraintSolver &Loaded,
   }
   for (VarId Var = 0; Var != Original.numVars(); ++Var) {
     if (Original.isLive(Var)) {
-      EXPECT_EQ(Original.leastSolution(Var), Loaded.leastSolution(Var))
+      EXPECT_EQ(Original.leastSolution(Var).toVector<ExprId>(),
+                Loaded.leastSolution(Var).toVector<ExprId>())
           << Context << " var " << Var;
     }
   }
@@ -304,13 +305,13 @@ TEST(SnapshotTest, ThreadCountOnLoadIsPurelyWallClock) {
       GraphSnapshot::deserialize(Bytes.data(), Bytes.size(), Eight).ok());
   One.Solver->setThreads(1);
   Eight.Solver->setThreads(8);
-  One.Solver->materializeAllViews();
-  Eight.Solver->materializeAllViews();
+  One.Solver->finalize();
+  Eight.Solver->finalize();
 
   for (VarId Var = 0; Var != One.Solver->numVars(); ++Var) {
     if (One.Solver->isLive(Var)) {
-      EXPECT_EQ(One.Solver->leastSolution(Var),
-                Eight.Solver->leastSolution(Var))
+      EXPECT_EQ(One.Solver->leastSolution(Var).toVector<ExprId>(),
+                Eight.Solver->leastSolution(Var).toVector<ExprId>())
           << "var " << Var;
     }
   }

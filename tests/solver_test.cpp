@@ -30,7 +30,9 @@ struct SolverHarness {
     return Terms.cons(Constructors.getOrCreate(Name, {}), {});
   }
   /// Sorted least solution of Var as source ExprIds.
-  std::vector<ExprId> ls(VarId Var) { return Solver.leastSolution(Var); }
+  std::vector<ExprId> ls(VarId Var) {
+    return Solver.leastSolution(Var).toVector<ExprId>();
+  }
 };
 
 SolverOptions sfPlain() {
@@ -457,12 +459,12 @@ TEST(MaintenanceTest, CompactPreservesSolutionsAndEdges) {
   uint64_t EdgesBefore = H.Solver.countFinalEdges();
   std::vector<std::vector<ExprId>> Before;
   for (VarId Var : Vars)
-    Before.push_back(H.Solver.leastSolution(Var));
+    Before.push_back(H.Solver.leastSolution(Var).toVector<ExprId>());
 
   H.Solver.compact();
   EXPECT_EQ(H.Solver.countFinalEdges(), EdgesBefore);
   for (size_t I = 0; I != Vars.size(); ++I)
-    EXPECT_EQ(H.Solver.leastSolution(Vars[I]), Before[I]);
+    EXPECT_EQ(H.Solver.leastSolution(Vars[I]).toVector<ExprId>(), Before[I]);
   // A second compaction finds nothing left to remove.
   EXPECT_EQ(H.Solver.compact(), 0u);
 }

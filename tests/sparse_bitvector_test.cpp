@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
 #include <vector>
 
@@ -74,6 +75,47 @@ TEST(SparseBitVectorTest, BoundaryWordsAndElements) {
   std::vector<uint32_t> Sorted = Boundary;
   std::sort(Sorted.begin(), Sorted.end());
   EXPECT_EQ(ids(S), Sorted); // Iteration is ascending.
+}
+
+TEST(SparseBitVectorTest, IteratorWalksIdsAscending) {
+  auto walk = [](const SparseBitVector &S) {
+    std::vector<uint32_t> Out;
+    for (uint32_t Id : S)
+      Out.push_back(Id);
+    return Out;
+  };
+
+  SparseBitVector Empty;
+  EXPECT_TRUE(Empty.begin() == Empty.end());
+  EXPECT_TRUE(walk(Empty).empty());
+
+  // Both words of element 0, the first bit of element 1, then a gap of
+  // empty elements before the last one.
+  const std::vector<uint32_t> Expected = {
+      0, 63, 64, 127, 128, SparseBitVector::ElementBits * 40 + 70};
+  SparseBitVector S;
+  for (auto It = Expected.rbegin(); It != Expected.rend(); ++It)
+    S.set(*It);
+  EXPECT_EQ(walk(S), Expected);
+  EXPECT_EQ(static_cast<size_t>(std::distance(S.begin(), S.end())),
+            S.count());
+  SparseBitVector::const_iterator It = S.begin();
+  EXPECT_EQ(*It++, 0u);
+  EXPECT_EQ(*It, 63u);
+
+  // An element whose first word is empty starts at its second word.
+  SparseBitVector HighWord;
+  HighWord.set(100);
+  EXPECT_EQ(walk(HighWord), std::vector<uint32_t>{100});
+
+  // The same ids in the same order as forEach, on a clustered random set.
+  PRNG Rng(0x17e7);
+  SparseBitVector R;
+  for (int I = 0; I != 3000; ++I)
+    R.set(static_cast<uint32_t>(Rng.nextBelow(20000)));
+  std::vector<uint32_t> ByForEach;
+  R.forEach([&](uint32_t Id) { ByForEach.push_back(Id); });
+  EXPECT_EQ(walk(R), ByForEach);
 }
 
 TEST(SparseBitVectorTest, ResetErasesEmptyElements) {

@@ -54,7 +54,8 @@ TEST(StressTest, VeryLongChainBothForms) {
     }
     // The least solution pass over a 100k-deep pred chain must not
     // recurse.
-    EXPECT_EQ(H.Solver.leastSolution(Prev), std::vector<ExprId>{S});
+    EXPECT_EQ(H.Solver.leastSolution(Prev).toVector<ExprId>(),
+              std::vector<ExprId>{S});
   }
 }
 
@@ -73,8 +74,10 @@ TEST(StressTest, VeryLongCycleCollapses) {
     H.Solver.addConstraint(H.v(Vars[I]), H.v(Vars[(I + 1) % N]));
   H.Solver.finalize();
   // Every ring member sees the source.
-  EXPECT_EQ(H.Solver.leastSolution(Vars[N / 2]), std::vector<ExprId>{S});
-  EXPECT_EQ(H.Solver.leastSolution(Vars[N - 1]), std::vector<ExprId>{S});
+  EXPECT_EQ(H.Solver.leastSolution(Vars[N / 2]).toVector<ExprId>(),
+            std::vector<ExprId>{S});
+  EXPECT_EQ(H.Solver.leastSolution(Vars[N - 1]).toVector<ExprId>(),
+            std::vector<ExprId>{S});
 }
 
 TEST(StressTest, WideFanoutNode) {
@@ -93,7 +96,7 @@ TEST(StressTest, WideFanoutNode) {
     Outs.push_back(Out);
   }
   H.Solver.finalize();
-  EXPECT_EQ(H.Solver.leastSolution(Outs[Width - 1]),
+  EXPECT_EQ(H.Solver.leastSolution(Outs[Width - 1]).toVector<ExprId>(),
             std::vector<ExprId>{S});
   EXPECT_EQ(H.Solver.stats().RedundantAdds, 0u);
 }
@@ -112,7 +115,8 @@ TEST(StressTest, DeepTermNesting) {
     Rhs = H.Terms.cons(C, {Rhs});
   }
   H.Solver.addConstraint(Lhs, Rhs);
-  EXPECT_EQ(H.Solver.leastSolution(Y), std::vector<ExprId>{S});
+  EXPECT_EQ(H.Solver.leastSolution(Y).toVector<ExprId>(),
+            std::vector<ExprId>{S});
 }
 
 //===----------------------------------------------------------------------===//

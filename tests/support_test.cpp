@@ -8,7 +8,6 @@
 #include "support/ByteStream.h"
 #include "support/CacheAligned.h"
 #include "support/CommandLine.h"
-#include "support/DenseU64Map.h"
 #include "support/DenseU64Set.h"
 #include "support/FailPoint.h"
 #include "support/Format.h"
@@ -152,7 +151,7 @@ TEST(SmallVectorTest, AppendAndAssign) {
 }
 
 //===----------------------------------------------------------------------===//
-// DenseU64Set / DenseU64Map
+// DenseU64Set
 //===----------------------------------------------------------------------===//
 
 TEST(DenseU64SetTest, InsertContains) {
@@ -200,30 +199,6 @@ TEST(DenseU64SetTest, ClearAndCopy) {
   EXPECT_TRUE(Copy.contains(99));
   DenseU64Set Moved(std::move(Copy));
   EXPECT_TRUE(Moved.contains(50));
-}
-
-TEST(DenseU64MapTest, InsertLookupBracket) {
-  DenseU64Map<uint32_t> Map;
-  EXPECT_EQ(Map.lookup(1), nullptr);
-  EXPECT_TRUE(Map.insert(1, 100));
-  EXPECT_FALSE(Map.insert(1, 200)); // Does not overwrite.
-  ASSERT_NE(Map.lookup(1), nullptr);
-  EXPECT_EQ(*Map.lookup(1), 100u);
-  Map[2] = 5;
-  Map[2] += 1;
-  EXPECT_EQ(*Map.lookup(2), 6u);
-  EXPECT_EQ(Map.size(), 2u);
-}
-
-TEST(DenseU64MapTest, GrowKeepsAssociations) {
-  DenseU64Map<uint64_t> Map;
-  for (uint64_t I = 0; I != 3000; ++I)
-    Map.insert(I * 3 + 1, I);
-  for (uint64_t I = 0; I != 3000; ++I) {
-    ASSERT_NE(Map.lookup(I * 3 + 1), nullptr);
-    EXPECT_EQ(*Map.lookup(I * 3 + 1), I);
-  }
-  EXPECT_FALSE(Map.contains(2));
 }
 
 //===----------------------------------------------------------------------===//
