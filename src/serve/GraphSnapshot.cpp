@@ -13,7 +13,8 @@
 //            | forwarding | creations | seen-source/sink bitmaps
 //            | recorded var-var pairs (all, initial) | inconsistencies
 //            | periodic watermark | RNG state | stats
-//            | finalized flag [+ LS bitmaps in inductive form]
+//            | finalized flag [+ LS bitmaps in inductive form, one per
+//              variable: its effective solution, shared or not]
 //
 // Terms are serialized by replaying the interner: ids are assigned in
 // first-construction order, and a constructed term's arguments always
@@ -34,6 +35,7 @@
 #include "support/Trace.h"
 
 #include <cstring>
+#include <numeric>
 
 using namespace poce;
 using namespace poce::serve;
@@ -285,7 +287,7 @@ Status GraphSnapshot::serialize(ConstraintSolver &Solver,
   W.u8(Solver.Finalized ? 1 : 0);
   if (Solver.Finalized && O.Form == GraphForm::Inductive)
     for (VarId Var = 0; Var != NumVars; ++Var)
-      writeBitmap(W, Solver.LSBits[Var]);
+      writeBitmap(W, Solver.LSBits[Solver.LSOwner[Var]]);
 
   size_t PayloadLen = W.size() - HeaderSize;
   W.patchU64(LengthAt, PayloadLen);
@@ -663,7 +665,11 @@ Status GraphSnapshot::deserialize(const uint8_t *Data, size_t Size,
     return Bail("finalized flag");
   S.Finalized = Finalized != 0;
   if (S.Finalized && O.Form == GraphForm::Inductive) {
+    // Each variable's effective solution was written out whole, so every
+    // variable owns its own bitmap here.
     S.LSBits.resize(NumVars);
+    S.LSOwner.resize(NumVars);
+    std::iota(S.LSOwner.begin(), S.LSOwner.end(), 0);
     for (VarId Var = 0; Var != NumVars; ++Var)
       if (!readBitmap(R, S.LSBits[Var], NumTerms, "least-solution set"))
         return Bail("least solutions");

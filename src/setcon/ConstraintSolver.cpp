@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <numeric>
 
 #define POCE_DEBUG_TYPE "setcon"
 
@@ -209,6 +210,7 @@ void ConstraintSolver::invalidateSolutions() {
     return;
   Finalized = false;
   LSBits.clear();
+  LSOwner.clear();
 }
 
 void ConstraintSolver::enqueue(ExprId Lhs, ExprId Rhs) {
@@ -433,31 +435,30 @@ void ConstraintSolver::buildWaveOrder() {
           CompLevel[To] = std::max(CompLevel[To], CompLevel[Comp] + 1);
       }
 
-  // Order indices are unique (Random packs the VarId into the low bits),
-  // so sorting by (level, order index) is a deterministic total order.
-  struct PositionKey {
-    uint32_t Level;
-    VarId Var;
-    uint64_t Order;
-  };
-  std::vector<PositionKey> Keys;
-  Keys.reserve(numLiveVars());
+  // Positions sorted by (level, order index), a deterministic total order
+  // because order indices are unique (Random packs the VarId into the low
+  // bits): a stable counting sort on level over the variables in
+  // order-index order.
   WaveLevel.assign(NumNodes, 0);
+  std::vector<uint32_t> LevelStart(NumComps + 1, 0);
+  uint32_t NumLive = 0;
   for (VarId Var = 0; Var != NumNodes; ++Var) {
     if (!Forwarding.isRepresentative(Var))
       continue;
     WaveLevel[Var] = CompLevel[SCCs.ComponentOf[Var]];
-    Keys.push_back({WaveLevel[Var], Var, Vars[Var].Order});
+    ++LevelStart[WaveLevel[Var] + 1];
+    ++NumLive;
   }
-  std::sort(Keys.begin(), Keys.end(),
-            [](const PositionKey &A, const PositionKey &B) {
-              if (A.Level != B.Level)
-                return A.Level < B.Level;
-              return A.Order < B.Order;
-            });
+  std::partial_sum(LevelStart.begin(), LevelStart.end(), LevelStart.begin());
+  std::vector<VarId> AtPosition(NumLive);
   WaveIndex.assign(NumNodes, UINT32_MAX);
-  for (size_t I = 0; I != Keys.size(); ++I)
-    WaveIndex[Keys[I].Var] = static_cast<uint32_t>(I);
+  for (VarId Var : varsByOrder()) {
+    if (!Forwarding.isRepresentative(Var))
+      continue;
+    uint32_t Pos = LevelStart[WaveLevel[Var]]++;
+    WaveIndex[Var] = Pos;
+    AtPosition[Pos] = Var;
+  }
 
   // CSR edge rows: successor entries laid out contiguously in sweep order
   // with variable targets pre-resolved — the sweep then walks the pool
@@ -465,17 +466,17 @@ void ConstraintSolver::buildWaveOrder() {
   // chains. Entry order within a row matches the adjacency list, so
   // deliveries (and counters) are those of the adjacency-list walk.
   WaveArena.reset();
-  WaveRowStart = WaveArena.allocateArray<uint32_t>(Keys.size() + 1);
+  WaveRowStart = WaveArena.allocateArray<uint32_t>(NumLive + 1);
   size_t Total = 0;
-  for (size_t I = 0; I != Keys.size(); ++I) {
-    WaveRowStart[I] = static_cast<uint32_t>(Total);
-    Total += Vars[Keys[I].Var].Succs.size();
+  for (uint32_t Pos = 0; Pos != NumLive; ++Pos) {
+    WaveRowStart[Pos] = static_cast<uint32_t>(Total);
+    Total += Vars[AtPosition[Pos]].Succs.size();
   }
-  WaveRowStart[Keys.size()] = static_cast<uint32_t>(Total);
+  WaveRowStart[NumLive] = static_cast<uint32_t>(Total);
   WaveEdges = WaveArena.allocateArray<uint32_t>(Total);
   size_t Out = 0;
-  for (const PositionKey &Key : Keys)
-    for (uint32_t Entry : Vars[Key.Var].Succs)
+  for (VarId Var : AtPosition)
+    for (uint32_t Entry : Vars[Var].Succs)
       WaveEdges[Out++] = isTermRef(Entry)
                              ? Entry
                              : varRef(Forwarding.find(payloadOf(Entry)));
@@ -759,11 +760,13 @@ void ConstraintSolver::deliverSources(VarId Target,
   ++Stats.DeltaPropagations;
   VarNode &Node = Vars[Target];
   bool WasIdle = Node.SrcDelta.empty();
+  // Every delivered bit left another variable's PredTerms, and every
+  // source entered some PredTerms through insertSourceVar, which counted
+  // it in SeenSources (verifyGraphInvariants checks PredTerms stay inside
+  // it): a delivery never meets a new distinct source.
   auto OnNewSource = [&](uint32_t Src) {
     Node.Preds.push_back(termRef(Src));
     Node.SrcDelta.set(Src);
-    if (SeenSources.testAndSet(Src))
-      ++Stats.DistinctSources;
   };
   // A small batch landing in a large accumulated set is cheaper to probe
   // bit by bit (the cursor makes clustered probes O(1)) than to merge word
@@ -1320,7 +1323,6 @@ bool ConstraintSolver::retract(const std::string &Tag) {
 void ConstraintSolver::finalize() {
   if (Finalized)
     return;
-  ThreadPool Pool(Options.Threads);
   ensureClosed();
   Finalized = true;
   // The IF level tasks and the readers sharing a settled solver look
@@ -1330,10 +1332,14 @@ void ConstraintSolver::finalize() {
     Forwarding.find(Var);
   const bool Timed = phaseTimingOn();
   const uint64_t StartUs = Timed ? trace::nowMicros() : 0;
-  if (Options.Form == GraphForm::Inductive)
+  if (Options.Form == GraphForm::Inductive) {
+    // The level pass is the only work that runs on lanes, so the pool
+    // starts here, after the closure; standard form never starts one.
+    ThreadPool Pool(Options.Threads);
     computeLeastSolutionIF(Pool);
-  else
+  } else {
     LSBits.clear(); // SF: the closed graph holds LS in PredTerms already.
+  }
   if (Timed) {
     leastSolutionHistogram().record(trace::nowMicros() - StartUs);
     trace::complete("solver.least_solution", StartUs);
@@ -1352,7 +1358,7 @@ ConstraintSolver::leastSolutionBitsConst(VarId Var) const {
          "first");
   VarId Rep = Forwarding.findConst(Var);
   return Options.Form == GraphForm::Standard ? Vars[Rep].PredTerms
-                                             : LSBits[Rep];
+                                             : LSBits[LSOwner[Rep]];
 }
 
 std::vector<ExprId>
@@ -1371,43 +1377,60 @@ bool ConstraintSolver::aliasConst(VarId X, VarId Y) const {
 // In inductive form every variable predecessor has a smaller order index,
 // so equation (1) of the paper,
 //   LS(Y) = {c | c in pred(Y)} ∪ ⋃_{X in pred(Y)} LS(X),
-// needs each variable only after its predecessors. The pass evaluates it as
-// a wavefront: one ascending sweep assigns each representative a level =
-// 1 + max(level of its predecessors), so a level's variables depend only on
-// strictly earlier levels and each level is an embarrassingly parallel
-// batch of word-level bitmap unions. Each task writes only its own
-// variable's bitmap and reads bitmaps completed before the previous level's
-// barrier; a one-lane pool runs the levels inline in order. Predecessor
-// entries that resolve to the same representative (common after collapses)
-// union once per variable thanks to a per-lane epoch mark, so the
-// accumulation stays linear in bitmap words. Determinism: the set of
-// (variable, distinct predecessor representative) unions is
-// schedule-independent, union is commutative, and unionWith's word count
-// depends only on the source bitmap — so LSBits and LSUnionWords are
-// bit-identical for any lane count.
+// needs each variable only after its predecessors. One ascending sweep over
+// varsByOrder() first finds which solutions are copies: a representative Y
+// with no source of its own whose variable predecessors all resolve to one
+// owner P has LS(Y) = LS(P) (pointer equivalence, read off the closed
+// graph), so it shares P's bitmap instead of building its own. Every other
+// representative owns its solution and gets a level = 1 + max(level of its
+// predecessors' owners), so a level's owners depend only on strictly
+// earlier levels and each level is an embarrassingly parallel batch of
+// word-level bitmap unions. Each task writes only its own bitmap and reads
+// bitmaps completed before the previous level's barrier; a one-lane pool
+// runs the levels inline in order. Predecessor entries that resolve to the
+// same owner (common after collapses and among copies) union once per
+// variable thanks to a per-lane epoch mark, so the accumulation stays
+// linear in bitmap words. Determinism: owners and levels come from the
+// sequential sweep, the set of (owner, distinct predecessor owner) unions
+// is schedule-independent, union is commutative, and unionWith's word
+// count depends only on the source bitmap — so LSBits, LSOwner and
+// LSUnionWords are bit-identical for any lane count.
 void ConstraintSolver::computeLeastSolutionIF(ThreadPool &Pool) {
   LSBits.assign(numVars(), SparseBitVector());
-  std::vector<VarId> Live;
-  for (VarId Var = 0; Var != numVars(); ++Var)
-    if (Forwarding.isRepresentative(Var))
-      Live.push_back(Var);
-  std::sort(Live.begin(), Live.end(), [&](VarId A, VarId B) {
-    return Vars[A].Order < Vars[B].Order;
-  });
+  LSOwner.resize(numVars());
+  std::iota(LSOwner.begin(), LSOwner.end(), 0);
 
-  // Kahn levels in one ascending pass (predecessors precede their users).
-  // finalize() compressed every forwarding chain before this pass,
-  // so the findConst calls below are single hops on immutable data.
+  // Owners and their Kahn levels in one ascending pass (predecessors
+  // precede their users). finalize() compressed every forwarding chain
+  // before this pass, so the findConst calls below are single hops on
+  // immutable data.
+  constexpr VarId NoOwner = UINT32_MAX;
   std::vector<uint32_t> Depth(numVars(), 0);
   std::vector<std::vector<VarId>> Levels;
-  for (VarId Var : Live) {
+  for (VarId Var : varsByOrder()) {
+    if (!Forwarding.isRepresentative(Var))
+      continue;
     uint32_t Level = 0;
+    VarId Shared = NoOwner;
+    bool OwnsSolution = false;
     for (uint32_t Pred : Vars[Var].Preds) {
-      if (isTermRef(Pred))
+      if (isTermRef(Pred)) {
+        OwnsSolution = true;
         continue;
-      VarId PredRep = Forwarding.find(payloadOf(Pred));
-      if (PredRep != Var)
-        Level = std::max(Level, Depth[PredRep] + 1);
+      }
+      VarId PredRep = Forwarding.findConst(payloadOf(Pred));
+      if (PredRep == Var)
+        continue; // Stale self reference after a collapse.
+      VarId Owner = LSOwner[PredRep];
+      Level = std::max(Level, Depth[Owner] + 1);
+      if (Shared == NoOwner)
+        Shared = Owner;
+      else if (Shared != Owner)
+        OwnsSolution = true;
+    }
+    if (!OwnsSolution && Shared != NoOwner) {
+      LSOwner[Var] = Shared;
+      continue;
     }
     Depth[Var] = Level;
     if (Level >= Levels.size())
@@ -1417,12 +1440,12 @@ void ConstraintSolver::computeLeastSolutionIF(ThreadPool &Pool) {
 
   // Per-lane scratch: an epoch array replaces the shared VisitEpoch marks
   // (which two lanes would race on) for deduplicating predecessor entries
-  // that resolve to the same representative, plus a SolverStats delta so
-  // counting never touches the shared Stats. The deltas are sums, so
-  // merging them after the waves is order-independent. Each lane's slot is
-  // padded to whole cache lines (CacheAligned): the Epoch counter and the
-  // Delta counters are bumped on every variable a lane processes, and
-  // unpadded adjacent slots would false-share those lines across lanes.
+  // that resolve to the same owner, plus a SolverStats delta so counting
+  // never touches the shared Stats. The deltas are sums, so merging them
+  // after the waves is order-independent. Each lane's slot is padded to
+  // whole cache lines (CacheAligned): the Epoch counter and the Delta
+  // counters are bumped on every variable a lane processes, and unpadded
+  // adjacent slots would false-share those lines across lanes.
   struct LaneScratch {
     std::vector<uint32_t> SeenEpoch;
     uint32_t Epoch = 0;
@@ -1448,15 +1471,31 @@ void ConstraintSolver::computeLeastSolutionIF(ThreadPool &Pool) {
         continue; // Stale self reference after a collapse.
       assert(Vars[PredRep].Order < Vars[Var].Order &&
              "inductive form violated: predecessor with larger order");
-      if (S.SeenEpoch[PredRep] == S.Epoch)
-        continue; // Duplicate entry for the same representative.
-      S.SeenEpoch[PredRep] = S.Epoch;
-      Out.unionWith(LSBits[PredRep], &S.Delta.LSUnionWords);
+      VarId Owner = LSOwner[PredRep];
+      if (S.SeenEpoch[Owner] == S.Epoch)
+        continue; // Another entry whose solution this one already took.
+      S.SeenEpoch[Owner] = S.Epoch;
+      Out.unionWith(LSBits[Owner], &S.Delta.LSUnionWords);
     }
   });
 
   for (const CacheAligned<LaneScratch> &S : Scratch)
     Stats += S.Value.Delta;
+}
+
+const std::vector<VarId> &ConstraintSolver::varsByOrder() {
+  const size_t Known = ByOrder.size();
+  if (Known == numVars())
+    return ByOrder;
+  auto Before = [this](VarId A, VarId B) {
+    return Vars[A].Order < Vars[B].Order;
+  };
+  ByOrder.resize(numVars());
+  std::iota(ByOrder.begin() + Known, ByOrder.end(), Known);
+  std::sort(ByOrder.begin() + Known, ByOrder.end(), Before);
+  std::inplace_merge(ByOrder.begin(), ByOrder.begin() + Known, ByOrder.end(),
+                     Before);
+  return ByOrder;
 }
 
 std::vector<std::vector<ExprId>> ConstraintSolver::referenceLeastSolutions() {
@@ -1511,6 +1550,10 @@ bool ConstraintSolver::verifyGraphInvariants() {
   for (VarId Var = 0; Var != numVars(); ++Var) {
     if (!Forwarding.isRepresentative(Var))
       continue;
+    // Every source entered through insertSourceVar, which records it in
+    // SeenSources; source deliveries rely on that to skip the lookup.
+    if (!Vars[Var].PredTerms.isSubsetOf(SeenSources))
+      return false;
     for (uint32_t Pred : Vars[Var].Preds) {
       if (isTermRef(Pred))
         continue;

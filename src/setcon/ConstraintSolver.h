@@ -167,10 +167,11 @@ public:
   void finalize();
 
   /// The least solution of \p Var: the set of constructed source terms
-  /// (by ExprId) contained in every solution's value for Var, as its
-  /// representative's bitmap. Iterating it yields the ExprIds in
-  /// ascending order. The reference stays valid until the next constraint
-  /// addition.
+  /// (by ExprId) contained in every solution's value for Var, as the
+  /// solver's bitmap for its representative (in inductive form, the one
+  /// its solution owner shares; see LSOwner). Iterating it yields the
+  /// ExprIds in ascending order. The reference stays valid until the next
+  /// constraint addition.
   const SparseBitVector &leastSolution(VarId Var);
 
   //===--------------------------------------------------------------------===
@@ -269,8 +270,9 @@ public:
   /// Checks the representation invariants the least-solution pass relies
   /// on: in inductive form every live variable's predecessor entries
   /// resolve to strictly lower-ordered representatives; in standard form
-  /// predecessor lists contain source terms only. Returns false on the
-  /// first violation (the invariant the IF ascending pass asserts).
+  /// predecessor lists contain source terms only; in both, every source a
+  /// live variable holds is in SeenSources. Returns false on the first
+  /// violation (the invariant the IF ascending pass asserts).
   bool verifyGraphInvariants();
 
   /// Closes the graph and returns the live variable graph (liveVarRows())
@@ -448,10 +450,11 @@ private:
   /// graph from liveVarRows() (written in place from the successor lists
   /// in standard form), run Tarjan over it, level the components
   /// Kahn-style from the same rows, assign each live representative a
-  /// unique position sorted by (level, order index), and lay the
-  /// successor lists out as CSR arrays in position order with targets
-  /// pre-resolved through forwarding. Under CycleElim::Online it first
-  /// collapses every non-trivial SCC the Tarjan pass found (counted in
+  /// unique position sorted by (level, order index) — a stable counting
+  /// sort on level over varsByOrder() — and lay the successor lists out as
+  /// CSR arrays in position order with targets pre-resolved through
+  /// forwarding. Under CycleElim::Online it first collapses every
+  /// non-trivial SCC the Tarjan pass found (counted in
   /// WaveCollapsedVars); when anything collapsed it returns with the order
   /// still invalid, so each order it does complete is acyclic. All of its
   /// scratch is local: only the order and the CSR outlive the build.
@@ -612,13 +615,20 @@ private:
   //===--------------------------------------------------------------------===
 
   /// Inductive form's least solutions (equation 1 of the paper) as a
-  /// wavefront: Kahn levels over the collapsed (acyclic) representative
-  /// graph, then per-level word-level unions on \p Pool — each level's
-  /// variables only read solutions completed by earlier levels and only
-  /// write their own bitmap. LSBits and counters are bit-identical for any
-  /// lane count.
+  /// wavefront. One ascending pass over varsByOrder() gives every live
+  /// representative its solution's owner (LSOwner) and every owner a Kahn
+  /// level; then each level's owners take word-level unions on \p Pool,
+  /// reading only solutions completed by earlier levels and writing only
+  /// their own bitmap. LSBits, LSOwner and counters are bit-identical for
+  /// any lane count.
   void computeLeastSolutionIF(ThreadPool &Pool);
   void invalidateSolutions();
+
+  /// Every VarId, live or dead, ascending by order index. Order indices
+  /// are unique and fixed at creation, so the list only grows: the
+  /// variables created since the last call are sorted on their own and
+  /// merged in.
+  const std::vector<VarId> &varsByOrder();
 
   TermTable &Terms;
   SolverOptions Options;
@@ -628,6 +638,8 @@ private:
   std::vector<VarNode> Vars;
   UnionFind Forwarding;
   std::vector<VarId> VarOfCreation;
+  /// varsByOrder()'s list, extended on use.
+  std::vector<VarId> ByOrder;
 
   /// Retraction provenance: every top-level input constraint in input
   /// order (see BaseRoot). Not touched by internal replays.
@@ -739,9 +751,14 @@ private:
   std::vector<std::string> Inconsistencies;
 
   bool Finalized = false;
-  /// Inductive-form least solutions per VarId (unused entries empty).
-  /// Standard form reads PredTerms directly instead.
+  /// Inductive-form least solutions per VarId: a representative's solution
+  /// is LSBits[LSOwner[Rep]]. A representative with no source of its own
+  /// whose variable predecessors all resolve to one owner P has the
+  /// solution LS(P) (pointer equivalence), so it shares P's bitmap; every
+  /// other variable owns its entry (unused entries stay empty). Standard
+  /// form reads PredTerms directly instead.
   std::vector<SparseBitVector> LSBits;
+  std::vector<VarId> LSOwner;
 
   SolverStats Stats;
 };

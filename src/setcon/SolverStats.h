@@ -79,7 +79,9 @@ struct SolverStats {
 
   /// 64-bit words visited by word-level set unions in the least-solution
   /// pass (the bitvector backend's cost measure; 0 for standard form,
-  /// whose closed graph needs no union pass).
+  /// whose closed graph needs no union pass). Only solution owners union:
+  /// a representative that shares one predecessor owner's solution adds
+  /// nothing.
   uint64_t LSUnionWords = 0;
   /// Standard-form difference propagation: batched source-set deliveries
   /// pushed along successor edges (one per (flush, variable-successor)

@@ -76,26 +76,6 @@ ExprId TermTable::internCons(ConsId Cons, const ExprId *Args,
   return Id;
 }
 
-VarId TermTable::varOf(ExprId Id) const {
-  assert(kind(Id) == ExprKind::Var && "varOf() on non-variable expression!");
-  return Payloads[Id];
-}
-
-ConsId TermTable::consOf(ExprId Id) const {
-  assert(kind(Id) == ExprKind::Cons && "consOf() on non-constructed term!");
-  return Payloads[Id];
-}
-
-const ExprId *TermTable::argsOf(ExprId Id) const {
-  assert(kind(Id) == ExprKind::Cons && "argsOf() on non-constructed term!");
-  return ArgPool.data() + ArgSlices[Id].first;
-}
-
-unsigned TermTable::numArgs(ExprId Id) const {
-  assert(kind(Id) == ExprKind::Cons && "numArgs() on non-constructed term!");
-  return ArgSlices[Id].second;
-}
-
 std::string
 TermTable::str(ExprId Id,
                const std::function<std::string(VarId)> &VarName) const {

@@ -29,6 +29,7 @@
 #include "support/IdIndex.h"
 #include "support/SmallVector.h"
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -79,15 +80,30 @@ public:
     return K == ExprKind::Cons || K == ExprKind::Zero || K == ExprKind::One;
   }
 
+  // The accessors below are defined here so the solver's resolution loop,
+  // which calls them for every constraint it resolves, inlines them.
+
   /// Variable of a Var expression.
-  VarId varOf(ExprId Id) const;
+  VarId varOf(ExprId Id) const {
+    assert(kind(Id) == ExprKind::Var && "varOf() on non-variable expression!");
+    return Payloads[Id];
+  }
 
   /// Constructor of a Cons expression.
-  ConsId consOf(ExprId Id) const;
+  ConsId consOf(ExprId Id) const {
+    assert(kind(Id) == ExprKind::Cons && "consOf() on non-constructed term!");
+    return Payloads[Id];
+  }
 
   /// Arguments of a Cons expression.
-  const ExprId *argsOf(ExprId Id) const;
-  unsigned numArgs(ExprId Id) const;
+  const ExprId *argsOf(ExprId Id) const {
+    assert(kind(Id) == ExprKind::Cons && "argsOf() on non-constructed term!");
+    return ArgPool.data() + ArgSlices[Id].first;
+  }
+  unsigned numArgs(ExprId Id) const {
+    assert(kind(Id) == ExprKind::Cons && "numArgs() on non-constructed term!");
+    return ArgSlices[Id].second;
+  }
 
   /// Renders \p Id for diagnostics, using \p VarName to label variables.
   std::string str(ExprId Id,

@@ -219,3 +219,131 @@ TEST(LazyViewTest, ViewIsCachedAndInvalidated) {
   Solver.addConstraint(S2, Terms.var(X));
   EXPECT_EQ(Solver.leastSolution(X).count(), 2u);
 }
+
+//===----------------------------------------------------------------------===//
+// Shared least solutions
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A hand-built inductive-form system over variables v0..vN-1, created in
+/// order under OrderKind::Creation, so o(vI) = I.
+struct SharingCase {
+  uint32_t NumVars;
+  /// Each (S, V) adds the source sS <= vV, in order.
+  std::vector<std::pair<uint32_t, uint32_t>> Sources;
+  /// Each (X, Y) adds vX <= vY, in order, after the sources.
+  std::vector<std::pair<uint32_t, uint32_t>> Copies;
+  /// Pairs whose solutions must be one bitmap object.
+  std::vector<std::pair<uint32_t, uint32_t>> Shared;
+  /// Pairs whose solutions must be two bitmap objects.
+  std::vector<std::pair<uint32_t, uint32_t>> Apart;
+};
+
+/// Solves \p Case at 1, 2 and 8 lanes. At each lane count every variable's
+/// solution must equal referenceLeastSolutions(), and Shared and Apart
+/// must hold; LSUnionWords must be the same at every lane count. Returns
+/// that LSUnionWords.
+uint64_t checkSharing(const SharingCase &Case, const char *What) {
+  uint64_t UnionWords = 0;
+  for (unsigned Lanes : {1U, 2U, 8U}) {
+    ConstructorTable Constructors;
+    TermTable Terms(Constructors);
+    SolverOptions Options = makeConfig(GraphForm::Inductive,
+                                       CycleElim::Online);
+    Options.Order = OrderKind::Creation;
+    Options.Threads = Lanes;
+    ConstraintSolver Solver(Terms, Options);
+    std::vector<VarId> V;
+    for (uint32_t I = 0; I != Case.NumVars; ++I)
+      V.push_back(Solver.freshVar("v" + std::to_string(I)));
+    for (auto [S, Var] : Case.Sources) {
+      ConsId Source =
+          Constructors.getOrCreate("s" + std::to_string(S), {});
+      Solver.addConstraint(Terms.cons(Source, {}), Terms.var(V[Var]));
+    }
+    for (auto [X, Y] : Case.Copies)
+      Solver.addConstraint(Terms.var(V[X]), Terms.var(V[Y]));
+
+    std::vector<std::vector<ExprId>> Reference =
+        Solver.referenceLeastSolutions();
+    Solver.finalize();
+    for (VarId Var : V) {
+      EXPECT_EQ(Solver.leastSolution(Var).toVector<ExprId>(),
+                Reference[Solver.rep(Var)])
+          << What << " at " << Lanes << " lanes, v" << Var;
+    }
+    for (auto [A, B] : Case.Shared) {
+      EXPECT_EQ(&Solver.leastSolution(V[A]), &Solver.leastSolution(V[B]))
+          << What << " at " << Lanes << " lanes: v" << A << " and v" << B
+          << " should share one bitmap";
+    }
+    for (auto [A, B] : Case.Apart) {
+      EXPECT_NE(&Solver.leastSolution(V[A]), &Solver.leastSolution(V[B]))
+          << What << " at " << Lanes << " lanes: v" << A << " and v" << B
+          << " should have a bitmap each";
+    }
+    if (Lanes == 1)
+      UnionWords = Solver.stats().LSUnionWords;
+    EXPECT_EQ(Solver.stats().LSUnionWords, UnionWords)
+        << What << " at " << Lanes << " lanes";
+  }
+  return UnionWords;
+}
+
+} // namespace
+
+TEST(SharedSolutionTest, CopyChainSharesTheSourceHoldersBitmap) {
+  // v0 <= v1 <= v2 with a source only at v0: v1 takes v0's solution, and
+  // v2, whose one predecessor v1 shares it, takes it too. Nothing unions.
+  SharingCase Case{3, {{0, 0}}, {{0, 1}, {1, 2}}, {{1, 0}, {2, 0}}, {}};
+  EXPECT_EQ(checkSharing(Case, "copy chain"), 0u);
+}
+
+TEST(SharedSolutionTest, TwoPredecessorsWithOneOwnerShare) {
+  // v3 has two predecessors, v1 and v2, which both share v0's solution.
+  SharingCase Case{4,
+                   {{0, 0}},
+                   {{0, 1}, {0, 2}, {1, 3}, {2, 3}},
+                   {{1, 0}, {2, 0}, {3, 0}},
+                   {}};
+  EXPECT_EQ(checkSharing(Case, "two predecessors"), 0u);
+}
+
+TEST(SharedSolutionTest, OwnSourceKeepsOwnBitmap) {
+  // v1 has one predecessor, but a source of its own as well: its solution
+  // is a strict superset of v0's, so it owns a bitmap and unions v0's.
+  // v2 copies v1 and shares v1's bitmap.
+  SharingCase Case{3,
+                   {{0, 0}, {1, 1}},
+                   {{0, 1}, {1, 2}},
+                   {{2, 1}},
+                   {{1, 0}, {2, 0}}};
+  EXPECT_GT(checkSharing(Case, "own source"), 0u);
+}
+
+TEST(SharedSolutionTest, TwoOwnersKeepOwnBitmap) {
+  // v2's predecessors v0 and v1 own different solutions: v2 unions both.
+  SharingCase Case{3,
+                   {{0, 0}, {1, 1}},
+                   {{0, 2}, {1, 2}},
+                   {},
+                   {{2, 0}, {2, 1}}};
+  EXPECT_GT(checkSharing(Case, "two owners"), 0u);
+}
+
+TEST(SharedSolutionTest, EntriesNamingCollapsedMembersResolveToTheirClass) {
+  // v2 <= v3 and v1 <= v3 are added while v1 and v2 are distinct; then
+  // v2 <= v1 closes v1 <= v2 <= v1 and collapses v2 onto v1 (the lower
+  // order index). v3's two predecessor entries now both resolve to v1,
+  // which shares v0's solution, so v3 shares it too. Inductive form never
+  // leaves an entry resolving to its own holder: every entry names a
+  // lower-ordered variable and a class's representative is its
+  // lowest-ordered member.
+  SharingCase Case{4,
+                   {{0, 0}},
+                   {{0, 1}, {1, 2}, {2, 3}, {1, 3}, {2, 1}},
+                   {{1, 0}, {2, 0}, {3, 0}},
+                   {}};
+  EXPECT_EQ(checkSharing(Case, "after a collapse"), 0u);
+}

@@ -312,6 +312,11 @@ namespace {
 struct RandomSystem {
   std::vector<std::string> Decls;
   std::vector<std::string> Lines;
+  /// Lines to retract, in this order; when empty, sweepRetractions()
+  /// picks its victims at random.
+  std::vector<std::string> Victims;
+  /// The order index every sweep configuration uses.
+  OrderKind Order = OrderKind::Random;
 };
 
 RandomSystem makeRandomSystem(uint64_t Seed, uint32_t NumVars,
@@ -389,6 +394,45 @@ RandomSystem makeSparseSystem(uint64_t Seed, uint32_t NumVars,
   return Out;
 }
 
+/// True if \p Line is a copy `v<A> <= v<B>`; sets \p A and \p B.
+bool parseCopy(const std::string &Line, unsigned &A, unsigned &B) {
+  int End = 0;
+  return std::sscanf(Line.c_str(), "v%u <= v%u%n", &A, &B, &End) == 2 &&
+         static_cast<size_t>(End) == Line.size();
+}
+
+/// makeSparseSystem()'s sources and ref lines, with its random copies
+/// replaced by the motif a <= c, c <= b, a <= b, b <= a in each of its
+/// four copy groups {a, b, c}, whose a <= b lines are the victims. Under
+/// creation order (o(a) < o(b) < o(c)) inductive form's partial search
+/// collapses a <= b <= a and never walks a <= c <= b, so c stays outside
+/// the class (the random copies would pull it in: every later insertion
+/// between c and the class closes a two-cycle the search finds). Once
+/// a <= b goes, a and b are strongly connected only through c, and the
+/// class must split.
+RandomSystem makePlantedSystem(uint64_t Seed) {
+  RandomSystem Out = makeSparseSystem(Seed, /*NumVars=*/40, /*NumLines=*/30);
+  Out.Order = OrderKind::Creation;
+  Out.Lines.erase(std::remove_if(Out.Lines.begin(), Out.Lines.end(),
+                                 [](const std::string &Line) {
+                                   unsigned From, To;
+                                   return parseCopy(Line, From, To);
+                                 }),
+                  Out.Lines.end());
+  std::vector<std::string> Motif;
+  for (uint32_t Group = 0; Group != 12; Group += 3) {
+    const std::string A = "v" + std::to_string(Group),
+                      B = "v" + std::to_string(Group + 1),
+                      C = "v" + std::to_string(Group + 2);
+    for (const std::string &Line :
+         {A + " <= " + C, C + " <= " + B, A + " <= " + B, B + " <= " + A})
+      Motif.push_back(Line);
+    Out.Victims.push_back(A + " <= " + B);
+  }
+  Out.Lines.insert(Out.Lines.begin(), Motif.begin(), Motif.end());
+  return Out;
+}
+
 /// Creation indices of the variables \p Line names (`v<N>` is the N-th).
 std::vector<uint32_t> namedVars(const std::string &Line) {
   std::vector<uint32_t> Out;
@@ -407,9 +451,7 @@ bool connectedByInternalCopies(const std::vector<uint32_t> &Members,
   std::vector<std::pair<uint32_t, uint32_t>> Edges;
   for (const std::string &Line : Lines) {
     unsigned A, B;
-    int End = 0;
-    if (std::sscanf(Line.c_str(), "v%u <= v%u%n", &A, &B, &End) == 2 &&
-        static_cast<size_t>(End) == Line.size() &&
+    if (parseCopy(Line, A, B) &&
         std::count(Members.begin(), Members.end(), A) &&
         std::count(Members.begin(), Members.end(), B))
       Edges.push_back({A, B});
@@ -439,11 +481,11 @@ struct SweepObservations {
   uint64_t ClassesKept = 0;
 };
 
-/// Retracts \p Rounds lines of \p Sys, chosen by \p Seed, under every
-/// sweepConfigs() configuration, and checks each retraction against a
-/// fresh solve of the surviving lines. A class that survives its split
-/// check must still be strongly connected by surviving copies between its
-/// own members.
+/// Retracts \p Rounds lines of \p Sys, its Victims or else lines chosen by
+/// \p Seed, under every sweepConfigs() configuration, and checks each
+/// retraction against a fresh solve of the surviving lines. A class that
+/// survives its split check must still be strongly connected by surviving
+/// copies between its own members.
 void sweepRetractions(const RandomSystem &Sys, uint64_t Seed, int Rounds,
                       SweepObservations &Seen) {
   std::vector<uint32_t> Named;
@@ -452,7 +494,8 @@ void sweepRetractions(const RandomSystem &Sys, uint64_t Seed, int Rounds,
       if (!std::count(Named.begin(), Named.end(), Var))
         Named.push_back(Var);
 
-  for (const SolverOptions &Options : sweepConfigs(Seed)) {
+  for (SolverOptions Options : sweepConfigs(Seed)) {
+    Options.Order = Sys.Order;
     FileHarness H(Options);
     for (const std::string &Line : Sys.Decls)
       H.add(Line);
@@ -464,9 +507,15 @@ void sweepRetractions(const RandomSystem &Sys, uint64_t Seed, int Rounds,
     std::vector<std::string> Survivors = Sys.Lines;
     PRNG Rng(Seed * 31 + 7);
     for (int Round = 0; Round != Rounds && !Survivors.empty(); ++Round) {
-      size_t Victim = Rng.nextBelow(static_cast<uint32_t>(Survivors.size()));
-      std::string Line = Survivors[Victim];
-      Survivors.erase(Survivors.begin() + Victim);
+      auto Victim =
+          Sys.Victims.empty()
+              ? Survivors.begin() +
+                    Rng.nextBelow(static_cast<uint32_t>(Survivors.size()))
+              : std::find(Survivors.begin(), Survivors.end(),
+                          Sys.Victims[Round]);
+      ASSERT_NE(Victim, Survivors.end());
+      std::string Line = *Victim;
+      Survivors.erase(Victim);
 
       // The retracted line's variables seed the cone, so their classes
       // always meet the split check.
@@ -548,6 +597,36 @@ TEST(SparseRetractSweepTest, RetractionsReachPartialConesAndKeptClasses) {
   }
   EXPECT_GT(Seen.PartialCones, 0u);
   EXPECT_GT(Seen.ClassesKept, 0u);
+}
+
+TEST(SparseRetractSweepTest, ClassesJoinedThroughAPlantedOutsideVariable) {
+  // Every seed plants four classes that only a path through a variable
+  // outside them keeps strongly connected after their retraction, so a
+  // split check that counted such paths would keep them on every seed.
+  SweepObservations Seen;
+  for (uint64_t Seed = 1; Seed != 61; ++Seed) {
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    RandomSystem Sys = makePlantedSystem(Seed);
+    // The premise: inductive form collapses each group's a and b and
+    // leaves its c outside.
+    SolverOptions Options =
+        makeConfig(GraphForm::Inductive, CycleElim::Online, Seed);
+    Options.Order = Sys.Order;
+    FileHarness H(Options);
+    for (const std::string &Line : Sys.Decls)
+      H.add(Line);
+    for (const std::string &Line : Sys.Lines)
+      H.add(Line);
+    H.Solver.ensureClosed();
+    for (uint32_t Group = 0; Group != 12; Group += 3) {
+      VarId A = H.Solver.rep(H.Solver.varOfCreation(Group));
+      EXPECT_EQ(H.Solver.rep(H.Solver.varOfCreation(Group + 1)), A);
+      EXPECT_NE(H.Solver.rep(H.Solver.varOfCreation(Group + 2)), A);
+    }
+    sweepRetractions(Sys, Seed, static_cast<int>(Sys.Victims.size()), Seen);
+    ASSERT_FALSE(HasFatalFailure());
+  }
+  EXPECT_GT(Seen.PartialCones, 0u);
 }
 
 namespace {
